@@ -19,18 +19,24 @@ the monotonicity of crossings under parabolic/Cauchy-Riemann dynamics.  The
 exit rule itself is an interpretation (the discrete literature fixes only the
 direction of decrease); it is validated against the computed cyclic classes.
 
-Cells are encoded as mixed-radix integers over per-slot state tables, so the
-closure enumeration works on machine ints.
+A cell is a mixed-radix int64 code over the per-slot states (gaps 0..ngaps-1,
+pins ngaps+f).  N, N^- and the relative cells are sorted code arrays, built by
+down-closure one slot at a time; membership is a `searchsorted`.  Which side
+of a fixed value a gap lies on is exact integer data, so the straddle/tangency
+signs and the crossings of a representative strand come from per-slot tables
+built once per geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .discrete import DiscreteRelativeBraid, pair_crossings
+import numpy as np
+
+from .discrete import DiscreteRelativeBraid, total_crossing_number
 from .errors import BraidInputError, ImproperClassError, TransversalityError
+from .homology import boundary_matrix
 
 BARRIER_LOW = -1
 BARRIER_HIGH = -2
@@ -45,8 +51,6 @@ class SlotTable:
 
     values: tuple[Fraction, ...]          # sorted, markers at the extremes
     owners: tuple[int, ...]               # skeleton strand id or barrier constant
-    prev_values: tuple[Fraction, ...]     # owner's value one slot earlier
-    next_values: tuple[Fraction, ...]     # owner's value one slot later
     mids: tuple[Fraction, ...]            # gap midpoints
 
     @property
@@ -60,7 +64,13 @@ class SlotTable:
 
 
 class ComplexGeometry:
-    """Per-slot state tables and the integer cell encoding."""
+    """Per-slot state tables, sign and crossing tables, and the cell codes.
+
+    Gap g of a slot lies below fixed value p of the same slot iff g < p, so
+    for pin f at slot i, `prev_pos[i][f]` and `next_pos[i][f]` locate its
+    owner at slots i-1 and i+1, and `cross[i][g][h]` counts the crossings
+    with the skeleton of a strand in gap g at slot i and gap h at slot i+1.
+    """
 
     def __init__(self, rb: DiscreteRelativeBraid):
         if rb.free.strands != 1:
@@ -71,103 +81,114 @@ class ComplexGeometry:
         if rb.period < 2:
             raise BraidInputError("braid complexes need period >= 2")
         self.rb = rb
-        self.period = rb.period
+        self.period = d = rb.period
         sk = rb.skeleton
         slots = []
-        for i in range(rb.period):
+        for i in range(d):
             entries = [(Fraction(-1), BARRIER_LOW), (Fraction(1), BARRIER_HIGH)]
             entries.extend((sk.anchors[l][i], l) for l in range(sk.strands))
             entries.sort()
             values = tuple(v for v, _ in entries)
             if len(set(values)) != len(values):
                 raise TransversalityError(f"coincident fixed values at slot {i}")
-            owners = tuple(o for _, o in entries)
-            prev_v, next_v = [], []
-            for v, o in entries:
-                if o in (BARRIER_LOW, BARRIER_HIGH):
-                    prev_v.append(v)
-                    next_v.append(v)
-                else:
-                    prev_v.append(sk.value(o, i - 1))
-                    next_v.append(sk.value(o, i + 1))
             mids = tuple(
                 (values[g] + values[g + 1]) / 2 for g in range(len(values) - 1)
             )
-            slots.append(SlotTable(values, owners, tuple(prev_v), tuple(next_v), mids))
+            slots.append(SlotTable(values, tuple(o for _, o in entries), mids))
         self.slots: list[SlotTable] = slots
+        self.ngaps = [t.ngaps for t in slots]
+        self.nstates = [t.nstates for t in slots]
         self.strides = []
         acc = 1
         for t in slots:
             self.strides.append(acc)
             acc *= t.nstates
         self.total_states = acc
+        if acc >= 2**63:
+            raise BraidInputError(
+                f"{acc} cell states overflow the int64 cell codes; "
+                "the class is beyond this build's desk scale"
+            )
 
-    # -- state helpers ----------------------------------------------------
-    def gap_state(self, i: int, g: int) -> int:
-        return g
+        def position(i: int, owner: int) -> int:
+            """Index at slot i of the owner's value, continued through the closure."""
+            if owner == BARRIER_LOW:
+                return 0
+            if owner == BARRIER_HIGH:
+                return self.ngaps[i % d]
+            return slots[i % d].values.index(sk.value(owner, i))
 
-    def pin_state(self, i: int, f: int) -> int:
-        return self.slots[i].ngaps + f
-
-    def is_gap(self, i: int, state: int) -> bool:
-        return state < self.slots[i].ngaps
-
-    def pin_index(self, i: int, state: int) -> int:
-        return state - self.slots[i].ngaps
-
-    def encode(self, states: Iterable[int]) -> int:
-        total = 0
-        for s, stride in zip(states, self.strides):
-            total += s * stride
-        return total
-
-    def decode(self, cell: int) -> list[int]:
-        out = []
-        for t in self.slots:
-            cell, s = divmod(cell, t.nstates)
-            out.append(s)
-        return out
-
-    # -- classification ----------------------------------------------------
-    def classify_pin(self, i: int, f: int, g_prev: int, g_next: int) -> tuple[str, int]:
-        """('straddle'|'tangency', side) for a pin with gap neighbours."""
-        t = self.slots[i]
-        d = self.period
-        a = self.slots[(i - 1) % d].mids[g_prev] - t.prev_values[f]
-        b = self.slots[(i + 1) % d].mids[g_next] - t.next_values[f]
-        if (a < 0) != (b < 0):
-            return "straddle", 0
-        return "tangency", 1 if a > 0 else -1
+        self.prev_pos = [tuple(position(i - 1, o) for o in t.owners) for i, t in enumerate(slots)]
+        self.next_pos = [tuple(position(i + 1, o) for o in t.owners) for i, t in enumerate(slots)]
+        self.cross = []
+        for i, t in enumerate(slots):
+            here = [position(i, l) for l in range(sk.strands)]
+            there = [position(i + 1, l) for l in range(sk.strands)]
+            self.cross.append([
+                [sum((g < p) != (h < q) for p, q in zip(here, there))
+                 for h in range(self.ngaps[(i + 1) % d])]
+                for g in range(t.ngaps)
+            ])
+        self.skeleton_crossings = total_crossing_number(sk)
 
     def cube_crossing_number(self, cube: tuple[int, ...]) -> int:
         """Total crossings of the representative free strand with everything."""
-        rep = self.representative(cube)
-        sk = self.rb.skeleton
         d = self.period
-        total = self._skeleton_crossings
-        for i in range(d):
-            u0, u1 = rep[i], rep[(i + 1) % d]
-            for l in range(sk.strands):
-                a = u0 - sk.value(l, i)
-                b = u1 - sk.value(l, i + 1)
-                if (a < 0) != (b < 0):
-                    total += 1
-        return total
+        return self.skeleton_crossings + sum(
+            self.cross[i][cube[i]][cube[(i + 1) % d]] for i in range(d)
+        )
 
     def representative(self, cube: tuple[int, ...]) -> list[Fraction]:
         return [self.slots[i].mids[g] for i, g in enumerate(cube)]
 
-    @property
-    def _skeleton_crossings(self) -> int:
-        sk = self.rb.skeleton
-        if not hasattr(self, "_sk_cross"):
-            total = 0
-            for k in range(sk.strands):
-                for l in range(k + 1, sk.strands):
-                    for i in range(sk.period):
-                        total += pair_crossings(sk, k, l, i)
-            self._sk_cross = total
-        return self._sk_cross
+    def gap_mask(self, codes: np.ndarray, i: int) -> np.ndarray:
+        """Which codes hold a gap at slot i."""
+        return codes // self.strides[i] % self.nstates[i] < self.ngaps[i]
+
+    def pins(self, codes: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The faces at slot i of codes holding gap g there: pins g and g+1."""
+        low = codes + self.ngaps[i] * self.strides[i]
+        return low, low + self.strides[i]
+
+    def closure(self, seeds: np.ndarray) -> np.ndarray:
+        """Sorted codes of the down-closure of `seeds`, one slot at a time.
+
+        Closing slot i keeps slots < i closed, so one pass suffices.  The
+        partial closure only grows, and the cells with a gap at slot i and
+        their pins g there are distinct cells of the closure, so checking the
+        cap against either refuses exactly the closures larger than the cap,
+        and early, before the merge that would pass it.
+        """
+        cells = _unique(np.array(seeds, dtype=np.int64))
+        for i in range(self.period):
+            gaps = cells[self.gap_mask(cells, i)]
+            if 2 * len(gaps) <= INDEX_CELL_CAP:
+                cells = _unique(np.concatenate((cells, *self.pins(gaps, i))))
+            if max(len(cells), 2 * len(gaps)) > INDEX_CELL_CAP:
+                raise BraidInputError(
+                    f"index pair exceeds {INDEX_CELL_CAP} cells; "
+                    "the class is beyond this build's desk scale"
+                )
+        return cells
+
+
+def _unique(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes; sorts `codes` in place to save a copy.
+
+    Sort-and-mask: timsort merges the sorted runs the closure concatenates,
+    where np.unique would hash."""
+    codes.sort(kind="stable")
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _lookup(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, found) of `codes` in a sorted code array."""
+    if not len(sorted_codes):
+        return np.zeros(len(codes), dtype=np.int64), np.zeros(len(codes), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return pos, sorted_codes[pos] == codes
 
 
 @dataclass
@@ -186,81 +207,59 @@ class IndexPair:
     """Closure N of a braid class component with its exit set."""
 
     component: BraidClassComponent
-    cells: set[int]           # all of N, encoded
-    exit: set[int]            # N^-, a subcomplex of N
-    dims: dict[int, int] = field(repr=False, default_factory=dict)
+    cells: np.ndarray         # all of N, sorted codes
+    exit: np.ndarray          # N^-, a subcomplex of N, sorted codes
 
     @property
     def geometry(self) -> ComplexGeometry:
         return self.component.geometry
 
-    def relative_cells(self) -> list[int]:
-        return [c for c in self.cells if c not in self.exit]
+    def relative_cells(self) -> np.ndarray:
+        return self.cells[~_lookup(self.exit, self.cells)[1]]
 
-    def dim_of(self, cell: int) -> int:
-        geo = self.geometry
-        return sum(1 for i, s in enumerate(geo.decode(cell)) if geo.is_gap(i, s))
+    def chain_complex(self):
+        """(sorted relative codes, their dimensions, relative boundary).
 
-    def boundary(self, cell: int) -> list[int]:
-        """Relative boundary: faces inside the exit set are dropped."""
+        The boundary is a CSR matrix over indices into the relative codes;
+        faces inside the exit set are dropped.  N is closed, so every other
+        face is a relative cell.
+        """
         geo = self.geometry
-        states = geo.decode(cell)
-        out = []
-        for i, s in enumerate(states):
-            if not geo.is_gap(i, s):
-                continue
-            g = s
-            for f in (g, g + 1):
-                face = cell + (geo.pin_state(i, f) - s) * geo.strides[i]
-                if face not in self.exit:
-                    out.append(face)
-        return out
-
-    def cofaces(self, cell: int) -> list[int]:
-        geo = self.geometry
-        states = geo.decode(cell)
-        out = []
-        for i, s in enumerate(states):
-            if geo.is_gap(i, s):
-                continue
-            f = geo.pin_index(i, s)
-            for g in (f - 1, f):
-                if 0 <= g < geo.slots[i].ngaps:
-                    cof = cell + (g - s) * geo.strides[i]
-                    if cof in self.cells:
-                        out.append(cof)
-        return out
+        rel = self.relative_cells()
+        dims = np.zeros(len(rel), dtype=np.int8)
+        rows, cols = [], []
+        for i in range(geo.period):
+            gap = np.flatnonzero(geo.gap_mask(rel, i)).astype(np.int32)
+            dims[gap] += 1
+            for face in geo.pins(rel[gap], i):
+                pos, found = _lookup(rel, face)
+                rows.append(gap[found])
+                cols.append(pos[found].astype(np.int32))
+        return rel, dims, boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
 
     def chain_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.cells:
-            if c in self.exit:
-                continue
-            k = self.dim_of(c)
-            counts[k] = counts.get(k, 0) + 1
-        return counts
+        ks, counts = np.unique(self.chain_complex()[1], return_counts=True)
+        return dict(zip(ks.tolist(), counts.tolist()))
 
     def validate(self) -> None:
         """Exit set must be a subcomplex of N closed under the face relation."""
         geo = self.geometry
-        for cell in self.exit:
-            if cell not in self.cells:
-                raise AssertionError("exit cell outside N")
-            states = geo.decode(cell)
-            for i, s in enumerate(states):
-                if not geo.is_gap(i, s):
-                    continue
-                for f in (s, s + 1):
-                    face = cell + (geo.pin_state(i, f) - s) * geo.strides[i]
-                    if face not in self.exit:
-                        raise AssertionError("exit set not closed under faces")
+        if not _lookup(self.cells, self.exit)[1].all():
+            raise AssertionError("exit cell outside N")
+        for i in range(geo.period):
+            for face in geo.pins(self.exit[geo.gap_mask(self.exit, i)], i):
+                if not _lookup(self.exit, face)[1].all():
+                    raise AssertionError("exit set not closed under faces")
 
     def to_chain_json(self) -> dict:
         """Chain-complex dump (relative cells only) for external verification."""
-        cells = sorted(self.relative_cells())
+        rel, dims, bnd = self.chain_complex()
+        ids = rel.tolist()
+        faces = rel[bnd.indices].tolist()
+        ptr = bnd.indptr.tolist()
         return {
-            "generators": [{"id": c, "dim": self.dim_of(c)} for c in cells],
-            "boundaries": {str(c): sorted(self.boundary(c)) for c in cells},
+            "generators": [{"id": c, "dim": k} for c, k in zip(ids, dims.tolist())],
+            "boundaries": {str(c): faces[ptr[r]:ptr[r + 1]] for r, c in enumerate(ids)},
         }
 
 
@@ -295,15 +294,13 @@ def enumerate_component(rb: DiscreteRelativeBraid) -> BraidClassComponent:
     while stack:
         cube = stack.pop()
         for i in range(d):
-            g = cube[i]
-            g_prev = cube[(i - 1) % d]
-            g_next = cube[(i + 1) % d]
+            g, g_prev, g_next = cube[i], cube[i - 1], cube[(i + 1) % d]
+            prev_pos, next_pos = geo.prev_pos[i], geo.next_pos[i]
             for f, other in ((g, g - 1), (g + 1, g + 1)):
-                if not 0 <= other < geo.slots[i].ngaps:
+                if not 0 <= other < geo.ngaps[i]:
                     continue
-                kind, _ = geo.classify_pin(i, f, g_prev, g_next)
-                if kind != "straddle":
-                    continue
+                if (g_prev < prev_pos[f]) == (g_next < next_pos[f]):
+                    continue  # tangency: the face walls the class off
                 nxt = cube[:i] + (other,) + cube[i + 1:]
                 if nxt in seen:
                     continue
@@ -357,67 +354,22 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
         )
     geo = comp.geometry
     d = geo.period
+    cubes = np.array(sorted(comp.top_cells), dtype=np.int64).reshape(-1, d)
+    codes = cubes @ np.array(geo.strides, dtype=np.int64)
+    cells = geo.closure(codes)
 
-    # exit facets: tangency walls with the component on the hooked-over side
-    exit_seeds = []
-    for cube in comp.top_cells:
-        for i in range(d):
-            g = cube[i]
-            for f in (g, g + 1):
-                kind, side = geo.classify_pin(i, f, cube[(i - 1) % d], cube[(i + 1) % d])
-                if kind != "tangency":
-                    continue
-                cube_side = 1 if f == g else -1  # gap above or below the pin
-                if cube_side == -side:
-                    states = [geo.gap_state(j, gg) for j, gg in enumerate(cube)]
-                    states[i] = geo.pin_state(i, f)
-                    exit_seeds.append(geo.encode(states))
-
-    # N: closure of the component, enumerated by pinning one slot at a time
-    cells: set[int] = set()
-    frontier = []
-    for cube in comp.top_cells:
-        cid = geo.encode(cube)
-        if cid not in cells:
-            cells.add(cid)
-            frontier.append(cid)
-    while frontier:
-        cell = frontier.pop()
-        states = geo.decode(cell)
-        for i, s in enumerate(states):
-            if not geo.is_gap(i, s):
-                continue
-            for f in (s, s + 1):
-                face = cell + (geo.pin_state(i, f) - s) * geo.strides[i]
-                if face not in cells:
-                    if len(cells) >= INDEX_CELL_CAP:
-                        raise BraidInputError(
-                            f"index pair exceeds {INDEX_CELL_CAP} cells; "
-                            "the class is beyond this build's desk scale"
-                        )
-                    cells.add(face)
-                    frontier.append(face)
-
-    # N^-: downward closure of the exit facets
-    exit_cells: set[int] = set()
-    frontier = []
-    for cell in exit_seeds:
-        if cell not in exit_cells:
-            exit_cells.add(cell)
-            frontier.append(cell)
-    while frontier:
-        cell = frontier.pop()
-        states = geo.decode(cell)
-        for i, s in enumerate(states):
-            if not geo.is_gap(i, s):
-                continue
-            for f in (s, s + 1):
-                face = cell + (geo.pin_state(i, f) - s) * geo.strides[i]
-                if face not in exit_cells:
-                    exit_cells.add(face)
-                    frontier.append(face)
-
-    pair = IndexPair(comp, cells, exit_cells)
+    # exit facets: tangency walls with the component on the hooked-over side,
+    # i.e. the cube lies above a pin whose neighbours both lie below its
+    # owner, or below a pin whose neighbours both lie above
+    seeds = []
+    for i in range(d):
+        g, g_prev, g_next = cubes[:, i], cubes[:, i - 1], cubes[:, (i + 1) % d]
+        prev_pos, next_pos = np.array(geo.prev_pos[i]), np.array(geo.next_pos[i])
+        for up, face in enumerate(geo.pins(codes, i)):  # pin g, then pin g+1
+            below = g_prev < prev_pos[g + up]
+            hit = (below == (g_next < next_pos[g + up])) & (below == (up == 0))
+            seeds.append(face[hit])
+    pair = IndexPair(comp, cells, geo.closure(np.concatenate(seeds)))
     pair.validate()
     return pair
 

@@ -1,20 +1,25 @@
 """Relative homology of finite index pairs over the two-element field.
 
-The chain complex of (N, N^-) can be large (closures of products of
-intervals), so homology-preserving eliminations run first: coreduction pairs
-(a cell whose relative boundary is a single cell) and free-face reductions (a
-cell with a single coface), both fill-in free over Z2.  The surviving core is
+A chain complex is a vector of cell dimensions plus its boundary as a sparse
+cell x face matrix (CSR, int32 indices); the cofaces are its transpose.  The
+check d^2 = 0 is the exact sparse product B @ B, every entry even, at every
+size.  Homology-preserving eliminations run next: coreduction pairs (a cell
+whose boundary is a single cell) and free-face reductions (a cell with a
+single coface), both fill-in free over Z2 (Mrozek-Batko coreduction).  They
+go in whole rounds of disjoint pairs found by sparse products, then one pair
+at a time from a queue over the CSR index arrays.  The surviving core is
 finished off by bit-packed Gaussian elimination.  Euler and Morse-inequality
 identities are asserted on every run.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-DOUBLE_BOUNDARY_EXACT_CAP = 60_000
+import numpy as np
+import scipy.sparse as sp
+
 GAUSS_CAP = 400_000
 
 # counts of structural identities verified across all homology runs
@@ -79,67 +84,101 @@ def poincare_polynomial(b: GradedBetti) -> IntPolynomial:
     return IntPolynomial.from_dict(b.as_dict())
 
 
-def _coreduce(cells: dict[int, int], boundary, cofaces):
+def boundary_matrix(rows, cols, n: int) -> sp.csr_matrix:
+    """Z2 boundary as an n x n CSR matrix: row = cell, column = face.
+
+    Entries are 0/1 int8 with sorted indices; repeated faces cancel.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+    bnd = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    bnd.sum_duplicates()
+    bnd.data &= 1
+    bnd.eliminate_zeros()
+    return bnd
+
+
+def _coreduce(core: list[int], bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
     """Run coreduction and free-face reduction passes until both stall.
 
-    `cells` maps cell -> dimension and is mutated; boundary/cofaces are
-    callables returning candidate neighbours (supersets are fine, the alive
-    filter happens here).  Returns the number of removed cells.
+    `core` lists the cells (rows of `bnd`) taking part and is cut down to the
+    survivors; `cob` is the transpose of `bnd`.  Returns the number of removed
+    cells.
+
+    A pair stays removable while other cells go, so disjoint pairs can go
+    together: whole rounds of them are found by sparse products while a round
+    removes at least 1/64 of the cells, then a queue finishes the rest.
     """
-    alive = set(cells)
-    face_count = {}
-    coface_count = {}
-    for c in alive:
-        face_count[c] = sum(1 for f in boundary(c) if f in alive)
-    for c in alive:
-        coface_count[c] = sum(1 for f in cofaces(c) if f in alive)
-    co_queue = deque(c for c in alive if face_count[c] == 1)
-    red_queue = deque(c for c in alive if coface_count[c] == 1)
-    removed = 0
+    n = bnd.shape[0]
+    mask = np.zeros(n, dtype=np.int32)
+    mask[core] = 1
+    tags = np.arange(1, n + 1)
+    while True:
+        face_count, coface_count = bnd @ mask, cob @ mask
+        # pair a cell with its one alive face, or with its one alive coface,
+        # named by the sum of the alive neighbours' tags
+        one_face = np.flatnonzero(mask & (face_count == 1))
+        one_coface = np.flatnonzero(mask & (coface_count == 1))
+        x = np.concatenate((one_face, one_coface))
+        live = tags * mask
+        y = np.concatenate(((bnd @ live)[one_face], (cob @ live)[one_coface])) - 1
+        # keep each pair whose cells are in no lower-numbered pair
+        pid = np.arange(len(x))
+        first = np.full(n, len(x))
+        np.minimum.at(first, x, pid)
+        np.minimum.at(first, y, pid)
+        keep = (first[x] == pid) & (first[y] == pid)
+        if 64 * np.count_nonzero(keep) <= n:
+            break
+        mask[x[keep]] = 0
+        mask[y[keep]] = 0
+    co_queue = deque(np.flatnonzero(mask & (face_count == 1)).tolist())
+    red_queue = deque(np.flatnonzero(mask & (coface_count == 1)).tolist())
+    alive = bytearray(mask.astype(np.uint8))
+    # memoryviews give Python ints without copying the arrays into lists
+    faces, cofaces = memoryview(face_count), memoryview(coface_count)
+    b_idx, b_ptr = memoryview(bnd.indices), memoryview(bnd.indptr)
+    c_idx, c_ptr = memoryview(cob.indices), memoryview(cob.indptr)
 
     def drop(x):
-        nonlocal removed
-        alive.discard(x)
-        removed += 1
-        for z in boundary(x):
-            if z in alive:
-                coface_count[z] -= 1
-                if coface_count[z] == 1:
+        alive[x] = 0
+        for z in b_idx[b_ptr[x]:b_ptr[x + 1]]:
+            if alive[z]:
+                cofaces[z] -= 1
+                if cofaces[z] == 1:
                     red_queue.append(z)
-        for z in cofaces(x):
-            if z in alive:
-                face_count[z] -= 1
-                if face_count[z] == 1:
+        for z in c_idx[c_ptr[x]:c_ptr[x + 1]]:
+            if alive[z]:
+                faces[z] -= 1
+                if faces[z] == 1:
                     co_queue.append(z)
 
     while co_queue or red_queue:
         while co_queue:
             b = co_queue.popleft()
-            if b not in alive or face_count[b] != 1:
+            if not alive[b] or faces[b] != 1:
                 continue
-            a = next(f for f in boundary(b) if f in alive)
+            a = next(f for f in b_idx[b_ptr[b]:b_ptr[b + 1]] if alive[f])
             drop(b)
             drop(a)
         while red_queue:
             a = red_queue.popleft()
-            if a not in alive or coface_count[a] != 1:
+            if not alive[a] or cofaces[a] != 1:
                 continue
-            b = next(f for f in cofaces(a) if f in alive)
+            b = next(f for f in c_idx[c_ptr[a]:c_ptr[a + 1]] if alive[f])
             drop(a)
             drop(b)
-    for c in list(cells):
-        if c not in alive:
-            del cells[c]
-    return removed
+    removed = len(core)
+    core[:] = np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)).tolist()
+    return removed - len(core)
 
 
-def _gauss_ranks(cells: dict[int, int], boundary) -> dict[int, int]:
+def _gauss_ranks(core: list[int], dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
     """rank of each boundary matrix d_k on the (small) core, over Z2."""
-    if len(cells) > GAUSS_CAP:
-        raise RuntimeError(f"core of {len(cells)} cells exceeds the elimination cap")
+    if len(core) > GAUSS_CAP:
+        raise RuntimeError(f"core of {len(core)} cells exceeds the elimination cap")
     by_dim: dict[int, list[int]] = {}
-    for c, k in cells.items():
-        by_dim.setdefault(k, []).append(c)
+    for c in core:
+        by_dim.setdefault(int(dims[c]), []).append(c)
     ranks: dict[int, int] = {}
     for k, cols in sorted(by_dim.items()):
         rows = {c: i for i, c in enumerate(by_dim.get(k - 1, []))}
@@ -150,7 +189,7 @@ def _gauss_ranks(cells: dict[int, int], boundary) -> dict[int, int]:
         rank = 0
         for c in cols:
             vec = 0
-            for f in boundary(c):
+            for f in bnd.indices[bnd.indptr[c]:bnd.indptr[c + 1]].tolist():
                 if f in rows:
                     vec ^= 1 << rows[f]
             while vec:
@@ -165,22 +204,11 @@ def _gauss_ranks(cells: dict[int, int], boundary) -> dict[int, int]:
     return ranks
 
 
-def _check_boundary_squared(cells: dict[int, int], boundary, sample_cap: int) -> None:
-    pool = list(cells)
-    if len(pool) > sample_cap:
-        rng = random.Random(0)
-        pool = rng.sample(pool, sample_cap)
-    alive = cells.keys()
-    for c in pool:
-        parity: dict[int, int] = {}
-        for f in boundary(c):
-            if f not in alive:
-                continue
-            for ff in boundary(f):
-                if ff in alive:
-                    parity[ff] = parity.get(ff, 0) ^ 1
-        if any(parity.values()):
-            raise AssertionError("boundary of boundary is nonzero")
+def _check_boundary_squared(bnd: sp.csr_matrix) -> None:
+    """Exact d^2 = 0 over Z2: every entry of B @ B counts an even number of
+    paths.  int8 products wrap modulo 256, which keeps their parity."""
+    if ((bnd @ bnd).data & 1).any():
+        raise AssertionError("boundary of boundary is nonzero")
     IDENTITY_CHECKS["boundary_squared"] += 1
 
 
@@ -208,59 +236,50 @@ def _check_morse_identities(counts: dict[int, int], betti: dict[int, int]) -> No
     IDENTITY_CHECKS["morse"] += 1
 
 
-def homology_of_chain(cells: dict[int, int], boundary, cofaces) -> dict[int, int]:
-    """Betti numbers of a Z2 chain complex given by callables.
-
-    `cells` maps generator -> dimension; boundary/cofaces list neighbouring
-    generators (dead ones are filtered internally).
-    """
-    counts: dict[int, int] = {}
-    for _, k in cells.items():
-        counts[k] = counts.get(k, 0) + 1
-    work = dict(cells)
-    sample_cap = len(work) if len(work) <= DOUBLE_BOUNDARY_EXACT_CAP else 2000
-    _check_boundary_squared(work, lambda c: [f for f in boundary(c) if f in cells], sample_cap)
-    alive_filter = set(work)
-
-    def b_alive(c):
-        return [f for f in boundary(c) if f in alive_filter]
-
-    def cf_alive(c):
-        return [f for f in cofaces(c) if f in alive_filter]
-
-    _coreduce(work, b_alive, cf_alive)
-    alive_filter.intersection_update(work)
-    ranks = _gauss_ranks(work, lambda c: [f for f in boundary(c) if f in work])
-    core_counts: dict[int, int] = {}
-    for _, k in work.items():
-        core_counts[k] = core_counts.get(k, 0) + 1
+def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
+    """Betti numbers of the chain complex (dims, bnd); all checks on."""
+    ks, ns = np.unique(dims, return_counts=True)
+    counts = dict(zip(ks.tolist(), ns.tolist()))
+    _check_boundary_squared(bnd)
+    core = list(range(len(dims)))
+    _coreduce(core, bnd, bnd.T.tocsr())
+    ranks = _gauss_ranks(core, dims, bnd)
     betti = {}
-    for k in core_counts:
-        b = core_counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
+    for k, n in zip(*np.unique(dims[core], return_counts=True)):
+        b = int(n) - ranks.get(int(k), 0) - ranks.get(int(k) + 1, 0)
         if b:
-            betti[k] = b
+            betti[int(k)] = b
     _check_morse_identities(counts, betti)
     return betti
 
 
+def homology_of_chain(cells: dict[int, int], boundary) -> dict[int, int]:
+    """Betti numbers of a Z2 chain complex given by a callable.
+
+    `cells` maps generator -> dimension; `boundary` lists a generator's
+    faces (ones outside `cells` are dropped).
+    """
+    index = {c: r for r, c in enumerate(cells)}
+    rows, cols = [], []
+    for c, r in index.items():
+        for f in boundary(c):
+            if f in index:
+                rows.append(r)
+                cols.append(index[f])
+    dims = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
+    return _homology(dims, boundary_matrix(rows, cols, len(cells)))
+
+
 def relative_homology(pair) -> GradedBetti:
     """Betti numbers of the index pair (N, N^-): ker/im of the Z2 boundary."""
-    cells = {c: pair.dim_of(c) for c in pair.relative_cells()}
-    betti = homology_of_chain(cells, pair.boundary, pair.cofaces)
+    _, dims, bnd = pair.chain_complex()
+    betti = _homology(dims, bnd)
     return GradedBetti.from_dict(betti, "direct")
 
 
-def chain_complex_from_json(doc: dict):
-    """Rebuild (cells, boundary, cofaces) from a chain-complex dump."""
+def homology_from_json(doc: dict) -> GradedBetti:
+    """Betti numbers of a chain-complex dump (`IndexPair.to_chain_json`)."""
     cells = {int(g["id"]): int(g["dim"]) for g in doc["generators"]}
     bmap = {int(k): [int(v) for v in vs] for k, vs in doc["boundaries"].items()}
-    cmap: dict[int, list[int]] = {c: [] for c in cells}
-    for c, faces in bmap.items():
-        for f in faces:
-            cmap.setdefault(f, []).append(c)
-    return cells, (lambda c: bmap.get(c, [])), (lambda c: cmap.get(c, []))
-
-
-def homology_from_json(doc: dict) -> GradedBetti:
-    cells, bnd, cof = chain_complex_from_json(doc)
-    return GradedBetti.from_dict(homology_of_chain(cells, bnd, cof), "direct")
+    betti = homology_of_chain(cells, lambda c: bmap.get(c, []))
+    return GradedBetti.from_dict(betti, "direct")

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +34,13 @@ from .discrete import (
     total_crossing_number,
     word_to_discrete_packed,
 )
-from .errors import BraidInputError, ImproperClassError, StabilizationError
+from .errors import (
+    AmbiguousDiagramError,
+    BraidInputError,
+    ImproperClassError,
+    StabilizationError,
+    TransversalityError,
+)
 from .garside import left_normal_form, twist_padding
 from .homology import GradedBetti, poincare_polynomial, relative_homology
 from .words import BraidWord, StrandPermutation, compose, full_twist, permutation_of
@@ -45,6 +51,9 @@ FINE_SAMPLE_CAP = 512
 
 DEFAULT_RADII = (Fraction(1, 5), Fraction(2, 5), Fraction(9, 10))
 DEFAULT_PHASES = (0.17, 0.03, 0.41)  # inner, free, outer
+
+# what an unlucky sampling period or phase raises; anything else is a bug
+SAMPLING_ERRORS = (TransversalityError, AmbiguousDiagramError, BraidInputError)
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ class FloerResult:
     g: int
     n: int
     period: int
-    stabilization_ok: bool
+    stabilization_ok: bool | None  # None: the period-(d+1) rerun was skipped
     proper: bool
     crossing_number: int
     combined_exponent: int
@@ -262,7 +271,7 @@ def _faithful_sample(components, d_start: int = 4, d_cap: int = 16):
     for d in range(d_start, d_cap + 1):
         try:
             b = _sample_components(components, d)
-        except Exception as exc:  # tangential snap collisions at unlucky periods
+        except SAMPLING_ERRORS as exc:  # tangential snap collisions at unlucky periods
             last_error = exc
             continue
         if total_crossing_number(b) != expected:
@@ -328,7 +337,7 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
             else:
                 combined, d = _faithful_sample(shifted, d_start=period, d_cap=period)
             break
-        except Exception as exc:
+        except SAMPLING_ERRORS as exc:
             last = exc
             combined = None
     if combined is None:
@@ -398,13 +407,13 @@ def braid_floer_homology(
 
     cache_key = None
     if cache_dir is not None:
-        cache_key = _cache_key(base_word, rb.period, spec.free_strands())
+        cache_key = _cache_key(spec.presentation, base_word, rb, period_check)
         cached = _cache_get(cache_dir, cache_key)
         if cached is not None:
-            return cached
+            return replace(cached, label=spec.label)
 
     betti, crossings, _ = _homology_at(rb)
-    stabilization_ok = True
+    stabilization_ok = None
     if period_check:
         rb_up = DiscreteRelativeBraid(
             insert_duplicate_slot(rb.free), insert_duplicate_slot(rb.skeleton)
@@ -434,14 +443,25 @@ def braid_floer_homology(
     return result
 
 
-def _cache_key(base_word: BraidWord, period: int, n_free: int) -> str:
+def _cache_key(
+    presentation: str, base_word: BraidWord, rb: DiscreteRelativeBraid, period_check: bool
+) -> str:
+    """Hash of the relative class (the combined braid's normal form with the
+    slot-0 height positions of its free strands) at the realized period, and
+    of whether the period-(d+1) check ran."""
     nf = left_normal_form(base_word)
+    b = rb.combined()
+    order = sorted(
+        range(b.strands), key=lambda k: (b.value(k, 0), b.value(k, 1) - b.value(k, 0), k)
+    )
     doc = {
+        "presentation": presentation,
+        "free_marks": sorted(order.index(k) for k in range(rb.free.strands)),
         "strands": nf.strands,
         "infimum": nf.infimum,
         "factors": [list(f.perm.image) for f in nf.factors],
-        "period": period,
-        "free": n_free,
+        "period": rb.period,
+        "period_check": period_check,
         "version": TOOL_VERSION,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

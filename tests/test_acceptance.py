@@ -357,11 +357,13 @@ def test_criterion_11_structural_suite():
     spec = cyclic_spec((1, 2), (2, 1), ell=1)
     rb, _, _ = _realize_cyclic(spec, None)
     pair = index_pair(enumerate_component(rb))
-    cells = {c: pair.dim_of(c) for c in pair.relative_cells()}
+    doc = pair.to_chain_json()
+    cells = {g["id"]: g["dim"] for g in doc["generators"]}
+    bnd = {int(c): faces for c, faces in doc["boundaries"].items()}
     for c in cells:
         parity = {}
-        for f in pair.boundary(c):
-            for ff in pair.boundary(f):
+        for f in bnd[c]:
+            for ff in bnd[f]:
                 parity[ff] = parity.get(ff, 0) ^ 1
         assert not any(parity.values()), "exact boundary-squared check failed"
     counts = pair.chain_counts()

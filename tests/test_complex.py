@@ -1,16 +1,35 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from braidfloer import complex as complex_module
 from braidfloer.complex import (
+    ComplexGeometry,
     component_contains,
     enumerate_component,
     index_pair,
 )
 from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap, word_to_discrete
-from braidfloer.errors import ImproperClassError
+from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.homology import homology_from_json, relative_homology
+from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation, word
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# the proper cyclic classes of the desk benchmark, as (inner, outer, ell)
+DESK_CYCLIC = [
+    ((1, 2), (2, 1), 1),
+    ((-3, 2), (-1, 2), -1),
+    ((3, 2), (1, 2), 1),
+    ((-1, 2), (1, 1), 0),
+    ((1, 2), (-1, 2), 0),
+    ((1, 2), (-1, 1), 0),
+    ((-2, 3), (1, 2), 0),
+]
 
 
 def constant_strand(value, period):
@@ -89,11 +108,104 @@ def test_homology_of_small_pairs():
     from braidfloer.homology import homology_of_chain
 
     # single point, empty exit
-    assert homology_of_chain({0: 0}, lambda c: [], lambda c: []) == {0: 1}
+    assert homology_of_chain({0: 0}, lambda c: []) == {0: 1}
     # interval with both endpoints in the exit set: one relative 1-cell
-    assert homology_of_chain({7: 1}, lambda c: [], lambda c: []) == {1: 1}
+    assert homology_of_chain({7: 1}, lambda c: []) == {1: 1}
     # circle from two arcs and two points
     cells = {0: 0, 1: 0, 2: 1, 3: 1}
     bnd = {2: [0, 1], 3: [0, 1]}
-    cof = {0: [2, 3], 1: [2, 3]}
-    assert homology_of_chain(cells, lambda c: bnd.get(c, []), lambda c: cof.get(c, [])) == {0: 1, 1: 1}
+    assert homology_of_chain(cells, lambda c: bnd.get(c, [])) == {0: 1, 1: 1}
+
+
+def desk_component(inner, outer, ell):
+    rb, _, _ = _realize_cyclic(cyclic_spec(inner, outer, ell), None)
+    return enumerate_component(rb)
+
+
+def desk_pair(inner, outer, ell):
+    return index_pair(desk_component(inner, outer, ell))
+
+
+def test_chain_json_golden():
+    # pins the cell encoding: ids, dimensions and boundary order
+    pair = desk_pair((1, 2), (2, 1), 1)
+    golden = (FIXTURES / "chain_cyclic_1-2_2-1_1.json").read_text()
+    assert json.dumps(pair.to_chain_json()) == golden
+
+
+def gf2_rank(m: np.ndarray) -> int:
+    """Rank over Z2 of a dense 0/1 matrix by row echelon on packed rows."""
+    rows = np.packbits(m.astype(bool), axis=1)
+    rank = 0
+    for col in range(m.shape[1]):
+        byte, bit = col >> 3, np.uint8(0x80 >> (col & 7))
+        hits = np.flatnonzero(rows[rank:, byte] & bit) + rank
+        if not len(hits):
+            continue
+        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
+        rows[hits[1:]] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("inner, outer, ell", DESK_CYCLIC)
+def test_relative_homology_matches_dense_rank(inner, outer, ell):
+    pair = desk_pair(inner, outer, ell)
+    geo = pair.geometry
+    exit_cells = set(pair.exit.tolist())
+    relative = sorted(set(pair.cells.tolist()) - exit_cells)
+    assert len(relative) <= 5000
+    # decode every relative cell and list its faces outside the exit set
+    dims, faces = {}, {}
+    for c in relative:
+        rest, dims[c], faces[c] = c, 0, []
+        for i in range(geo.period):
+            rest, s = divmod(rest, geo.nstates[i])
+            if s < geo.ngaps[i]:
+                dims[c] += 1
+                for pin in (geo.ngaps[i] + s, geo.ngaps[i] + s + 1):
+                    face = c + (pin - s) * geo.strides[i]
+                    if face not in exit_cells:
+                        faces[c].append(face)
+    by_dim = {}
+    for c in relative:
+        by_dim.setdefault(dims[c], []).append(c)
+    ranks = {}
+    for k, cells in by_dim.items():
+        below = {f: j for j, f in enumerate(by_dim.get(k - 1, []))}
+        m = np.zeros((len(cells), max(len(below), 1)), dtype=np.uint8)
+        for r, c in enumerate(cells):
+            for f in faces[c]:
+                m[r, below[f]] = 1
+        ranks[k] = gf2_rank(m)
+    betti = {
+        k: len(cells) - ranks[k] - ranks.get(k + 1, 0) for k, cells in by_dim.items()
+    }
+    assert relative_homology(pair).as_dict() == {k: b for k, b in betti.items() if b}
+
+
+def test_index_cell_cap_is_exact(monkeypatch):
+    comp = desk_component((1, 2), (2, 1), 1)
+    size = len(index_pair(comp).cells)
+    monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", size)
+    assert len(index_pair(comp).cells) == size
+    monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", size - 1)
+    with pytest.raises(BraidInputError) as err:
+        index_pair(comp)
+    assert str(err.value) == (
+        f"index pair exceeds {size - 1} cells; the class is beyond this build's desk scale"
+    )
+
+
+def test_cell_codes_refuse_int64_overflow():
+    # ten parallel skeleton strands at period 14: 23**14 > 2**63 cell states
+    period = 14
+    skeleton = DiscreteBraid(
+        10,
+        period,
+        tuple(constant_strand(-0.9 + 0.18 * k, period) for k in range(10)),
+        StrandPermutation(tuple(range(10))),
+    )
+    rb = make_relative([0.95] * period, skeleton)
+    with pytest.raises(BraidInputError, match="int64"):
+        ComplexGeometry(rb)

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from braidfloer import pipeline
 from braidfloer.discrete import discrete_to_word, word_to_discrete
 from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.pipeline import (
@@ -13,7 +15,7 @@ from braidfloer.pipeline import (
     forcing_report,
     word_spec,
 )
-from braidfloer.words import word
+from braidfloer.words import permutation_of, word
 
 
 def test_braids_unlinked_interval_case():
@@ -163,3 +165,44 @@ def test_random_small_cyclic_specs_shift():
         assert up.betti.as_dict() == {k + 2: v for k, v in base.betti.as_dict().items()}
         found += 1
     assert found >= 2
+
+
+@pytest.mark.parametrize("letters", [[1, 2, 2, 1], [1, 1, 2, 2], [2, 2, 1, 1]])
+def test_cache_never_changes_an_answer(tmp_path, letters):
+    w = word(3, letters)
+    perm = permutation_of(w)
+    marks = [
+        m for r in (1, 2) for m in itertools.combinations(range(3), r)
+        if {perm(k) for k in m} == set(m)
+    ]
+
+    def outcome(mark, check, cache_dir):
+        try:
+            spec = word_spec(w, mark)
+            return braid_floer_homology(spec, period_check=check, cache_dir=cache_dir)
+        except Exception as exc:
+            return type(exc)
+
+    # the third round meets the entries the first two left behind
+    for check in (False, True, False):
+        for mark in marks:
+            expected = outcome(mark, check, None)
+            assert outcome(mark, check, tmp_path) == expected, (mark, check)
+            if not isinstance(expected, type):
+                assert expected.stabilization_ok is (True if check else None)
+
+
+def test_internal_errors_are_not_retried(monkeypatch):
+    def broken(components, d):
+        raise AssertionError("sampler bug")
+
+    monkeypatch.setattr(pipeline, "_sample_components", broken)
+    with pytest.raises(AssertionError, match="sampler bug"):
+        braid_floer_homology(cyclic_spec((1, 2), (2, 1), ell=1))
+
+
+def test_cell_cap_refusal():
+    # the period-(d+1) pair of this class passes the 1.5M cell cap
+    spec = cyclic_spec((1, 3), (2, 1), ell=1).twisted(1)
+    with pytest.raises(BraidInputError, match="^index pair exceeds 1500000 cells"):
+        braid_floer_homology(spec)
