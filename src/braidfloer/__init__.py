@@ -12,12 +12,8 @@ from .complex import BraidClassComponent, IndexPair, enumerate_component, index_
 from .discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
-    Polyline2,
     discrete_to_word,
-    polyline,
-    properness_check,
     total_crossing_number,
-    winding_number,
     word_to_discrete,
 )
 from .flow import FlowState, RecurrenceRelation, evolve, find_stationary, fitted_recurrence
@@ -56,7 +52,6 @@ __all__ = [
     "IndexPair",
     "MaslovIndex",
     "PermutationBraid",
-    "Polyline2",
     "RecurrenceRelation",
     "RelativeBraidSpec",
     "StrandPermutation",
@@ -81,13 +76,10 @@ __all__ = [
     "permutation_of",
     "permuted_cz_index",
     "poincare_polynomial",
-    "polyline",
-    "properness_check",
     "relative_homology",
     "rotation_shift_check",
     "total_crossing_number",
     "twist_padding",
-    "winding_number",
     "word",
     "word_spec",
     "word_to_discrete",

@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,17 +98,7 @@ class ResultEnvelope:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "job": self.job,
-                "version": self.version,
-                "provenance": self.provenance,
-                "payload": self.payload,
-                "warnings": self.warnings,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _job_hash(job: JobSpec) -> str:
@@ -145,13 +135,9 @@ def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
 
 
 def _geometric_relative(doc: dict):
-    """DiscreteRelativeBraid for the flow commands (cyclic specs only here)."""
-    spec = _relative_spec(doc)
-    if spec.presentation == "cyclic":
-        rb, _, _ = pipeline._realize_cyclic(spec, None)
-        return spec, rb
-    rb, _, _ = pipeline._realize_word(spec, None)
-    return spec, rb
+    """DiscreteRelativeBraid for the properness and flow commands."""
+    rb, _, _ = pipeline.realize(_relative_spec(doc), None)
+    return rb
 
 
 def _maslov_payload(doc: dict) -> dict:
@@ -214,8 +200,7 @@ def run(job: JobSpec) -> ResultEnvelope:
     if cache_dir:
         cached = Path(cache_dir) / f"job-{job_key}.json"
         if cached.exists():
-            doc = json.loads(cached.read_text())
-            return ResultEnvelope(**doc)
+            return ResultEnvelope(**json.loads(cached.read_text()))
 
     warnings: list[str] = []
     provenance: list[str] = []
@@ -237,7 +222,7 @@ def run(job: JobSpec) -> ResultEnvelope:
     elif job.command == "homology":
         spec = _relative_spec(doc)
         result = pipeline.braid_floer_homology(
-            spec, period=job.period, period_check=job.period_check, cache_dir=cache_dir
+            spec, period=job.period, period_check=job.period_check
         )
         payload = result.payload()
         provenance.append(result.betti.provenance)
@@ -245,7 +230,7 @@ def run(job: JobSpec) -> ResultEnvelope:
             "degree identification with the Floer invariant is conjecture-mediated"
         )
     elif job.command == "properness":
-        _, rb = _geometric_relative(doc)
+        rb = _geometric_relative(doc)
         from .complex import enumerate_component
 
         comp = enumerate_component(rb)
@@ -256,12 +241,10 @@ def run(job: JobSpec) -> ResultEnvelope:
         }
     elif job.command == "forcing":
         spec = _relative_spec(doc)
-        payload = pipeline.forcing_report(
-            spec, period_cap=int(doc.get("period_cap", 12)), cache_dir=cache_dir
-        )
+        payload = pipeline.forcing_report(spec, period_cap=int(doc.get("period_cap", 12)))
         provenance.append("conjecture-shifted")
     elif job.command == "flow":
-        spec, rb = _geometric_relative(doc)
+        rb = _geometric_relative(doc)
         fdoc = doc.get("flow", {})
         recurrence = fitted_recurrence(rb.skeleton)
         state = evolve(rb, recurrence, horizon=float(fdoc.get("horizon", 20.0)))
@@ -290,18 +273,7 @@ def run(job: JobSpec) -> ResultEnvelope:
         path = Path(cache_dir)
         path.mkdir(parents=True, exist_ok=True)
         tmp = path / f".job-{job_key}.tmp"
-        tmp.write_text(
-            json.dumps(
-                {
-                    "job": env.job,
-                    "version": env.version,
-                    "provenance": env.provenance,
-                    "payload": env.payload,
-                    "warnings": env.warnings,
-                },
-                sort_keys=True,
-            )
-        )
+        tmp.write_text(env.to_json())
         tmp.replace(path / f"job-{job_key}.json")
     return env
 
@@ -312,8 +284,15 @@ def _csv_trace(trace, stream) -> None:
         stream.write(f"{s},{c}\n")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` reports them like any other bad input."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="braidfloer",
         description="Braid Floer homology of relative braid classes on the disc.",
     )
@@ -331,9 +310,9 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="print the full envelope")
     parser.add_argument("--output", help="write the envelope JSON to a file")
     parser.add_argument("--trace-csv", help="write the flow trace as CSV")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.input:
             raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
             document = json.loads(raw)
@@ -350,6 +329,15 @@ def main(argv=None) -> int:
             args.command, document, args.period, args.period_check, args.cache_dir, args.seed
         )
         env = run(job)
+        if env.payload.get("proper") is False:
+            print(env.to_json())
+            return 2
+        out = env.to_json() if args.json else json.dumps(env.payload, sort_keys=True, indent=2)
+        if args.output:
+            Path(args.output).write_text(out + "\n")
+        if args.trace_csv and "trace" in env.payload:
+            with open(args.trace_csv, "w") as fh:
+                _csv_trace(env.payload["trace"], fh)
     except ImproperClassError as exc:
         print(f"improper class: {exc}", file=sys.stderr)
         if exc.witness:
@@ -362,16 +350,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if env.payload.get("proper") is False:
-        out = env.to_json()
-        print(out)
-        return 2
-    out = env.to_json() if args.json else json.dumps(env.payload, sort_keys=True, indent=2)
-    if args.output:
-        Path(args.output).write_text(out + "\n")
-    if args.trace_csv and "trace" in env.payload:
-        with open(args.trace_csv, "w") as fh:
-            _csv_trace(env.payload["trace"], fh)
     print(out)
     for w in env.warnings:
         print(f"note: {w}", file=sys.stderr)

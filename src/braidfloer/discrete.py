@@ -3,18 +3,16 @@
 A discretized braid stores one rational anchor value per strand and slot;
 strands are linear in between and close up through a strand permutation.
 All crossings of such a diagram count as positive (Legendrian convention);
-signed counting lives in winding numbers and word exponent sums.  Anchor
+signed counting lives in word exponent sums.  Anchor
 arithmetic is exact: float input is snapped to a dyadic grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import AmbiguousDiagramError, BraidInputError, DegenerateCurveError, TransversalityError
+from .errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from .words import BraidWord, StrandPermutation, word
 
 SNAP_GRID = Fraction(1, 2**20)
@@ -68,11 +66,6 @@ class DiscreteBraid:
             i += d
         return self.anchors[k][i]
 
-    def strand_path(self, k: int, length: int | None = None) -> list[Fraction]:
-        """Values of strand k over slots 0..length (default one period plus closure)."""
-        length = self.period if length is None else length
-        return [self.value(k, i) for i in range(length + 1)]
-
 
 def _check_transversality(b: DiscreteBraid) -> None:
     for k in range(b.strands):
@@ -119,105 +112,6 @@ class DiscreteRelativeBraid:
             self.free.anchors + self.skeleton.anchors,
             StrandPermutation(image),
         )
-
-
-@dataclass(frozen=True)
-class Polyline2:
-    """Planar polyline; consecutive points must differ when closed."""
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-    closed: bool = False
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise BraidInputError("polyline needs at least two points")
-        pts = self.points + (self.points[0],) if self.closed else self.points
-        for p, q in zip(pts, pts[1:]):
-            if self.closed and p == q:
-                raise BraidInputError("closed polyline has a repeated consecutive point")
-
-
-def polyline(points: Sequence[Sequence[float]], closed: bool = False) -> Polyline2:
-    return Polyline2(tuple((snap(p), snap(q)) for p, q in points), closed)
-
-
-def _segment_turn_exact(u, v) -> Fraction | None:
-    """Turn from direction u to v in full turns, when it is an exact eighth."""
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    if cross == 0:
-        if dot > 0:
-            return Fraction(0)
-        return None  # antipodal: origin on the segment, caught elsewhere
-    if dot == 0:
-        return Fraction(1, 4) if cross > 0 else Fraction(-1, 4)
-    if abs(cross) == abs(dot):
-        eighth = Fraction(1, 8)
-        if dot > 0:
-            return eighth if cross > 0 else -eighth
-        return 3 * eighth if cross > 0 else -3 * eighth
-    return None
-
-
-def _origin_on_segment(p, q) -> bool:
-    cross = p[0] * q[1] - p[1] * q[0]
-    if cross != 0:
-        return False
-    dot = p[0] * q[0] + p[1] * q[1]
-    return dot <= 0
-
-
-def _ray_winding(pts) -> int:
-    """Signed crossings of the positive x-axis; exact for closed rational curves."""
-    total = 0
-    for p, q in zip(pts, pts[1:]):
-        below_p = p[1] < 0
-        below_q = q[1] < 0
-        if below_p == below_q:
-            continue
-        # x-coordinate where the segment meets y = 0
-        t = p[1] / (p[1] - q[1])
-        x = p[0] + t * (q[0] - p[0])
-        if x > 0:
-            total += 1 if below_p else -1
-    return total
-
-
-def winding_number(curve: Polyline2) -> Fraction:
-    """Winding about the origin, in full turns.
-
-    Closed curves give an exact integer.  Open curves are exact when every
-    vertex direction is axis- or diagonal-aligned (quarter/eighth turns),
-    otherwise the value is a snapped high-precision float.
-    """
-    pts = list(curve.points) + ([curve.points[0]] if curve.closed else [])
-    for p in pts:
-        if p == (0, 0):
-            raise DegenerateCurveError("polyline touches the origin")
-    for p, q in zip(pts, pts[1:]):
-        if _origin_on_segment(p, q):
-            raise DegenerateCurveError("segment passes through the origin")
-    turns = []
-    exact = True
-    for p, q in zip(pts, pts[1:]):
-        t = _segment_turn_exact(p, q)
-        if t is None:
-            exact = False
-            break
-        turns.append(t)
-    if exact:
-        total = sum(turns, Fraction(0))
-        if curve.closed:
-            assert total.denominator == 1, "closed winding must be an integer"
-        return total
-    if curve.closed:
-        return Fraction(_ray_winding(pts))
-    total_f = 0.0
-    for p, q in zip(pts, pts[1:]):
-        total_f += math.atan2(
-            float(p[0] * q[1] - p[1] * q[0]), float(p[0] * q[0] + p[1] * q[1])
-        )
-    return Fraction(round(total_f / (2 * math.pi) / SNAP_GRID)) * SNAP_GRID
 
 
 def pair_crossings(b: DiscreteBraid, k: int, l: int, i: int) -> int:
@@ -359,16 +253,3 @@ def insert_duplicate_slot(b: DiscreteBraid, at: int | None = None) -> DiscreteBr
             err = exc
     raise err
 
-
-def properness_check(rb: DiscreteRelativeBraid):
-    """True plus None when proper; False plus the collapsing cell otherwise.
-
-    Properness is classically a statement about smooth classes; this is its
-    discretized transcription (no cell of the class closure identifies a free
-    strand with a skeleton strand, another free strand, or a boundary
-    marker), validated against the computed cyclic classes.
-    """
-    from .complex import enumerate_component  # local import; complex builds on this module
-
-    comp = enumerate_component(rb)
-    return comp.proper, comp.collapse_witness

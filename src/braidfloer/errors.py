@@ -9,10 +9,6 @@ class TransversalityError(ValueError):
     """Anchor data violates the transversality rules for discretized braids."""
 
 
-class DegenerateCurveError(ValueError):
-    """A polyline passes through (or too close to) the origin."""
-
-
 class AmbiguousDiagramError(ValueError):
     """Crossing events of a discretized braid cannot be ordered unambiguously."""
 

@@ -22,6 +22,7 @@ from .errors import (
     BoundaryContactError,
     BraidInputError,
     MonotonicityViolationError,
+    TransversalityError,
 )
 
 MONOTONE_MARGIN = 1e-6
@@ -295,7 +296,7 @@ def find_stationary(
             )
             state = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4)
             candidates.insert(0, state.u)
-        except Exception:
+        except (TransversalityError, BraidInputError, BoundaryContactError):
             pass
         u_star = None
         for cand in candidates:

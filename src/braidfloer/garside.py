@@ -107,10 +107,6 @@ class GarsideNormalForm:
     infimum: int
     factors: tuple[PermutationBraid, ...]
 
-    @property
-    def supremum(self) -> int:
-        return self.infimum + len(self.factors)
-
     def to_word(self) -> BraidWord:
         letters: list[int] = []
         delta = half_twist_letters(self.strands)

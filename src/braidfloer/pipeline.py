@@ -10,19 +10,15 @@ rides on a conjecture, so every result carries provenance
 Cyclic skeletons (rigid rotations at fixed radii) are realized geometrically:
 the configuration twisted by K full turns has an honestly positive diagram
 once K beats the radius-weighted rotation differences, and sampling it at a
-small period is checked faithful against winding counts and the Garside
-normal form of a fine reference sampling.
+small period is checked faithful against the crossing counts implied by the
+rotation numbers and the Garside normal form of a fine reference sampling.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .complex import enumerate_component, index_pair
 from .discrete import (
@@ -178,9 +174,7 @@ class FloerResult:
     n: int
     period: int
     stabilization_ok: bool | None  # None: the period-(d+1) rerun was skipped
-    proper: bool
     crossing_number: int
-    combined_exponent: int
     label: str = ""
 
     @property
@@ -197,7 +191,7 @@ class FloerResult:
             "free_strands": self.n,
             "period": self.period,
             "stabilization_ok": self.stabilization_ok,
-            "proper": self.proper,
+            "proper": True,  # improper classes raise ImproperClassError
             "crossing_number": self.crossing_number,
             "label": self.label,
         }
@@ -370,7 +364,16 @@ def _realize_word(spec: RelativeBraidSpec, period: int | None):
     return rb, pad.g, spec.word
 
 
-def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int, int]:
+def realize(spec: RelativeBraidSpec, period: int | None):
+    """Positive discrete representative, applied twist and base word of a spec."""
+    if spec.presentation == "cyclic":
+        return _realize_cyclic(spec, period)
+    if spec.presentation == "word":
+        return _realize_word(spec, period)
+    raise BraidInputError(f"unknown presentation {spec.presentation!r}")
+
+
+def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int]:
     comp = enumerate_component(rb)
     if not comp.proper:
         raise ImproperClassError(
@@ -378,14 +381,13 @@ def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int, int]:
             comp.collapse_witness,
         )
     pair = index_pair(comp)
-    return relative_homology(pair), comp.crossing_number, len(comp.top_cells)
+    return relative_homology(pair), comp.crossing_number
 
 
 def braid_floer_homology(
     spec: RelativeBraidSpec,
     period: int | None = None,
     period_check: bool = True,
-    cache_dir: str | os.PathLike | None = None,
 ) -> FloerResult:
     """Braid Floer homology of a proper relative braid class.
 
@@ -394,31 +396,19 @@ def braid_floer_homology(
     applied twist per free strand.  The final identification is
     conjecture-mediated and flagged as such.
     """
-    if spec.presentation == "cyclic":
-        rb, k_twist, base_word = _realize_cyclic(spec, period)
-    elif spec.presentation == "word":
-        rb, k_twist, base_word = _realize_word(spec, period)
-    else:
-        raise BraidInputError(f"unknown presentation {spec.presentation!r}")
+    rb, k_twist, base_word = realize(spec, period)
     n = spec.free_strands()
     g = twist_padding(base_word).g
     if g > k_twist:
         raise AssertionError("padding exceeds the applied twist; Garside is broken")
 
-    cache_key = None
-    if cache_dir is not None:
-        cache_key = _cache_key(spec.presentation, base_word, rb, period_check)
-        cached = _cache_get(cache_dir, cache_key)
-        if cached is not None:
-            return replace(cached, label=spec.label)
-
-    betti, crossings, _ = _homology_at(rb)
+    betti, crossings = _homology_at(rb)
     stabilization_ok = None
     if period_check:
         rb_up = DiscreteRelativeBraid(
             insert_duplicate_slot(rb.free), insert_duplicate_slot(rb.skeleton)
         )
-        betti_up, _, _ = _homology_at(rb_up)
+        betti_up, _ = _homology_at(rb_up)
         stabilization_ok = betti_up.as_dict() == betti.as_dict()
         if not stabilization_ok:
             raise StabilizationError(
@@ -426,87 +416,16 @@ def braid_floer_homology(
                 f"{betti.as_dict()} vs {betti_up.as_dict()}"
             )
     shift = 2 * n * k_twist
-    result = FloerResult(
+    return FloerResult(
         betti.shifted(-shift, "conjecture-shifted"),
         shift,
         g,
         n,
         rb.period,
         stabilization_ok,
-        True,
         crossings,
-        sum(s for _, s in base_word.letters),
         spec.label,
     )
-    if cache_dir is not None:
-        _cache_put(cache_dir, cache_key, result)
-    return result
-
-
-def _cache_key(
-    presentation: str, base_word: BraidWord, rb: DiscreteRelativeBraid, period_check: bool
-) -> str:
-    """Hash of the relative class (the combined braid's normal form with the
-    slot-0 height positions of its free strands) at the realized period, and
-    of whether the period-(d+1) check ran."""
-    nf = left_normal_form(base_word)
-    b = rb.combined()
-    order = sorted(
-        range(b.strands), key=lambda k: (b.value(k, 0), b.value(k, 1) - b.value(k, 0), k)
-    )
-    doc = {
-        "presentation": presentation,
-        "free_marks": sorted(order.index(k) for k in range(rb.free.strands)),
-        "strands": nf.strands,
-        "infimum": nf.infimum,
-        "factors": [list(f.perm.image) for f in nf.factors],
-        "period": rb.period,
-        "period_check": period_check,
-        "version": TOOL_VERSION,
-    }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _cache_get(cache_dir, key: str) -> FloerResult | None:
-    path = Path(cache_dir) / f"{key}.json"
-    if not path.exists():
-        return None
-    doc = json.loads(path.read_text())
-    return FloerResult(
-        GradedBetti(
-            tuple((int(k), v) for k, v in doc["betti"]), doc["provenance"]
-        ),
-        doc["shift_applied"],
-        doc["g"],
-        doc["free_strands"],
-        doc["period"],
-        doc["stabilization_ok"],
-        doc["proper"],
-        doc["crossing_number"],
-        doc["combined_exponent"],
-        doc["label"],
-    )
-
-
-def _cache_put(cache_dir, key: str, result: FloerResult) -> None:
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "betti": [[k, v] for k, v in result.betti.betti],
-        "provenance": result.betti.provenance,
-        "shift_applied": result.shift_applied,
-        "g": result.g,
-        "free_strands": result.n,
-        "period": result.period,
-        "stabilization_ok": result.stabilization_ok,
-        "proper": result.proper,
-        "crossing_number": result.crossing_number,
-        "combined_exponent": result.combined_exponent,
-        "label": result.label,
-    }
-    tmp = path / f".{key}.tmp"
-    tmp.write_text(json.dumps(doc, sort_keys=True))
-    tmp.replace(path / f"{key}.json")
 
 
 def enumerate_forced_fractions(low: Fraction, high: Fraction, period_cap: int):
@@ -527,10 +446,9 @@ def forcing_report(
     spec: RelativeBraidSpec,
     result: FloerResult | None = None,
     period_cap: int = 12,
-    cache_dir=None,
 ) -> dict:
     """Existence and multiplicity consequences of a nontrivial invariant."""
-    result = result or braid_floer_homology(spec, cache_dir=cache_dir)
+    result = result or braid_floer_homology(spec)
     p1 = result.betti.total()
     report = {
         "label": spec.label,

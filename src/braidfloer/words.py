@@ -65,10 +65,6 @@ class StrandPermutation:
             inv[v] = k
         return StrandPermutation(tuple(inv))
 
-    def after(self, first: "StrandPermutation") -> "StrandPermutation":
-        """The permutation `first followed by self` (diagram concatenation order)."""
-        return StrandPermutation(tuple(self.image[first.image[k]] for k in range(self.n)))
-
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.image))
 
@@ -101,10 +97,6 @@ def word(strands: int, letters: Iterable[int]) -> BraidWord:
             raise BraidInputError("letter 0 is not a generator")
         out.append((abs(v), 1 if v > 0 else -1))
     return BraidWord(strands, tuple(out))
-
-
-def signed_letters(w: BraidWord) -> list[int]:
-    return [i * s for i, s in w.letters]
 
 
 def exponent_sum(w: BraidWord) -> int:

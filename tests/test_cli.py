@@ -82,6 +82,7 @@ def test_homology_cli_main(capsys, tmp_path):
     assert code == 0
     payload = json.loads(captured.out)
     assert payload["betti"] == {"2": 1, "3": 1}
+    assert len(list(tmp_path.iterdir())) == 1  # one cache entry per job
 
 
 def test_maslov_job_rotation():
@@ -131,3 +132,27 @@ def test_flow_job():
 def test_unknown_command_rejected():
     with pytest.raises(BraidInputError):
         JobSpec("frobnicate", {})
+
+
+def test_usage_error_exit_code(capsys):
+    code = main(["homology", "--period", "abc"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: argument --period: invalid int value: 'abc'"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalform", "--text", "n=3; s1", "--output"],
+        ["flow", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1", "--trace-csv"],
+    ],
+)
+def test_unwritable_output_exit_code(capsys, tmp_path, argv):
+    code = main(argv + [str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

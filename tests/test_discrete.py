@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,62 +7,14 @@ from braidfloer.discrete import (
     DiscreteBraid,
     insert_duplicate_slot,
     discrete_to_word,
-    polyline,
     snap,
     total_crossing_number,
-    winding_number,
     word_to_discrete,
     word_to_discrete_packed,
 )
-from braidfloer.errors import DegenerateCurveError, TransversalityError
+from braidfloer.errors import TransversalityError
 from braidfloer.garside import left_normal_form
 from braidfloer.words import StrandPermutation, exponent_sum, full_twist, word
-
-
-def circle_points(radius, turns, samples, phase=0.0):
-    return [
-        (radius * math.cos(2 * math.pi * (turns * j / samples + phase)),
-         radius * math.sin(2 * math.pi * (turns * j / samples + phase)))
-        for j in range(samples)
-    ]
-
-
-def test_winding_unit_square():
-    sq = polyline([(1, 1), (-1, 1), (-1, -1), (1, -1)], closed=True)
-    assert winding_number(sq) == 1
-    sq_cw = polyline([(1, 1), (1, -1), (-1, -1), (-1, 1)], closed=True)
-    assert winding_number(sq_cw) == -1
-
-
-def test_winding_eighth_turn():
-    seg = polyline([(1, 0), (1, 1)])
-    assert winding_number(seg) == Fraction(1, 8)
-
-
-def test_winding_difference_of_circles():
-    # difference of concentric rotation-1 and rotation-2 circles winds with
-    # the larger radius: brute-force sampled at period 40
-    inner = circle_points(0.3, 1, 40)
-    outer = circle_points(0.8, 2, 40)
-    diff = polyline([(a[0] - b[0], a[1] - b[1]) for a, b in zip(outer, inner)], closed=True)
-    w = winding_number(diff)
-    assert w == 2 and w.denominator == 1
-
-
-def test_winding_closed_is_integer_random():
-    rng = random.Random(5)
-    for _ in range(50):
-        turns = rng.randrange(-3, 4) or 1
-        r = rng.uniform(0.2, 0.9)
-        pts = circle_points(r, turns, 30 + rng.randrange(20), rng.random())
-        w = winding_number(polyline(pts, closed=True))
-        assert w.denominator == 1
-        assert w == turns
-
-
-def test_winding_degenerate():
-    with pytest.raises(DegenerateCurveError):
-        winding_number(polyline([(1, 0), (-1, 0), (0, 1)], closed=True))
 
 
 def test_crossing_constant_strands():
@@ -158,32 +109,6 @@ def test_interior_transversal_equality_allowed():
         StrandPermutation((0, 1)),
     )
     assert total_crossing_number(b2) == 2
-
-
-def test_degree_identity_on_rectangles():
-    # PL difference maps sampled from polynomials (z - a)(z - b): the boundary
-    # winding of the image of a rectangle counts interior zeros
-    rng = random.Random(19)
-    for _ in range(20):
-        za = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        zb = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        inside = [z for z in (za, zb) if abs(z.real) < 0.5 and abs(z.imag) < 0.5]
-        samples = []
-        steps = 60
-        for j in range(steps):
-            t = j / steps
-            if t < 0.25:
-                z = complex(-0.5 + 4 * t, -0.5)
-            elif t < 0.5:
-                z = complex(0.5, -0.5 + 4 * (t - 0.25))
-            elif t < 0.75:
-                z = complex(0.5 - 4 * (t - 0.5), 0.5)
-            else:
-                z = complex(-0.5, 0.5 - 4 * (t - 0.75))
-            w = (z - za) * (z - zb)
-            samples.append((w.real, w.imag))
-        deg = winding_number(polyline(samples, closed=True))
-        assert deg == len(inside)
 
 
 def test_insert_duplicate_slot_keeps_braid():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from braidfloer import flow
 from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap
 from braidfloer.errors import BoundaryContactError, BraidInputError, ImproperClassError
 from braidfloer.flow import (
@@ -158,3 +159,12 @@ def test_find_stationary_refuses_improper():
     rb, _, _ = _realize_cyclic(spec, None)
     with pytest.raises(ImproperClassError):
         find_stationary(rb)
+
+
+def test_find_stationary_does_not_swallow_internal_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("flow bug")
+
+    monkeypatch.setattr(flow, "evolve", broken)
+    with pytest.raises(AssertionError, match="flow bug"):
+        find_stationary(braids1_class())

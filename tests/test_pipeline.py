@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from braidfloer import pipeline
+from braidfloer.cli import JobSpec, format_braid_text, run
 from braidfloer.discrete import discrete_to_word, word_to_discrete
 from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.pipeline import (
@@ -23,7 +24,7 @@ def test_braids_unlinked_interval_case():
     res = braid_floer_homology(spec)
     assert res.betti.as_dict() == {2: 1, 3: 1}
     assert res.g == 0 and res.shift_applied == 0
-    assert res.stabilization_ok and res.proper
+    assert res.stabilization_ok and res.payload()["proper"] is True
     assert res.betti.provenance == "conjecture-shifted"
     assert res.poincare == "t^2 + t^3"
 
@@ -102,11 +103,13 @@ def test_representative_independence_jitter():
 
 
 def test_cache_round_trip(tmp_path):
-    spec = cyclic_spec((1, 2), (2, 1), ell=1)
-    r1 = braid_floer_homology(spec, cache_dir=tmp_path)
-    r2 = braid_floer_homology(spec, cache_dir=tmp_path)
-    assert r1 == r2
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    # the CLI job cache is the only result cache: one file per job
+    doc = {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}}}
+    job = JobSpec("homology", doc, cache_dir=str(tmp_path))
+    e1 = run(job)
+    e2 = run(job)
+    assert e1 == e2
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_forced_fraction_enumeration():
@@ -177,9 +180,9 @@ def test_cache_never_changes_an_answer(tmp_path, letters):
     ]
 
     def outcome(mark, check, cache_dir):
+        doc = {"relative": {"word": {"text": format_braid_text(w), "free": list(mark)}}}
         try:
-            spec = word_spec(w, mark)
-            return braid_floer_homology(spec, period_check=check, cache_dir=cache_dir)
+            return run(JobSpec("homology", doc, period_check=check, cache_dir=cache_dir))
         except Exception as exc:
             return type(exc)
 
@@ -187,9 +190,9 @@ def test_cache_never_changes_an_answer(tmp_path, letters):
     for check in (False, True, False):
         for mark in marks:
             expected = outcome(mark, check, None)
-            assert outcome(mark, check, tmp_path) == expected, (mark, check)
+            assert outcome(mark, check, str(tmp_path)) == expected, (mark, check)
             if not isinstance(expected, type):
-                assert expected.stabilization_ok is (True if check else None)
+                assert expected.payload["stabilization_ok"] is (True if check else None)
 
 
 def test_internal_errors_are_not_retried(monkeypatch):
