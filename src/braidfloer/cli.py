@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
+from .complex import enumerate_component
 from .errors import (
     AmbiguousDiagramError,
     BraidInputError,
@@ -231,8 +233,6 @@ def run(job: JobSpec) -> ResultEnvelope:
         )
     elif job.command == "properness":
         rb = _geometric_relative(doc)
-        from .complex import enumerate_component
-
         comp = enumerate_component(rb)
         payload = {
             "proper": comp.proper,
@@ -254,10 +254,8 @@ def run(job: JobSpec) -> ResultEnvelope:
             "steps": state.steps_accepted,
         }
         if fdoc.get("stationary", True):
-            import random as _random
-
             sols, warns = find_stationary(
-                rb, recurrence, rng=_random.Random(job.seed)
+                rb, recurrence, rng=random.Random(job.seed)
             )
             warnings.extend(warns)
             payload["stationary"] = [

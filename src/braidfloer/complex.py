@@ -20,15 +20,18 @@ exit rule itself is an interpretation (the discrete literature fixes only the
 direction of decrease); it is validated against the computed cyclic classes.
 
 A cell is a mixed-radix int64 code over the per-slot states (gaps 0..ngaps-1,
-pins ngaps+f).  N, N^- and the relative cells are sorted code arrays, built by
-down-closure one slot at a time; membership is a `searchsorted`.  Which side
-of a fixed value a gap lies on is exact integer data, so the straddle/tangency
-signs and the crossings of a representative strand come from per-slot tables
-built once per geometry.
+pins ngaps+f).  The component's top cells, N, N^- and the relative cells are
+all sorted code arrays.  The component is flood-filled by frontier: each slot
+and direction applies the straddle test to the whole frontier at once.  N and
+N^- are built by down-closure one slot at a time; membership is a
+`searchsorted`.  Which side of a fixed value a gap lies on is exact integer
+data, so the straddle/tangency signs and the crossings of a representative
+strand come from per-slot tables built once per geometry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,7 +71,7 @@ class ComplexGeometry:
 
     Gap g of a slot lies below fixed value p of the same slot iff g < p, so
     for pin f at slot i, `prev_pos[i][f]` and `next_pos[i][f]` locate its
-    owner at slots i-1 and i+1, and `cross[i][g][h]` counts the crossings
+    owner at slots i-1 and i+1, and `cross[i][g, h]` counts the crossings
     with the skeleton of a strand in gap g at slot i and gap h at slot i+1.
     """
 
@@ -118,27 +121,47 @@ class ComplexGeometry:
                 return self.ngaps[i % d]
             return slots[i % d].values.index(sk.value(owner, i))
 
-        self.prev_pos = [tuple(position(i - 1, o) for o in t.owners) for i, t in enumerate(slots)]
-        self.next_pos = [tuple(position(i + 1, o) for o in t.owners) for i, t in enumerate(slots)]
+        self.prev_pos = [np.array([position(i - 1, o) for o in t.owners]) for i, t in enumerate(slots)]
+        self.next_pos = [np.array([position(i + 1, o) for o in t.owners]) for i, t in enumerate(slots)]
         self.cross = []
         for i, t in enumerate(slots):
             here = [position(i, l) for l in range(sk.strands)]
             there = [position(i + 1, l) for l in range(sk.strands)]
-            self.cross.append([
+            self.cross.append(np.array([
                 [sum((g < p) != (h < q) for p, q in zip(here, there))
                  for h in range(self.ngaps[(i + 1) % d])]
                 for g in range(t.ngaps)
-            ])
+            ]))
         self.skeleton_crossings = total_crossing_number(sk)
 
-    def cube_crossing_number(self, cube: tuple[int, ...]) -> int:
-        """Total crossings of the representative free strand with everything."""
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """Per-slot states of the codes, one row each; the gap rows of top cells."""
+        return codes[:, None] // np.array(self.strides) % np.array(self.nstates)
+
+    def crossing_numbers(self, codes: np.ndarray) -> np.ndarray:
+        """Total crossings of the representative free strand of each top cell."""
+        gaps = self.digits(codes)
         d = self.period
         return self.skeleton_crossings + sum(
-            self.cross[i][cube[i]][cube[(i + 1) % d]] for i in range(d)
+            self.cross[i][gaps[:, i], gaps[:, (i + 1) % d]] for i in range(d)
         )
 
-    def representative(self, cube: tuple[int, ...]) -> list[Fraction]:
+    def sides(self, gaps: np.ndarray, i: int, up: int) -> tuple[np.ndarray, np.ndarray]:
+        """Whether slots i-1 and i+1 of each gap row lie below the owner of its
+        pin g+up at slot i: they differ across a straddle, agree at a tangency."""
+        pin = gaps[:, i] + up
+        return (gaps[:, i - 1] < self.prev_pos[i][pin],
+                gaps[:, (i + 1) % self.period] < self.next_pos[i][pin])
+
+    def gaps_of(self, values) -> list[int | None]:
+        """Per slot, the gap holding the value strictly inside it; None on a fixed value."""
+        out = []
+        for t, u in zip(self.slots, values):
+            k = bisect_left(t.values, u)
+            out.append(k - 1 if 0 < k < len(t.values) and t.values[k] != u else None)
+        return out
+
+    def representative(self, cube: list[int]) -> list[Fraction]:
         return [self.slots[i].mids[g] for i, g in enumerate(cube)]
 
     def gap_mask(self, codes: np.ndarray, i: int) -> np.ndarray:
@@ -196,7 +219,7 @@ class BraidClassComponent:
     """Connected set of top cells with their shared crossing number."""
 
     geometry: ComplexGeometry
-    top_cells: frozenset[tuple[int, ...]]
+    top_cells: np.ndarray     # sorted codes
     crossing_number: int
     proper: bool
     collapse_witness: dict | None = None
@@ -263,86 +286,64 @@ class IndexPair:
         }
 
 
-def _initial_cube(geo: ComplexGeometry) -> tuple[int, ...]:
-    rb = geo.rb
-    cube = []
-    for i in range(geo.period):
-        u = rb.free.anchors[0][i]
-        t = geo.slots[i]
-        g = None
-        for gg in range(t.ngaps):
-            if t.values[gg] < u < t.values[gg + 1]:
-                g = gg
-                break
-        if g is None:
-            raise BraidInputError(
-                f"free anchor at slot {i} coincides with a fixed value; "
-                "jitter the input inside its gap"
-            )
-        cube.append(g)
-    return tuple(cube)
+def _initial_code(geo: ComplexGeometry) -> int:
+    gaps = geo.gaps_of(geo.rb.free.anchors[0])
+    if None in gaps:
+        raise BraidInputError(
+            f"free anchor at slot {gaps.index(None)} coincides with a fixed value; "
+            "jitter the input inside its gap"
+        )
+    return int(np.dot(gaps, geo.strides))
 
 
 def enumerate_component(rb: DiscreteRelativeBraid) -> BraidClassComponent:
     """Flood-fill the discretized braid class across its interior faces."""
     geo = ComplexGeometry(rb)
-    d = geo.period
-    start = _initial_cube(geo)
-    cross = geo.cube_crossing_number(start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cube = stack.pop()
-        for i in range(d):
-            g, g_prev, g_next = cube[i], cube[i - 1], cube[(i + 1) % d]
-            prev_pos, next_pos = geo.prev_pos[i], geo.next_pos[i]
-            for f, other in ((g, g - 1), (g + 1, g + 1)):
-                if not 0 <= other < geo.ngaps[i]:
-                    continue
-                if (g_prev < prev_pos[f]) == (g_next < next_pos[f]):
-                    continue  # tangency: the face walls the class off
-                nxt = cube[:i] + (other,) + cube[i + 1:]
-                if nxt in seen:
-                    continue
-                if len(seen) >= COMPONENT_CUBE_CAP:
-                    raise RuntimeError("braid class component exceeds the cube cap")
-                if geo.cube_crossing_number(nxt) != cross:
-                    raise AssertionError(
-                        "crossing number changed across an interior face"
-                    )
-                seen.add(nxt)
-                stack.append(nxt)
+    seen = np.array([_initial_code(geo)], dtype=np.int64)
+    cross = int(geo.crossing_numbers(seen)[0])
+    frontier = seen
+    while len(frontier):
+        gaps = geo.digits(frontier)
+        reached = []
+        for i in range(geo.period):
+            for up, step in ((0, -1), (1, 1)):  # across pin g to gap g-1, pin g+1 to g+1
+                other = gaps[:, i] + step
+                below_prev, below_next = geo.sides(gaps, i, up)
+                # a tangency walls the class off; a straddle joins two of its cubes
+                hop = (other >= 0) & (other < geo.ngaps[i]) & (below_prev != below_next)
+                reached.append(frontier[hop] + step * geo.strides[i])
+        new = _unique(np.concatenate(reached))
+        new = new[~_lookup(seen, new)[1]]
+        if len(seen) + len(new) > COMPONENT_CUBE_CAP:
+            raise RuntimeError("braid class component exceeds the cube cap")
+        if (geo.crossing_numbers(new) != cross).any():
+            raise AssertionError("crossing number changed across an interior face")
+        seen = _unique(np.concatenate((seen, new)))
+        frontier = new
     proper, witness = _collapse_scan(geo, seen)
-    return BraidClassComponent(geo, frozenset(seen), cross, proper, witness)
+    return BraidClassComponent(geo, seen, cross, proper, witness)
 
 
-def _collapse_scan(geo: ComplexGeometry, cubes) -> tuple[bool, dict | None]:
+def _collapse_scan(geo: ComplexGeometry, top_cells: np.ndarray) -> tuple[bool, dict | None]:
     """Look for a cell of the closure identifying the free strand with a
     single-strand skeleton component or a boundary marker."""
     sk = geo.rb.skeleton
-    targets = [(BARRIER_LOW, None), (BARRIER_HIGH, None)]
-    for l in range(sk.strands):
-        if sk.closure(l) == l:
-            targets.append((l, None))
-    for owner, _ in targets:
-        fixed_idx = []
-        for i in range(geo.period):
-            t = geo.slots[i]
-            fixed_idx.append(t.owners.index(owner))
-        for cube in cubes:
-            if all(fixed_idx[i] in (g, g + 1) for i, g in enumerate(cube)):
-                witness = {
-                    "collapses_onto": (
-                        "boundary -1" if owner == BARRIER_LOW
-                        else "boundary +1" if owner == BARRIER_HIGH
-                        else f"skeleton strand {owner}"
-                    ),
-                    "pinned_values": [
-                        str(geo.slots[i].values[fixed_idx[i]]) for i in range(geo.period)
-                    ],
-                    "from_top_cell": list(cube),
-                }
-                return False, witness
+    owners = [BARRIER_LOW, BARRIER_HIGH] + [l for l in range(sk.strands) if sk.closure(l) == l]
+    gaps = geo.digits(top_cells)
+    for owner in owners:
+        fixed_idx = [t.owners.index(owner) for t in geo.slots]
+        hits = np.flatnonzero(((gaps == fixed_idx) | (gaps + 1 == fixed_idx)).all(axis=1))
+        if len(hits):
+            witness = {
+                "collapses_onto": (
+                    "boundary -1" if owner == BARRIER_LOW
+                    else "boundary +1" if owner == BARRIER_HIGH
+                    else f"skeleton strand {owner}"
+                ),
+                "pinned_values": [str(t.values[f]) for t, f in zip(geo.slots, fixed_idx)],
+                "from_top_cell": gaps[hits[0]].tolist(),
+            }
+            return False, witness
     return True, None
 
 
@@ -353,22 +354,18 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
             "index pair of an improper class is undefined", comp.collapse_witness
         )
     geo = comp.geometry
-    d = geo.period
-    cubes = np.array(sorted(comp.top_cells), dtype=np.int64).reshape(-1, d)
-    codes = cubes @ np.array(geo.strides, dtype=np.int64)
+    codes = comp.top_cells
     cells = geo.closure(codes)
 
     # exit facets: tangency walls with the component on the hooked-over side,
     # i.e. the cube lies above a pin whose neighbours both lie below its
     # owner, or below a pin whose neighbours both lie above
+    gaps = geo.digits(codes)
     seeds = []
-    for i in range(d):
-        g, g_prev, g_next = cubes[:, i], cubes[:, i - 1], cubes[:, (i + 1) % d]
-        prev_pos, next_pos = np.array(geo.prev_pos[i]), np.array(geo.next_pos[i])
+    for i in range(geo.period):
         for up, face in enumerate(geo.pins(codes, i)):  # pin g, then pin g+1
-            below = g_prev < prev_pos[g + up]
-            hit = (below == (g_next < next_pos[g + up])) & (below == (up == 0))
-            seeds.append(face[hit])
+            below, below_next = geo.sides(gaps, i, up)
+            seeds.append(face[(below == below_next) & (below == (up == 0))])
     pair = IndexPair(comp, cells, geo.closure(np.concatenate(seeds)))
     pair.validate()
     return pair
@@ -376,16 +373,8 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
 
 def component_contains(comp: BraidClassComponent, free_values) -> bool:
     """Whether a free-strand value vector lies in one of the component's cubes."""
-    geo = comp.geometry
-    cube = []
-    for i, u in enumerate(free_values):
-        t = geo.slots[i]
-        g = None
-        for gg in range(t.ngaps):
-            if t.values[gg] < u < t.values[gg + 1]:
-                g = gg
-                break
-        if g is None:
-            return False
-        cube.append(g)
-    return tuple(cube) in comp.top_cells
+    gaps = comp.geometry.gaps_of(free_values)
+    if None in gaps:
+        return False
+    code = np.dot(gaps, comp.geometry.strides)
+    return bool(_lookup(comp.top_cells, np.array([code]))[1][0])

@@ -11,16 +11,19 @@ falsify the monotonicity property, not the input.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .discrete import DiscreteBraid, DiscreteRelativeBraid, snap
+from .complex import component_contains, enumerate_component
+from .discrete import DiscreteBraid, DiscreteRelativeBraid, snap, total_crossing_number
 from .errors import (
     BoundaryContactError,
     BraidInputError,
+    ImproperClassError,
     MonotonicityViolationError,
     TransversalityError,
 )
@@ -130,39 +133,16 @@ class FlowState:
         return all(b <= a for a, b in zip(values, values[1:]))
 
 
-_skeleton_cache: dict[DiscreteBraid, tuple[list[list[float]], int]] = {}
-
-
-def _skeleton_data(skeleton: DiscreteBraid) -> tuple[list[list[float]], int]:
-    """Unrolled float strand paths and the internal crossing count, cached."""
-    key = skeleton
-    hit = _skeleton_cache.get(key)
-    if hit is not None:
-        return hit
-    from .discrete import pair_crossings
-
+def _float_paths(skeleton: DiscreteBraid) -> list[list[float]]:
+    """Skeleton strand values at slots 0..d as floats, unrolled through the closure."""
     d = skeleton.period
-    paths = [
-        [float(skeleton.value(l, i)) for i in range(d + 1)]
-        for l in range(skeleton.strands)
-    ]
-    internal = sum(
-        pair_crossings(skeleton, k, l, i)
-        for k in range(skeleton.strands)
-        for l in range(k + 1, skeleton.strands)
-        for i in range(d)
-    )
-    if len(_skeleton_cache) > 64:
-        _skeleton_cache.clear()
-    _skeleton_cache[key] = (paths, internal)
-    return paths, internal
+    return [[float(skeleton.value(l, i)) for i in range(d + 1)] for l in range(skeleton.strands)]
 
 
-def crossing_count_float(u: Sequence[float], skeleton: DiscreteBraid) -> int:
-    """Crossings of the float free strand with the skeleton plus the
-    skeleton's internal crossings."""
-    d = skeleton.period
-    paths, total = _skeleton_data(skeleton)
+def _free_crossings(u: Sequence[float], paths: list[list[float]]) -> int:
+    """Crossings of the float free strand with the float skeleton paths."""
+    d = len(u)
+    total = 0
     for path in paths:
         for i in range(d):
             a = u[i] - path[i]
@@ -172,6 +152,12 @@ def crossing_count_float(u: Sequence[float], skeleton: DiscreteBraid) -> int:
             if b == 0 or (a < 0) != (b < 0):
                 total += 1
     return total
+
+
+def crossing_count_float(u: Sequence[float], skeleton: DiscreteBraid) -> int:
+    """Crossings of the float free strand with the skeleton plus the
+    skeleton's internal crossings."""
+    return total_crossing_number(skeleton) + _free_crossings(u, _float_paths(skeleton))
 
 
 def evolve(
@@ -190,11 +176,12 @@ def evolve(
     """
     if rel.free.strands != 1:
         raise BraidInputError("the simulator drives one free strand")
-    sk = rel.skeleton
+    paths = _float_paths(rel.skeleton)
+    internal = total_crossing_number(rel.skeleton)
     u = np.array([float(v) for v in rel.free.anchors[0]])
     s = 0.0
     h = initial_step
-    cross = crossing_count_float(u, sk)
+    cross = internal + _free_crossings(u, paths)
     state = FlowState(u, s, [(0.0, cross)])
     while s < horizon:
         r = recurrence.vector_field(u)
@@ -209,7 +196,7 @@ def evolve(
                 raise BoundaryContactError(
                     f"trajectory reached the disc boundary at s={s:.4g}", state
                 )
-            new_cross = crossing_count_float(candidate, sk)
+            new_cross = internal + _free_crossings(candidate, paths)
             if new_cross <= cross:
                 break
             state.steps_retried += 1
@@ -266,19 +253,14 @@ def find_stationary(
     when the residual is below 1e-8, they stay inside the class, and they are
     pairwise distinct beyond 1e-4 in sup norm.  Returns (solutions, warnings).
     """
-    import random as _random
-
-    from .complex import component_contains, enumerate_component
-
     comp = enumerate_component(rel)
     if not comp.proper:
-        from .errors import ImproperClassError
-
         raise ImproperClassError("find_stationary needs a proper class", comp.collapse_witness)
     recurrence = recurrence or fitted_recurrence(rel.skeleton)
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     geo = comp.geometry
-    cubes = sorted(comp.top_cells)
+    gaps = geo.digits(comp.top_cells)
+    cubes = gaps[np.lexsort(gaps.T[::-1])].tolist()  # lexicographic, slot 0 first
     picks = [tuple(rel.free.anchors[0])]
     chosen = cubes if len(cubes) <= seeds else rng.sample(cubes, seeds)
     picks.extend(tuple(geo.representative(c)) for c in chosen)

@@ -155,6 +155,11 @@ def word_spec(word: BraidWord, free_marks, label: str = "") -> RelativeBraidSpec
     Marks are strand indices at the starting slot; the set must be invariant
     under the word's permutation.
     """
+    for k in free_marks:
+        if type(k) is not int or not 0 <= k < word.strands:
+            raise BraidInputError(
+                f"free mark {k!r} is not a strand index in 0..{word.strands - 1}"
+            )
     marks = tuple(sorted(set(free_marks)))
     perm = permutation_of(word)
     if {perm(k) for k in marks} != set(marks):

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from braidfloer.words import BraidWord, word
+from braidfloer.discrete import (
+    DiscreteBraid,
+    DiscreteRelativeBraid,
+    total_crossing_number,
+)
+from braidfloer.words import BraidWord, StrandPermutation, word
 
 
 def _neighbors(letters: tuple[int, ...]):
@@ -104,3 +109,49 @@ def random_word(rng, strands: int, length: int) -> BraidWord:
         strands,
         [rng.randrange(1, strands) * rng.choice((1, -1)) for _ in range(length)],
     )
+
+
+def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
+    """Top cells (gap tuples) and crossing number of a braid-class component.
+
+    Depth-first search one cube at a time, the reference for the frontier
+    flood fill of `complex.enumerate_component`.  Sides and crossings are
+    read off the anchor values directly, not off the geometry's tables: a
+    cube's crossing number is that of the combined braid with the free
+    strand at its gap midpoints.
+    """
+    d = geo.period
+    sk = geo.rb.skeleton
+
+    def crossing_number(cube):
+        free = DiscreteBraid(1, d, (tuple(geo.representative(cube)),), StrandPermutation((0,)))
+        return total_crossing_number(DiscreteRelativeBraid(free, sk).combined())
+
+    def below_owner(cube, i, f, j):
+        """Whether the free strand of `cube` lies below pin f's owner at slot i+j."""
+        owner = geo.slots[i].owners[f]
+        return geo.slots[(i + j) % d].mids[cube[(i + j) % d]] < sk.value(owner, i + j)
+
+    start = []
+    for i, u in enumerate(geo.rb.free.anchors[0]):
+        values = geo.slots[i].values
+        start.append(next(g for g in range(len(values) - 1) if values[g] < u < values[g + 1]))
+    start = tuple(start)
+    cross = crossing_number(start)
+    seen = {start}
+    stack = [start]
+    while stack:
+        cube = stack.pop()
+        for i in range(d):
+            g = cube[i]
+            for f, other in ((g, g - 1), (g + 1, g + 1)):
+                if not 0 <= other < geo.ngaps[i]:
+                    continue
+                if below_owner(cube, i, f, -1) == below_owner(cube, i, f, 1):
+                    continue  # tangency: the face walls the class off
+                nxt = cube[:i] + (other,) + cube[i + 1:]
+                if nxt not in seen:
+                    assert crossing_number(nxt) == cross
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen, cross

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -156,3 +157,13 @@ def test_unwritable_output_exit_code(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mark", [3, "a", -1])
+def test_free_mark_outside_the_strands_exit_code(capsys, monkeypatch, mark):
+    doc = {"relative": {"word": {"text": "n=3; s1 s2 s2 s1", "free": [mark]}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["homology", "--input", "-"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: free mark {mark!r} is not a strand index in 0..2"]

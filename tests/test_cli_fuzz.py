@@ -84,7 +84,11 @@ def test_normalform_text_fuzz(text):
 @given(WORD_DOCS, st.booleans())
 def test_homology_word_document_fuzz(document, period_check):
     argv = ["homology", "--input", "-"] + ([] if period_check else ["--no-period-check"])
-    _assert_contract(*_main(argv, document))
+    code, err = _main(argv, document)
+    _assert_contract(code, err)
+    bad = [k for k in json.loads(document)["relative"]["word"]["free"] if not 0 <= k <= 2]
+    if bad:
+        assert code == 1 and f"free mark {bad[0]} " in err, err
 
 
 @FUZZ

@@ -15,8 +15,10 @@ from braidfloer.complex import (
 from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap, word_to_discrete
 from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.homology import homology_from_json, relative_homology
-from braidfloer.pipeline import _realize_cyclic, cyclic_spec
+from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
 from braidfloer.words import StrandPermutation, word
+
+from helpers import reference_component
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,7 +57,7 @@ def test_saddle_component():
     assert comp.crossing_number == 3
     # plus-shaped component: centre plus four one-step excursions
     assert len(comp.top_cells) == 5
-    assert (1, 1) in comp.top_cells
+    assert np.dot((1, 1), comp.geometry.strides) in comp.top_cells
     assert component_contains(comp, [Fraction(0), Fraction(0)])
     assert not component_contains(comp, [Fraction(1, 2), Fraction(1, 2)])
 
@@ -75,9 +77,8 @@ def test_saddle_exit_jump_is_two():
     comp = enumerate_component(rb)
     geo = comp.geometry
     # hopping down past the lower strand from the (low, mid) cube loses 2 crossings
-    assert geo.cube_crossing_number((0, 1)) == 3
-    assert geo.cube_crossing_number((0, 0)) == 1
-    assert geo.cube_crossing_number((1, 1)) == 3
+    codes = np.array([(0, 1), (0, 0), (1, 1)]) @ geo.strides
+    assert geo.crossing_numbers(codes).tolist() == [3, 1, 3]
 
 
 def test_improper_empty_skeleton():
@@ -209,3 +210,67 @@ def test_cell_codes_refuse_int64_overflow():
     rb = make_relative([0.95] * period, skeleton)
     with pytest.raises(BraidInputError, match="int64"):
         ComplexGeometry(rb)
+
+
+def cyclic_relative(inner, outer, ell):
+    return _realize_cyclic(cyclic_spec(inner, outer, ell), None)[0]
+
+
+def word_relative(letters, free):
+    return realize(word_spec(word(3, letters), free), None)[0]
+
+
+# classes as (id, builder): the saddle, the desk's proper cyclic and word classes
+COMPONENT_CASES = (
+    [("saddle", lambda: make_relative([0, 0], crossing_pair_skeleton()))]
+    + [(f"cyclic{c}", lambda c=c: cyclic_relative(*c)) for c in DESK_CYCLIC]
+    + [("word[s1 s2 s2 s1;0]", lambda: word_relative([1, 2, 2, 1], [0])),
+       ("word[s2 s1 s2;1]", lambda: word_relative([2, 1, 2], [1]))]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in COMPONENT_CASES],
+                         ids=[name for name, _ in COMPONENT_CASES])
+def test_component_matches_reference_dfs(build):
+    comp = enumerate_component(build())
+    cubes, cross = reference_component(comp.geometry)
+    assert comp.top_cells.tolist() == sorted(int(np.dot(c, comp.geometry.strides)) for c in cubes)
+    assert comp.crossing_number == cross
+
+
+def test_component_cube_cap_is_exact(monkeypatch):
+    rb = cyclic_relative((3, 2), (3, 1), 2)  # the twisted desk class, 180 cubes
+    size = len(enumerate_component(rb).top_cells)
+    monkeypatch.setattr(complex_module, "COMPONENT_CUBE_CAP", size)
+    assert len(enumerate_component(rb).top_cells) == size
+    monkeypatch.setattr(complex_module, "COMPONENT_CUBE_CAP", size - 1)
+    with pytest.raises(RuntimeError, match="cube cap"):
+        enumerate_component(rb)
+
+
+IMPROPER_CASES = [
+    ("cyclic[2/1,1,1/2]", lambda: cyclic_relative((2, 1), (1, 2), 1)),
+    ("cyclic[0/1,0,1/1]", lambda: cyclic_relative((0, 1), (1, 1), 0)),
+    ("word[s1 s1 s2 s2;2]", lambda: word_relative([1, 1, 2, 2], [2])),
+    ("empty skeleton", lambda: make_relative(
+        [0, 0], DiscreteBraid(0, 2, (), StrandPermutation(()))
+    )),
+    ("parallel strand", lambda: make_relative(
+        [-0.25, -0.25], DiscreteBraid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
+    )),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in IMPROPER_CASES],
+                         ids=[name for name, _ in IMPROPER_CASES])
+def test_improper_witness_is_a_top_cell_over_the_pin(build):
+    comp = enumerate_component(build())
+    assert not comp.proper
+    geo, witness = comp.geometry, comp.collapse_witness
+    top = int(np.dot(witness["from_top_cell"], geo.strides))
+    assert top in comp.top_cells
+    pinned = sum(
+        (n + [str(v) for v in t.values].index(value)) * stride
+        for t, n, stride, value in zip(geo.slots, geo.ngaps, geo.strides, witness["pinned_values"])
+    )
+    assert pinned in geo.closure(np.array([top]))
