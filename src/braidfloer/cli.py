@@ -115,24 +115,55 @@ def _job_hash(job: JobSpec) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _field(block, key: str, where: str, valid=None, expected: str = ""):
+    """block[key], refusing with a message that names the field.
+
+    The block must be a JSON object holding `key`, and its value must pass
+    `valid`, when given; `expected` describes such a value.
+    """
+    if not isinstance(block, dict):
+        raise BraidInputError(f"{where} must be a JSON object")
+    if key not in block:
+        raise BraidInputError(f"{where} has no {key!r} field")
+    if valid is not None and not valid(block[key]):
+        raise BraidInputError(f"{where} field {key!r} must be {expected}")
+    return block[key]
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
+
+
 def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
+    if not isinstance(doc, dict):
+        raise BraidInputError("input document must be a JSON object")
     rel = doc.get("relative", doc)
+    if not isinstance(rel, dict):
+        raise BraidInputError("'relative' must be a JSON object")
     if "cyclic" in rel:
         c = rel["cyclic"]
+        inner, outer = (
+            tuple(_field(c, key, "cyclic block", _is_pair, "a pair of integers [n, m]"))
+            for key in ("inner", "outer")
+        )
+        ell = _field(c, "ell", "cyclic block")
+        try:
+            ell = int(ell)
+        except (TypeError, ValueError):
+            raise BraidInputError("cyclic block field 'ell' must be an integer") from None
         kwargs = {}
         if "radii" in c:
             kwargs["radii"] = tuple(Fraction(str(r)) for r in c["radii"])
         if "phases" in c:
             kwargs["phases"] = tuple(float(p) for p in c["phases"])
-        return pipeline.cyclic_spec(
-            tuple(c["inner"]), tuple(c["outer"]), int(c["ell"]),
-            label=c.get("label", ""), **kwargs,
-        )
+        return pipeline.cyclic_spec(inner, outer, ell, label=c.get("label", ""), **kwargs)
     if "word" in rel:
         w = rel["word"]
-        return pipeline.word_spec(
-            parse_braid_text(w["text"]), w["free"], label=w.get("label", "")
+        text = _field(w, "text", "word block", lambda v: isinstance(v, str), "a string")
+        free = _field(
+            w, "free", "word block", lambda v: isinstance(v, list), "a list of strand indices"
         )
+        return pipeline.word_spec(parse_braid_text(text), free, label=w.get("label", ""))
     raise BraidInputError("relative braid document needs a 'cyclic' or 'word' block")
 
 
@@ -143,16 +174,24 @@ def _geometric_relative(doc: dict):
 
 
 def _maslov_payload(doc: dict) -> dict:
+    if not isinstance(doc, dict):
+        raise BraidInputError("input document must be a JSON object")
     m = doc.get("maslov", doc)
-    kind = m.get("family", {}).get("kind", "constant")
+    if not isinstance(m, dict):
+        raise BraidInputError("'maslov' must be a JSON object")
     fam_doc = m.get("family", {})
+    if not isinstance(fam_doc, dict):
+        raise BraidInputError("maslov block field 'family' must be a JSON object")
+    kind = fam_doc.get("kind", "constant")
     tau = float(m.get("tau", 1.0))
     if kind == "rotation":
         fam = rotation_family(int(fam_doc.get("k", 1)), int(fam_doc.get("n", 1)), tau)
     elif kind == "constant":
-        fam = constant_family(np.asarray(fam_doc["matrix"], dtype=float))
+        fam = constant_family(np.asarray(_field(fam_doc, "matrix", "constant family"), dtype=float))
     elif kind == "table":
-        fam = sampled_family(fam_doc["times"], fam_doc["matrices"])
+        fam = sampled_family(
+            _field(fam_doc, "times", "table family"), _field(fam_doc, "matrices", "table family")
+        )
     elif kind == "annulus":
         model = annulus_hamiltonian(
             eps=float(fam_doc.get("eps", 0.1)),
@@ -176,6 +215,8 @@ def _maslov_payload(doc: dict) -> dict:
     else:
         raise BraidInputError(f"unknown family kind {kind!r}")
     sigma = m.get("sigma")
+    if sigma is not None and not isinstance(sigma, list):
+        raise BraidInputError("maslov block field 'sigma' must be a list of strand indices")
     perm = StrandPermutation(tuple(sigma)) if sigma else None
     path = integrate_path(fam, tau)
     idx = permuted_cz_index(path, perm, b=float(m["b"]) if "b" in m else None)

@@ -6,14 +6,20 @@ p's and q's.  Crossings are the zeros of det(Psi(t) - sigma); each carries the
 quadratic form <sigma xi, K(t0) sigma xi> on the kernel, and the index is the
 sum of crossing-form signatures with half weight at the endpoints.  Indices
 are stored doubled so half-integers stay exact.
+
+Paths of constant families (`constant_family`, `rotation_family`, the
+annulus Hessians) take the closed form Psi(t) = expm(t J0 K); every other
+family is integrated by RK4.  Either way the nodes' symplectic drift must stay
+below DRIFT_BOUND, and crossings are found on stacked smallest singular values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     BraidInputError,
@@ -29,6 +35,9 @@ EIGEN_TOL = 1e-8
 BISECTION_TOL = 1e-12
 MIN_SEPARATION = 1e-6
 SYMMETRY_TOL = 1e-12
+NODE_SPACING = 1 / 8   # bound on h * ||J0 K||_2 between closed-form nodes
+TAYLOR_DEGREE = 10     # remainder below 1e-17 at that spacing
+ZOOM_POINTS = 17
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -56,7 +65,7 @@ class SymmetricFamily:
 
     dimension: int
     matrix: Callable[[float], np.ndarray]
-    periodic: bool = True
+    constant: np.ndarray | None = None  # K, when the family does not depend on t
 
     def __post_init__(self):
         if self.dimension % 2:
@@ -80,8 +89,11 @@ class SymmetricFamily:
 
 
 def constant_family(k) -> SymmetricFamily:
+    """The family t -> K, checked now; its path takes the closed form."""
     k = np.asarray(k, dtype=float)
-    return SymmetricFamily(k.shape[0], lambda t: k)
+    family = SymmetricFamily(k.shape[0], lambda t: k, constant=k)
+    family(0.0)
+    return family
 
 
 def rotation_family(k: int, n: int = 1, tau: float = 1.0) -> SymmetricFamily:
@@ -89,32 +101,7 @@ def rotation_family(k: int, n: int = 1, tau: float = 1.0) -> SymmetricFamily:
     return constant_family((2 * np.pi * k / tau) * np.eye(2 * n))
 
 
-def direct_sum_family(a: SymmetricFamily, b: SymmetricFamily) -> SymmetricFamily:
-    """K_a + K_b acting on disjoint strand blocks, in (p..., q...) coordinates."""
-    na, nb = a.strands, b.strands
-    n = na + nb
-
-    def embed(k, offset, m, out):
-        idx = list(range(offset, offset + m)) + list(range(n + offset, n + offset + m))
-        out[np.ix_(idx, idx)] += k
-
-    def mat(t):
-        out = np.zeros((2 * n, 2 * n))
-        embed(a(t), 0, na, out)
-        embed(b(t), na, nb, out)
-        return out
-
-    return SymmetricFamily(2 * n, mat, a.periodic and b.periodic)
-
-
-def direct_sum_permutation(sa: StrandPermutation, sb: StrandPermutation) -> StrandPermutation:
-    na = sa.n
-    return StrandPermutation(
-        tuple(sa(k) for k in range(na)) + tuple(na + sb(k) for k in range(sb.n))
-    )
-
-
-def sampled_family(times: Sequence[float], matrices: Sequence, periodic: bool = True) -> SymmetricFamily:
+def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamily:
     """Linear interpolation through a table of sampled symmetric matrices."""
     ts = np.asarray(times, dtype=float)
     mats = [np.asarray(m, dtype=float) for m in matrices]
@@ -127,23 +114,32 @@ def sampled_family(times: Sequence[float], matrices: Sequence, periodic: bool = 
         w = min(max(w, 0.0), 1.0)
         return (1 - w) * mats[i] + w * mats[i + 1]
 
-    return SymmetricFamily(mats[0].shape[0], mat, periodic)
+    return SymmetricFamily(mats[0].shape[0], mat)
 
 
 @dataclass
 class SymplecticPathSample:
-    """Dense RK4 samples of Psi with the generating family attached."""
+    """Psi at the nodes `times`, with the generating family attached.
+
+    At other times `evaluate` gives Psi in closed form (constant families,
+    rotated paths); without it RK4 runs from the node below, time by time.
+    """
 
     family: SymmetricFamily
     tau: float
     times: np.ndarray
-    matrices: list[np.ndarray]
+    matrices: np.ndarray
     steps: int
     drift: float
-    halvings: int = 0
+    evaluate: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def psi(self, t: float) -> np.ndarray:
-        """Psi(t) integrated afresh from the nearest stored node at or below t."""
+    def psi(self, t) -> np.ndarray:
+        """Psi(t) for a time, or the stack of Psi over a 1-d array of times."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = self.evaluate(ts) if self.evaluate else np.stack([self._integrated(x) for x in ts])
+        return out if np.ndim(t) else out[0]
+
+    def _integrated(self, t: float) -> np.ndarray:
         i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 1))
         t0 = self.times[i]
         psi = self.matrices[i]
@@ -151,13 +147,11 @@ class SymplecticPathSample:
             return psi
         h = self.times[1] - self.times[0]
         nsub = max(1, int(np.ceil((t - t0) / h * 4)))
-        return _rk4(self.family, psi, t0, t, nsub)
+        return _rk4(self.family, psi, t0, t, nsub, standard_j(self.family.strands))
 
 
 def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps: int,
-         j: np.ndarray | None = None) -> np.ndarray:
-    if j is None:
-        j = standard_j(family.dimension // 2)
+         j: np.ndarray) -> np.ndarray:
     h = (t1 - t0) / steps
     psi = psi0.copy()
     t = t0
@@ -172,15 +166,20 @@ def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps:
 
 
 def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) -> SymplecticPathSample:
-    """Classical 4th-order integration with adaptive step halving.
+    """Psi on a uniform grid of at least `min_steps` steps; Psi(0) is the identity exactly.
 
-    Steps halve until the symplectic drift stays below 1e-8 at every sample
-    and the endpoint agrees with the next refinement to 1e-10; Psi(0) is the
-    identity exactly.
+    A constant family takes the closed form Psi(t) = expm(t J0 K): the step
+    count doubles until h ||J0 K||_2 <= NODE_SPACING, the nodes are powers of
+    one expm(h J0 K), and their symplectic drift must stay below 1e-8.  Any
+    other family is integrated by classical 4th-order steps that halve until
+    the drift stays below 1e-8 at every node and the endpoint agrees with the
+    next refinement to 1e-10.
     """
     n = family.dimension // 2
     j = standard_j(n)
     steps = max(min_steps, 64)
+    if family.constant is not None:
+        return _closed_form_path(family, tau, steps, j)
     prev_end = None
     for _ in range(22):
         h = tau / steps
@@ -188,26 +187,58 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
         mats = [psi]
         drift = 0.0
         t = 0.0
-        ok = True
         for _ in range(steps):
             psi = _rk4(family, psi, t, t + h, 1, j)
             t += h
             mats.append(psi)
             drift = max(drift, float(np.max(np.abs(psi.T @ j @ psi - j))))
             if drift >= DRIFT_BOUND:
-                ok = False
+                prev_end = None
                 break
-        if ok:
-            converged = prev_end is not None and float(np.max(np.abs(mats[-1] - prev_end))) < 1e-10
-            if converged:
-                return SymplecticPathSample(
-                    family, tau, np.linspace(0.0, tau, steps + 1), mats, steps, drift
-                )
-            prev_end = mats[-1]
         else:
-            prev_end = None
+            if prev_end is not None and float(np.max(np.abs(psi - prev_end))) < 1e-10:
+                return SymplecticPathSample(
+                    family, tau, np.linspace(0.0, tau, steps + 1), np.array(mats), steps, drift
+                )
+            prev_end = psi
         steps *= 2
     raise StiffnessError(f"accuracy bounds unreachable at {steps} steps")
+
+
+def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> SymplecticPathSample:
+    a = j @ family.constant
+    norm = float(np.linalg.norm(a, 2))
+    while tau / steps * norm > NODE_SPACING:
+        steps *= 2
+    times = np.linspace(0.0, tau, steps + 1)
+    eye = np.eye(len(a))
+    nodes = np.empty((steps + 1,) + a.shape)
+    nodes[0] = eye
+    nodes[1] = expm((tau / steps) * a)
+    m = 1
+    while m < steps:  # nodes[m + i] = nodes[i] @ nodes[m]
+        k = min(m, steps - m)
+        nodes[m + 1:m + k + 1] = nodes[1:k + 1] @ nodes[m]
+        m += k
+    drift = float(np.max(np.abs(np.swapaxes(nodes, 1, 2) @ j @ nodes - j)))
+    if not drift < DRIFT_BOUND:
+        raise StiffnessError(f"closed form drifts by {drift:.3g} at {steps} steps")
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        """nodes[i] @ P(s A) with s = t - t_i; squarings cover s beyond one step."""
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, steps)
+        s = ts - times[i]
+        reach = np.max(np.abs(s)) * norm / NODE_SPACING
+        squarings = int(np.ceil(np.log2(reach))) if reach > 1 else 0
+        x = (s / 2.0 ** squarings)[:, None, None] * a
+        p = eye + x / TAYLOR_DEGREE
+        for d in range(TAYLOR_DEGREE - 1, 0, -1):  # Horner: I + x/1 (I + x/2 (I + ...))
+            p = eye + (x / d) @ p
+        for _ in range(squarings):
+            p = p @ p
+        return nodes[i] @ p
+
+    return SymplecticPathSample(family, tau, times, nodes, steps, drift, evaluate)
 
 
 @dataclass(frozen=True)
@@ -230,13 +261,9 @@ class MaslovIndex:
     def value(self) -> float:
         return self.twice_value / 2
 
-    def __add__(self, other: "MaslovIndex") -> "MaslovIndex":
-        return MaslovIndex(self.twice_value + other.twice_value)
-
 
 def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, t0: float) -> CrossingRecord:
-    psi = path.psi(t0)
-    u, s, vt = np.linalg.svd(psi - sbar)
+    u, s, vt = np.linalg.svd(path.psi(t0) - sbar)
     kernel = vt[s < KERNEL_TOL].T
     if kernel.shape[1] == 0:
         raise DegenerateCrossingError(f"no kernel at detected crossing t={t0}")
@@ -249,19 +276,40 @@ def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, t0: float) -> C
     return CrossingRecord(t0, kernel.shape[1], tuple(float(e) for e in eigs), sig, False)
 
 
-def _smin(path: SymplecticPathSample, sbar: np.ndarray, t: float) -> float:
-    return float(np.linalg.svd(path.psi(t) - sbar, compute_uv=False)[-1])
+def _smin(path: SymplecticPathSample, sbar: np.ndarray, ts) -> np.ndarray:
+    """Smallest singular value of Psi(t) - sigma at each time of a stack."""
+    return np.linalg.svd(path.psi(np.asarray(ts, dtype=float)) - sbar, compute_uv=False)[..., -1]
 
 
-def _polish_minimum(path, sbar, lo: float, hi: float) -> float:
-    while hi - lo > BISECTION_TOL:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if _smin(path, sbar, m1) <= _smin(path, sbar, m2):
-            hi = m2
-        else:
-            lo = m1
-    return (lo + hi) / 2
+def _runs(pts: np.ndarray, keep: np.ndarray):
+    """(lo, hi, row) of each run of kept cells; cell c of row r spans pts[r, c:c + 2]."""
+    edges = np.diff(keep.astype(np.int8), axis=1, prepend=0, append=0)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    return pts[rows, starts], pts[rows, ends], rows
+
+
+def _isolate_zeros(path, sbar, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The zeros of the smallest singular value f in the brackets [lo, hi].
+
+    Each round cuts every bracket into ZOOM_POINTS - 1 cells, all evaluated
+    in one call.  A cell [x, y] can hold a zero only if f(x) + f(y) <= 2 L
+    (y - x), L the steepest cell slope in its bracket, and the runs of such
+    cells are the next brackets, so zeros closer than a cell come apart in
+    later rounds.  A bracket is final at BISECTION_TOL or once it stops
+    shrinking (f vanishing along an interval), and yields its midpoint.
+    """
+    done = []
+    while len(lo):
+        pts = np.linspace(lo, hi, ZOOM_POINTS, axis=1)
+        f = _smin(path, sbar, pts.ravel()).reshape(pts.shape)
+        cell = np.diff(pts, axis=1)
+        slope = np.max(np.abs(np.diff(f, axis=1)) / cell, axis=1, keepdims=True)
+        new_lo, new_hi, row = _runs(pts, f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
+        final = (new_hi - new_lo <= BISECTION_TOL) | (new_hi - new_lo >= (hi - lo)[row])
+        done.append((new_lo + new_hi)[final] / 2)
+        lo, hi = new_lo[~final], new_hi[~final]
+    return np.concatenate([[]] + done)
 
 
 def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float):
@@ -269,94 +317,55 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
 
     det may touch zero without a sign change (kernels of dimension two and
     definite crossing forms), so crossings are found through the smallest
-    singular value: every region where it dips near zero is rescanned on a
-    finer grid and its local minima are polished by ternary search.  Twin
-    dips inside one coarse cell leave the whole region low, so the region
-    trigger catches them even without a coarse local minimum.
+    singular value f.  A grid cell [x, y] is searched when f(x) + f(y) <=
+    4 s (y - x), s the steepest slope of f on the grid, which holds for any
+    zero whose slope is at most 4 s; `_isolate_zeros` then separates and
+    polishes them.
     """
-    ts = [t for t in path.times if a < t < b]
-    grid = [a] + ts + [b]
-    g = [_smin(path, sbar, t) for t in grid]
-    h = max(grid[i + 1] - grid[i] for i in range(len(grid) - 1))
-    slope = max(
-        (abs(g[i + 1] - g[i]) / (grid[i + 1] - grid[i])
-         for i in range(len(grid) - 1) if grid[i + 1] > grid[i]),
-        default=1.0,
-    )
-    threshold = max(4 * slope * h, 1e3 * KERNEL_TOL)
-    low = [v <= threshold for v in g]
+    grid = np.concatenate(([a], path.times[(path.times > a) & (path.times < b)], [b]))
+    g = _smin(path, sbar, grid)
+    dt = np.diff(grid)  # positive: permuted_cz_index checks a < b
+    bound = np.maximum(4 * np.max(np.abs(np.diff(g)) / dt) * dt, 1e3 * KERNEL_TOL)
+    lo, hi, _ = _runs(grid[None, :], (g[:-1] + g[1:] <= bound)[None, :])
+    found = _isolate_zeros(path, sbar, lo, hi)
+    margin = max(1e-9, 100 * BISECTION_TOL)
+    found = found[(a + margin < found) & (found < b - margin)]
+    if len(found):
+        found = found[_smin(path, sbar, found) < KERNEL_TOL]
     crossings = []
-    i = 0
-    while i < len(grid):
-        if not low[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(grid) and low[j + 1]:
-            j += 1
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(j + 1, len(grid) - 1)]
-        fine_n = max(48, int((hi - lo) / h * 16))
-        fine = np.linspace(lo, hi, fine_n + 1)
-        fg = [_smin(path, sbar, t) for t in fine]
-        margin = max(1e-9, 100 * BISECTION_TOL)
-        for p in range(fine_n + 1):
-            # one-sided minima at region edges catch crossings squeezed
-            # against an endpoint
-            if (p > 0 and fg[p] > fg[p - 1]) or (p < fine_n and fg[p] > fg[p + 1]):
-                continue
-            t0 = _polish_minimum(
-                path, sbar, fine[max(p - 1, 0)], fine[min(p + 1, fine_n)]
-            )
-            if _smin(path, sbar, t0) < KERNEL_TOL and a + margin < t0 < b - margin:
-                crossings.append(t0)
-        i = j + 1
-    crossings.sort()
-    suspicious = any(
-        t1 - t0 < MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])
-    )
-    return crossings, suspicious
+    for t0 in sorted(float(t) for t in found):  # merge duplicates from adjacent runs
+        if not crossings or t0 - crossings[-1] > 100 * BISECTION_TOL:
+            crossings.append(t0)
+    return crossings
 
 
 def _graph_index(
     path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float, closed: bool = False
 ) -> MaslovIndex:
     """Maslov index of gr(Psi) against the permuted diagonal over [a, b]."""
-    crossings = []
-    for attempt in range(3):
-        raw, suspicious = _detect_crossings(path, sbar, a, b)
-        crossings = []
-        for t0 in raw:  # merge polish duplicates from adjacent grid minima
-            if not crossings or t0 - crossings[-1] > 100 * BISECTION_TOL:
-                crossings.append(t0)
-        suspicious = suspicious and any(
-            t1 - t0 < MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])
-        )
-        if not suspicious:
+    for _ in range(3):  # crossings closer than MIN_SEPARATION: refine the grid
+        crossings = _detect_crossings(path, sbar, a, b)
+        if all(t1 - t0 >= MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])):
             break
         path = integrate_path(path.family, path.tau, min_steps=2 * path.steps)
-        path.halvings = attempt + 1
     records = []
     twice = 0
-    if _smin(path, sbar, a) < KERNEL_TOL:
+    s_a, s_b = _smin(path, sbar, [a, b])
+    if s_a < KERNEL_TOL:
         rec = _crossing_form(path, sbar, a)
-        records.append(
-            CrossingRecord(rec.time, rec.kernel_dimension, rec.form_eigenvalues, rec.signature, True)
-        )
+        records.append(replace(rec, endpoint=True))
         twice += rec.signature
     for t0 in crossings:
         rec = _crossing_form(path, sbar, t0)
         records.append(rec)
         twice += 2 * rec.signature
-    if _smin(path, sbar, b) < KERNEL_TOL:
+    if s_b < KERNEL_TOL:
         if not closed:
             raise StationaryDegenerateError(
                 f"det(Psi({b}) - sigma) vanishes: stationary braid degenerate"
             )
         rec = _crossing_form(path, sbar, b)
-        records.append(
-            CrossingRecord(rec.time, rec.kernel_dimension, rec.form_eigenvalues, rec.signature, True)
-        )
+        records.append(replace(rec, endpoint=True))
         twice += rec.signature
     return MaslovIndex(twice, tuple(records))
 
@@ -382,6 +391,8 @@ def permuted_cz_index(
         raise BraidInputError("permutation size does not match the family")
     sbar = permutation_matrix(sigma)
     b = path.tau if b is None else b
+    if not a < b:
+        raise BraidInputError(f"need a < b, got a={a}, b={b}")
     idx = _graph_index(path, sbar, a, b, closed=closed)
     if a == 0.0:
         start = next((r for r in idx.crossings if r.endpoint), None)
@@ -392,16 +403,22 @@ def permuted_cz_index(
 
 def rotated_path(path: SymplecticPathSample, k: int) -> SymplecticPathSample:
     """The path t -> e^{2 pi k J0 t / tau} Psi(t), built in closed form."""
-    n = path.family.strands
-    fam = _rotated_family(path.family, k, path.tau)
-    j = standard_j(n)
-    eye = np.eye(2 * n)
+    j = standard_j(path.family.strands)
     rate = 2 * np.pi * k / path.tau
-    mats = []
-    for t, psi in zip(path.times, path.matrices):
-        theta = rate * t
-        mats.append((np.cos(theta) * eye + np.sin(theta) * j) @ psi)
-    return SymplecticPathSample(fam, path.tau, path.times, mats, path.steps, path.drift)
+
+    def rotation(t) -> np.ndarray:
+        theta = (rate * np.asarray(t))[..., None, None]
+        return np.cos(theta) * np.eye(len(j)) + np.sin(theta) * j
+
+    def generator(t):  # of the rotated path: rate I + phi K phi^T
+        phi = rotation(t)
+        return rate * np.eye(len(j)) + phi @ path.family(t) @ phi.T
+
+    return SymplecticPathSample(
+        SymmetricFamily(path.family.dimension, generator), path.tau, path.times,
+        rotation(path.times) @ path.matrices, path.steps, path.drift,
+        evaluate=lambda ts: rotation(ts) @ path.psi(ts),
+    )
 
 
 def rotation_shift_check(
@@ -412,21 +429,6 @@ def rotation_shift_check(
     base = permuted_cz_index(path, sigma)
     shifted = permuted_cz_index(rotated_path(path, k), sigma)
     return shifted.twice_value == base.twice_value + 4 * k * n
-
-
-def _rotated_family(family: SymmetricFamily, k: int, tau: float) -> SymmetricFamily:
-    n = family.strands
-    j = standard_j(n)
-    eye = np.eye(2 * n)
-    rate = 2 * np.pi * k / tau
-    rate_eye = rate * eye
-
-    def mat(t):
-        theta = rate * t
-        phi = np.cos(theta) * eye + np.sin(theta) * j
-        return rate_eye + phi @ family(t) @ phi.T
-
-    return SymmetricFamily(2 * n, mat, family.periodic)
 
 
 @dataclass(frozen=True)
@@ -453,13 +455,10 @@ class AnnulusModel:
     critical_points: tuple[AnnulusCriticalPoint, ...]
     degenerate: bool
 
-    def hessian_families(self) -> list[SymmetricFamily]:
-        return [constant_family(c.hessian) for c in self.critical_points]
-
     def cz_indices(self, tau: float = 1.0) -> list[int]:
         out = []
-        for fam in self.hessian_families():
-            path = integrate_path(fam, tau)
+        for c in self.critical_points:
+            path = integrate_path(constant_family(c.hessian), tau)
             idx = permuted_cz_index(path)
             assert idx.twice_value % 2 == 0
             out.append(idx.twice_value // 2)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from braidfloer.discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
     total_crossing_number,
 )
+from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.words import BraidWord, StrandPermutation, word
 
 
@@ -155,3 +158,25 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
                     seen.add(nxt)
                     stack.append(nxt)
     return seen, cross
+
+
+def direct_sum_family(a: SymmetricFamily, b: SymmetricFamily) -> SymmetricFamily:
+    """K_a + K_b of two constant families, acting on disjoint strand blocks.
+
+    In (p..., q...) coordinates this is the constant family of the block
+    matrix, so its path takes the closed form.
+    """
+    n = a.strands + b.strands
+    k = np.zeros((2 * n, 2 * n))
+    for family, offset in ((a, 0), (b, a.strands)):
+        m = family.strands
+        idx = list(range(offset, offset + m)) + list(range(n + offset, n + offset + m))
+        k[np.ix_(idx, idx)] = family.constant
+    return constant_family(k)
+
+
+def direct_sum_permutation(sa: StrandPermutation, sb: StrandPermutation) -> StrandPermutation:
+    na = sa.n
+    return StrandPermutation(
+        tuple(sa(k) for k in range(na)) + tuple(na + sb(k) for k in range(sb.n))
+    )

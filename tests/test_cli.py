@@ -11,6 +11,7 @@ from braidfloer.cli import (
     run,
 )
 from braidfloer.errors import BraidInputError
+from braidfloer.maslov import DRIFT_BOUND
 from braidfloer.words import exponent_sum
 
 FIG3_TEXT = "n=5; s4' s3 s1 s3 s2' s1 s2 s3' s4' s1 s2 s3 s4' s1 s2'"
@@ -90,6 +91,55 @@ def test_maslov_job_rotation():
     doc = {"maslov": {"family": {"kind": "rotation", "k": 2, "n": 1}, "tau": 1.0, "b": 0.999}}
     env = run(JobSpec("maslov", doc))
     assert env.payload["twice_value"] == 6  # 2k - 1/2 - 1/2 short of the loop
+
+
+# (kernel_dimension, signature, endpoint, time) of each crossing, as the
+# RK4 integrator reported them before constant families took the closed form
+MASLOV_ENVELOPES = [
+    (
+        {"family": {"kind": "rotation", "k": 2, "n": 1}, "tau": 1.0, "b": 0.999},
+        6,
+        [(2, 2, True, 0.0), (2, 2, False, 0.5000000000001233)],
+    ),
+    (
+        {"family": {"kind": "constant", "matrix": [[3.0, 0.5], [0.5, 4.0]]}, "tau": 7.0},
+        14,
+        [(2, 2, True, 0.0), (2, 2, False, 1.8329935428230169),
+         (2, 2, False, 3.6659870856460035), (2, 2, False, 5.498980628468778)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "maslov, twice, crossings", MASLOV_ENVELOPES, ids=["rotation", "constant"]
+)
+def test_maslov_envelope_pinned(maslov, twice, crossings):
+    payload = run(JobSpec("maslov", {"maslov": maslov})).payload
+    assert payload["twice_value"] == twice
+    assert payload["value"] == twice / 2
+    assert payload["drift"] < DRIFT_BOUND
+    got = payload["crossings"]
+    assert [(c["kernel_dimension"], c["signature"], c["endpoint"]) for c in got] == [
+        c[:3] for c in crossings
+    ]
+    assert all(abs(c["time"] - ref[3]) < 1e-9 for c, ref in zip(got, crossings))
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 2.0], [0.0, 1.0]], "error: K(t) is not symmetric"),
+        ([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]], "error: K(t) must be 2x2"),
+        ([1.0, 2.0], "error: K(t) must be 2x2"),
+    ],
+    ids=["nonsymmetric", "nonsquare", "vector"],
+)
+def test_maslov_malformed_constant_matrix(capsys, monkeypatch, matrix, message):
+    doc = {"maslov": {"family": {"kind": "constant", "matrix": matrix}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["maslov", "--input", "-"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_maslov_degenerate_exit_code(capsys):

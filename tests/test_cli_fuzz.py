@@ -1,8 +1,9 @@
 """Fuzzed CLI input ends in a documented exit code, never a traceback.
 
-Exit codes 1 and 3 come with exactly one stderr line.  Word documents stay
-at three strands and six letters, and the examples are derandomized, so the
-whole file runs in seconds.
+Exit codes 1 and 3 come with exactly one stderr line, and a document whose
+field is missing or of the wrong shape is refused by naming that field.  Word
+documents stay at three strands and six letters, and the examples are
+derandomized, so the whole file runs in seconds.
 """
 
 import contextlib
@@ -95,3 +96,54 @@ def test_homology_word_document_fuzz(document, period_check):
 @given(MALFORMED)
 def test_homology_malformed_document_fuzz(document):
     _assert_contract(*_main(["homology", "--input", "-"], document))
+
+
+MISSING = object()
+NOT_A_LIST = st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3), st.booleans())
+NOT_A_PAIR = st.one_of(
+    NOT_A_LIST,
+    st.lists(st.integers(-3, 3), max_size=4).filter(lambda v: len(v) != 2),
+    st.lists(st.one_of(st.text(max_size=2), st.floats(0.5, 2.5), st.none()),
+             min_size=2, max_size=2),
+)
+VALID_DOCUMENTS = {
+    "word": ("homology", {"relative": {"word": {"text": "n=3; s2 s1 s2", "free": [1]}}}),
+    "cyclic": ("homology", {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}}}),
+    "constant": ("maslov", {"maslov": {"family": {"kind": "constant",
+                                                  "matrix": [[1.0, 0.0], [0.0, -0.4]]}}}),
+}
+# (block, field, wrong values): each leaves the named field missing or malformed
+BROKEN_FIELDS = st.one_of(
+    st.tuples(st.just("word"), st.just("free"), st.one_of(st.just(MISSING), NOT_A_LIST)),
+    st.tuples(st.just("word"), st.just("text"),
+              st.one_of(st.just(MISSING), st.none(), st.integers(), st.lists(st.integers()))),
+    st.tuples(st.just("cyclic"), st.sampled_from(["inner", "outer"]),
+              st.one_of(st.just(MISSING), NOT_A_PAIR)),
+    st.tuples(st.just("cyclic"), st.just("ell"),
+              st.one_of(st.just(MISSING), st.none(), st.text(alphabet="abc", max_size=2))),
+    st.tuples(st.just("constant"), st.just("matrix"), st.just(MISSING)),
+)
+
+
+def _break(block, field, value):
+    command, document = VALID_DOCUMENTS[block]
+    document = json.loads(json.dumps(document))
+    inner = document["maslov"]["family"] if block == "constant" else document["relative"][block]
+    if value is MISSING:
+        del inner[field]
+    else:
+        inner[field] = value
+    return command, json.dumps(document)
+
+
+@FUZZ
+@given(BROKEN_FIELDS)
+@example(("word", "free", MISSING))
+@example(("word", "free", 0))
+@example(("cyclic", "inner", [1]))
+@example(("constant", "matrix", MISSING))
+def test_malformed_field_is_named(broken):
+    command, document = _break(*broken)
+    code, err = _main([command, "--input", "-"], document)
+    _assert_contract(code, err)
+    assert code == 1 and repr(broken[1]) in err, err

@@ -8,19 +8,20 @@ from braidfloer.errors import BraidInputError, StationaryDegenerateError
 from braidfloer.maslov import (
     SymmetricFamily,
     DRIFT_BOUND,
+    NODE_SPACING,
     annulus_hamiltonian,
     constant_family,
-    direct_sum_family,
-    direct_sum_permutation,
     integrate_path,
     permutation_matrix,
     permuted_cz_index,
     rotation_family,
+    rotated_path,
     rotation_shift_check,
     sampled_family,
     standard_j,
 )
 from braidfloer.words import StrandPermutation
+from helpers import direct_sum_family, direct_sum_permutation
 
 
 def random_nondegenerate_constant(rng, n, scale=3.0):
@@ -39,6 +40,50 @@ def random_nondegenerate_constant(rng, n, scale=3.0):
     raise RuntimeError("could not draw a nondegenerate K")
 
 
+def test_closed_form_matches_rk4_reference():
+    # SymmetricFamily(2n, lambda t: k) carries no constant K, so it takes RK4
+    rng = random.Random(17)
+    for c in range(10):
+        n = 1 + c % 2
+        k = random_nondegenerate_constant(rng, n)
+        reference = integrate_path(SymmetricFamily(2 * n, lambda t, k=k: k), 1.0)
+        closed = integrate_path(constant_family(k), 1.0, min_steps=reference.steps)
+        assert closed.steps == reference.steps
+        assert np.max(np.abs(closed.matrices - reference.matrices)) < 1e-8
+        ts = np.array([rng.uniform(0.0, 1.0) for _ in range(5)])
+        exact = np.stack([expm(t * standard_j(n) @ k) for t in ts])
+        assert np.max(np.abs(closed.psi(ts) - exact)) < 1e-10
+        closed = integrate_path(constant_family(k), 1.0)
+        assert permuted_cz_index(closed).twice_value == permuted_cz_index(reference).twice_value
+        kk = (-2, -1, 0, 1, 2)[c % 5]
+        assert (permuted_cz_index(rotated_path(closed, kk)).twice_value
+                == permuted_cz_index(rotated_path(reference, kk)).twice_value)
+    for kk in (1, 2, 3):
+        loop = 2 * np.pi * kk * np.eye(2)
+        reference = integrate_path(SymmetricFamily(2, lambda t, loop=loop: loop), 1.0)
+        closed = integrate_path(rotation_family(kk), 1.0)
+        assert (permuted_cz_index(closed, closed=True).twice_value
+                == permuted_cz_index(reference, closed=True).twice_value == 4 * kk)
+
+
+def test_twin_crossings_inside_one_grid_cell():
+    # the rotated saddle crosses where cos(4 pi t) cosh(lam t) = 1: twice
+    # near t = 1/2, about lam / (4 pi) apart, far inside one grid cell
+    lam = 1e-3
+    path = integrate_path(constant_family(np.diag([lam, -lam])), 1.0)
+    rotated = permuted_cz_index(rotated_path(path, 2))
+    inner = [r.time for r in rotated.crossings if not r.endpoint]
+    assert len(inner) == 3 and inner[1] - inner[0] < (path.times[1] - path.times[0]) / 50
+    assert rotation_shift_check(path, None, 2)
+
+
+def test_interval_must_be_forward():
+    path = integrate_path(constant_family(np.diag([1.0, -0.4])), 1.0)
+    for b in (0.0, -0.5):
+        with pytest.raises(BraidInputError):
+            permuted_cz_index(path, b=b)
+
+
 def test_rotation_path_closes():
     path = integrate_path(rotation_family(1), 1.0)
     assert path.drift < DRIFT_BOUND
@@ -51,16 +96,18 @@ def test_zero_family_is_identity():
 
 
 def test_integration_matches_matrix_exponential():
-    k = np.diag([1.0, -0.4])
-    path = integrate_path(constant_family(k), 1.0)
     j = standard_j(1)
-    for t in (0.25, 0.5, 1.0):
-        exact = expm(j @ k * t)
-        assert np.max(np.abs(path.psi(t) - exact)) < 1e-8
+    # on nodes, between nodes, past tau, and with ||J0 K|| = 250
+    for k in (np.diag([1.0, -0.4]), 250.0 * np.eye(2)):
+        path = integrate_path(constant_family(k), 1.0)
+        assert path.steps * NODE_SPACING >= np.linalg.norm(j @ k, 2)
+        for t in (0.25, 0.5, 1.0, 0.3141, 0.7777, 1.3):
+            exact = expm(j @ k * t)
+            assert np.max(np.abs(path.psi(t) - exact)) < 1e-8
 
 
 def test_rotation_indices_are_2k():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 40):
         path = integrate_path(rotation_family(k), 1.0)
         with pytest.raises(StationaryDegenerateError):
             permuted_cz_index(path)
