@@ -115,19 +115,38 @@ def _job_hash(job: JobSpec) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _field(block, key: str, where: str, valid=None, expected: str = ""):
+_REQUIRED = object()
+
+
+def _field(block, key: str, where: str, valid=None, expected: str = "", convert=None,
+           default=_REQUIRED):
     """block[key], refusing with a message that names the field.
 
-    The block must be a JSON object holding `key`, and its value must pass
-    `valid`, when given; `expected` describes such a value.
+    The block must be a JSON object.  An absent field gives `default`, and is
+    refused when there is none.  The value must pass `valid`, when given, and
+    is returned through `convert`, when given; `expected` describes a value
+    that passes both.
     """
     if not isinstance(block, dict):
         raise BraidInputError(f"{where} must be a JSON object")
     if key not in block:
-        raise BraidInputError(f"{where} has no {key!r} field")
-    if valid is not None and not valid(block[key]):
-        raise BraidInputError(f"{where} field {key!r} must be {expected}")
-    return block[key]
+        if default is _REQUIRED:
+            raise BraidInputError(f"{where} has no {key!r} field")
+        return default
+    value = block[key]
+    try:
+        if valid is not None and not valid(value):
+            raise ValueError
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise BraidInputError(f"{where} field {key!r} must be {expected}") from None
+
+
+def _finite_float(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError
+    return x
 
 
 def _is_pair(value) -> bool:
@@ -146,16 +165,14 @@ def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
             tuple(_field(c, key, "cyclic block", _is_pair, "a pair of integers [n, m]"))
             for key in ("inner", "outer")
         )
-        ell = _field(c, "ell", "cyclic block")
-        try:
-            ell = int(ell)
-        except (TypeError, ValueError):
-            raise BraidInputError("cyclic block field 'ell' must be an integer") from None
+        ell = _field(c, "ell", "cyclic block", expected="an integer", convert=int)
         kwargs = {}
         if "radii" in c:
-            kwargs["radii"] = tuple(Fraction(str(r)) for r in c["radii"])
+            kwargs["radii"] = _field(c, "radii", "cyclic block", expected="a list of fractions",
+                                     convert=lambda rs: tuple(Fraction(str(r)) for r in rs))
         if "phases" in c:
-            kwargs["phases"] = tuple(float(p) for p in c["phases"])
+            kwargs["phases"] = _field(c, "phases", "cyclic block", expected="a list of numbers",
+                                      convert=lambda ps: tuple(float(p) for p in ps))
         return pipeline.cyclic_spec(inner, outer, ell, label=c.get("label", ""), **kwargs)
     if "word" in rel:
         w = rel["word"]
@@ -183,21 +200,25 @@ def _maslov_payload(doc: dict) -> dict:
     if not isinstance(fam_doc, dict):
         raise BraidInputError("maslov block field 'family' must be a JSON object")
     kind = fam_doc.get("kind", "constant")
-    tau = float(m.get("tau", 1.0))
+    tau = _field(m, "tau", "maslov block", expected="a finite number", convert=_finite_float,
+                 default=1.0)
     if kind == "rotation":
-        fam = rotation_family(int(fam_doc.get("k", 1)), int(fam_doc.get("n", 1)), tau)
+        k, n = (_field(fam_doc, key, "rotation family", expected="an integer", convert=int,
+                       default=1) for key in ("k", "n"))
+        fam = rotation_family(k, n, tau)
     elif kind == "constant":
-        fam = constant_family(np.asarray(_field(fam_doc, "matrix", "constant family"), dtype=float))
+        fam = constant_family(_field(
+            fam_doc, "matrix", "constant family", lambda v: isinstance(v, list),
+            "a list of rows of numbers", lambda v: np.asarray(v, dtype=float),
+        ))
     elif kind == "table":
         fam = sampled_family(
             _field(fam_doc, "times", "table family"), _field(fam_doc, "matrices", "table family")
         )
     elif kind == "annulus":
-        model = annulus_hamiltonian(
-            eps=float(fam_doc.get("eps", 0.1)),
-            delta=float(fam_doc.get("delta", 0.1)),
-            outward=bool(fam_doc.get("outward", True)),
-        )
+        eps, delta = (_field(fam_doc, key, "annulus family", expected="a number", convert=float,
+                             default=0.1) for key in ("eps", "delta"))
+        model = annulus_hamiltonian(eps=eps, delta=delta, outward=bool(fam_doc.get("outward", True)))
         if model.degenerate:
             raise DegenerateCrossingError("annulus model has a degenerate circle of equilibria")
         return {
@@ -219,7 +240,9 @@ def _maslov_payload(doc: dict) -> dict:
         raise BraidInputError("maslov block field 'sigma' must be a list of strand indices")
     perm = StrandPermutation(tuple(sigma)) if sigma else None
     path = integrate_path(fam, tau)
-    idx = permuted_cz_index(path, perm, b=float(m["b"]) if "b" in m else None)
+    b = _field(m, "b", "maslov block", expected="a finite number", convert=_finite_float,
+               default=None)
+    idx = permuted_cz_index(path, perm, b=b)
     return {
         "twice_value": idx.twice_value,
         "value": idx.twice_value / 2,

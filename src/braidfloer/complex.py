@@ -260,10 +260,6 @@ class IndexPair:
                 cols.append(pos[found].astype(np.int32))
         return rel, dims, boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
 
-    def chain_counts(self) -> dict[int, int]:
-        ks, counts = np.unique(self.chain_complex()[1], return_counts=True)
-        return dict(zip(ks.tolist(), counts.tolist()))
-
     def validate(self) -> None:
         """Exit set must be a subcomplex of N closed under the face relation."""
         geo = self.geometry

@@ -154,12 +154,6 @@ def _free_crossings(u: Sequence[float], paths: list[list[float]]) -> int:
     return total
 
 
-def crossing_count_float(u: Sequence[float], skeleton: DiscreteBraid) -> int:
-    """Crossings of the float free strand with the skeleton plus the
-    skeleton's internal crossings."""
-    return total_crossing_number(skeleton) + _free_crossings(u, _float_paths(skeleton))
-
-
 def evolve(
     rel: DiscreteRelativeBraid,
     recurrence: RecurrenceRelation,

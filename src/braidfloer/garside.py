@@ -2,10 +2,12 @@
 
 Braids are factored as Delta^k F_1 ... F_s with permutation-braid factors and
 the left-weighted condition between consecutive factors.  Permutation braids
-are identified with their strand permutations; the left-weighting is done by
-local descent-set slides, which computes the same factorization as meet-based
-left-weighting.  Inputs here are short (hundreds of letters), so the quadratic
-fixpoint loop is fine.
+are identified with their strand permutations.  The normal form is built one
+letter at a time: each letter right-multiplies the form by one permutation
+braid (a negative letter also moves one Delta^-1 to the front through tau),
+and a single right-to-left sweep of descent-set slides restores
+left-weightedness (Epstein et al., Word Processing in Groups, ch. 9;
+Elrifai-Morton 1994), so each letter costs at most s pair steps.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ def _swap(n: int, i: int) -> tuple[int, ...]:
     p = list(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
-
-
-def _inversions(p: tuple[int, ...]) -> int:
-    n = len(p)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
 
 
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,9 +83,6 @@ class PermutationBraid:
     def p(self) -> tuple[int, ...]:
         return self.perm.image
 
-    def length(self) -> int:
-        return _inversions(self.p)
-
     def is_identity(self) -> bool:
         return self.p == _identity(self.n)
 
@@ -107,18 +101,6 @@ class GarsideNormalForm:
     infimum: int
     factors: tuple[PermutationBraid, ...]
 
-    def to_word(self) -> BraidWord:
-        letters: list[int] = []
-        delta = half_twist_letters(self.strands)
-        if self.infimum >= 0:
-            letters.extend(delta * self.infimum)
-        else:
-            inv_delta = [-i for i in reversed(delta)]
-            letters.extend(inv_delta * (-self.infimum))
-        for f in self.factors:
-            letters.extend(f.letters())
-        return word(self.strands, letters)
-
 
 @dataclass(frozen=True)
 class TwistPadding:
@@ -136,45 +118,14 @@ def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def _left_weight_pair(a, b, n):
-    """Slide the largest left-divisible prefix of b into a; returns (a', b')."""
-    changed = True
-    while changed:
-        changed = False
-        for i in _starting_set(b) - _finishing_set(a):
-            a = _mul(_swap(n, i), a)   # append sigma_i to a
-            b = _mul(b, _swap(n, i))   # strip sigma_i from b
-            changed = True
-            break
+    """Slide generators that can begin b onto the end of a until (a, b) is left-weighted."""
+    slide = _starting_set(b) - _finishing_set(a)
+    while slide:
+        i = min(slide)
+        a = _mul(_swap(n, i), a)   # append sigma_i to a
+        b = _mul(b, _swap(n, i))   # strip sigma_i from b
+        slide = _starting_set(b) - _finishing_set(a)
     return a, b
-
-
-def _normalize_factors(factors: list[tuple[int, ...]], n: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Left-weight a factor list, absorbing Deltas and dropping identities."""
-    delta = _delta_perm(n)
-    ident = _identity(n)
-    shift = 0
-    factors = [f for f in factors if f != ident]
-    stable = False
-    while not stable:
-        stable = True
-        for j in range(len(factors) - 1):
-            a, b = _left_weight_pair(factors[j], factors[j + 1], n)
-            if (a, b) != (factors[j], factors[j + 1]):
-                factors[j], factors[j + 1] = a, b
-                stable = False
-        # collect Deltas to the front, delete identities
-        out: list[tuple[int, ...]] = []
-        for f in factors:
-            if f == ident:
-                stable = False
-            elif f == delta:
-                out = [_tau(g, n) for g in out]
-                shift += 1
-                stable = False
-            else:
-                out.append(f)
-        factors = out
-    return shift, factors
 
 
 def left_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -183,27 +134,33 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
     if n == 1:
         return GarsideNormalForm(1, 0, ())
     delta = _delta_perm(n)
+    ident = _identity(n)
+    k = 0
     factors: list[tuple[int, ...]] = []
-    delta_pows: list[int] = []
     for idx, sign in w.letters:
         if sign == 1:
             factors.append(_swap(n, idx))
-            delta_pows.append(0)
         else:
-            # sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}), the latter a permutation braid
+            # F sigma_i^{-1} = Delta^{-1} tau(F) (Delta sigma_i^{-1}), the last a permutation braid
+            k -= 1
+            factors = [_tau(f, n) for f in factors]
             factors.append(_mul(_swap(n, idx), delta))
-            delta_pows.append(-1)
-    # commute the Delta^{-1} prefixes to the front through tau
-    total = 0
-    for j in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[j] = _tau(factors[j], n)
-        total += delta_pows[j]
-    shift, normalized = _normalize_factors(factors, n)
+        # the factors before the new one are left-weighted, so the sweep stops
+        # at the first pair it leaves unchanged
+        j = len(factors) - 1
+        while j > 0:
+            a, b = _left_weight_pair(factors[j - 1], factors[j], n)
+            if a == factors[j - 1]:
+                break
+            factors[j - 1], factors[j] = a, b
+            j -= 1
+        if factors[-1] == ident:
+            factors.pop()
+        if factors and factors[0] == delta:
+            factors.pop(0)
+            k += 1
     return GarsideNormalForm(
-        n,
-        total + shift,
-        tuple(PermutationBraid(n, StrandPermutation(p)) for p in normalized),
+        n, k, tuple(PermutationBraid(n, StrandPermutation(p)) for p in factors)
     )
 
 

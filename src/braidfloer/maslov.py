@@ -88,9 +88,18 @@ class SymmetricFamily:
         return self.dimension // 2
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """Refuse a NaN or infinite entry, naming the first one."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = ", ".join(map(str, bad[0]))
+        raise BraidInputError(f"{name}[{at}] is {a[tuple(bad[0])]}, not a finite number")
+
+
 def constant_family(k) -> SymmetricFamily:
     """The family t -> K, checked now; its path takes the closed form."""
     k = np.asarray(k, dtype=float)
+    _check_finite(k, "matrix")
     family = SymmetricFamily(k.shape[0], lambda t: k, constant=k)
     family(0.0)
     return family
@@ -107,6 +116,9 @@ def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamil
     mats = [np.asarray(m, dtype=float) for m in matrices]
     if len(ts) != len(mats) or len(ts) < 2:
         raise BraidInputError("need matching times and matrices, at least two samples")
+    _check_finite(ts, "times")
+    for i, m in enumerate(mats):
+        _check_finite(m, f"matrices[{i}]")
 
     def mat(t):
         i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))

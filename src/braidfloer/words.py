@@ -68,22 +68,6 @@ class StrandPermutation:
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.image))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for k in range(self.n):
-            if seen[k]:
-                continue
-            cyc = [k]
-            seen[k] = True
-            v = self.image[k]
-            while v != k:
-                seen[v] = True
-                cyc.append(v)
-                v = self.image[v]
-            out.append(tuple(cyc))
-        return out
-
     @staticmethod
     def identity(n: int) -> "StrandPermutation":
         return StrandPermutation(tuple(range(n)))
@@ -144,17 +128,6 @@ def full_twist(n: int, k: int) -> BraidWord:
         else:
             letters.extend(-i for i in reversed(delta))
     return word(n, letters)
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Delete adjacent sigma_i sigma_i^{-1} pairs until none remain."""
-    stack: list[tuple[int, int]] = []
-    for let in w.letters:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-        else:
-            stack.append(let)
-    return BraidWord(w.strands, tuple(stack))
 
 
 def random_rewrite(w: BraidWord, rng, moves: int = 1) -> BraidWord:

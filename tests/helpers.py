@@ -1,4 +1,5 @@
-"""Shared test utilities: brute-force braid oracles and small generators."""
+"""Shared test utilities: brute-force braid oracles, reference implementations,
+helpers the package does not need, and small generators."""
 
 from __future__ import annotations
 
@@ -6,13 +7,26 @@ from collections import deque
 
 import numpy as np
 
+from braidfloer.complex import IndexPair
 from braidfloer.discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
     total_crossing_number,
 )
+from braidfloer.flow import _float_paths, _free_crossings
+from braidfloer.garside import (
+    GarsideNormalForm,
+    PermutationBraid,
+    _delta_perm,
+    _finishing_set,
+    _identity,
+    _mul,
+    _starting_set,
+    _swap,
+    _tau,
+)
 from braidfloer.maslov import SymmetricFamily, constant_family
-from braidfloer.words import BraidWord, StrandPermutation, word
+from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
 
 
 def _neighbors(letters: tuple[int, ...]):
@@ -180,3 +194,135 @@ def direct_sum_permutation(sa: StrandPermutation, sb: StrandPermutation) -> Stra
     return StrandPermutation(
         tuple(sa(k) for k in range(na)) + tuple(na + sb(k) for k in range(sb.n))
     )
+
+
+def nf_to_word(nf: GarsideNormalForm) -> BraidWord:
+    """The word Delta^infimum F_1 ... F_s of a normal form."""
+    letters: list[int] = []
+    delta = half_twist_letters(nf.strands)
+    if nf.infimum >= 0:
+        letters.extend(delta * nf.infimum)
+    else:
+        inv_delta = [-i for i in reversed(delta)]
+        letters.extend(inv_delta * (-nf.infimum))
+    for f in nf.factors:
+        letters.extend(f.letters())
+    return word(nf.strands, letters)
+
+
+# Reference left normal form: every adjacent pair is left-weighted again and
+# the Deltas are re-collected until nothing changes.  The incremental sweep in
+# `garside.left_normal_form` must agree with it on every word.
+
+
+def _left_weight_pair(a, b, n):
+    """Slide the largest left-divisible prefix of b into a; returns (a', b')."""
+    changed = True
+    while changed:
+        changed = False
+        for i in _starting_set(b) - _finishing_set(a):
+            a = _mul(_swap(n, i), a)   # append sigma_i to a
+            b = _mul(b, _swap(n, i))   # strip sigma_i from b
+            changed = True
+            break
+    return a, b
+
+
+def _normalize_factors(factors: list[tuple[int, ...]], n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Left-weight a factor list, absorbing Deltas and dropping identities."""
+    delta = _delta_perm(n)
+    ident = _identity(n)
+    shift = 0
+    factors = [f for f in factors if f != ident]
+    stable = False
+    while not stable:
+        stable = True
+        for j in range(len(factors) - 1):
+            a, b = _left_weight_pair(factors[j], factors[j + 1], n)
+            if (a, b) != (factors[j], factors[j + 1]):
+                factors[j], factors[j + 1] = a, b
+                stable = False
+        # collect Deltas to the front, delete identities
+        out: list[tuple[int, ...]] = []
+        for f in factors:
+            if f == ident:
+                stable = False
+            elif f == delta:
+                out = [_tau(g, n) for g in out]
+                shift += 1
+                stable = False
+            else:
+                out.append(f)
+        factors = out
+    return shift, factors
+
+
+def reference_left_normal_form(w: BraidWord) -> GarsideNormalForm:
+    """Unique left-weighted form Delta^k F_1 ... F_s of the braid of w."""
+    n = w.strands
+    if n == 1:
+        return GarsideNormalForm(1, 0, ())
+    delta = _delta_perm(n)
+    factors: list[tuple[int, ...]] = []
+    delta_pows: list[int] = []
+    for idx, sign in w.letters:
+        if sign == 1:
+            factors.append(_swap(n, idx))
+            delta_pows.append(0)
+        else:
+            # sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}), the latter a permutation braid
+            factors.append(_mul(_swap(n, idx), delta))
+            delta_pows.append(-1)
+    # commute the Delta^{-1} prefixes to the front through tau
+    total = 0
+    for j in range(len(factors) - 1, -1, -1):
+        if total % 2:
+            factors[j] = _tau(factors[j], n)
+        total += delta_pows[j]
+    shift, normalized = _normalize_factors(factors, n)
+    return GarsideNormalForm(
+        n,
+        total + shift,
+        tuple(PermutationBraid(n, StrandPermutation(p)) for p in normalized),
+    )
+
+
+def chain_counts(pair: IndexPair) -> dict[int, int]:
+    """Number of relative cells of the pair in each dimension."""
+    ks, counts = np.unique(pair.chain_complex()[1], return_counts=True)
+    return dict(zip(ks.tolist(), counts.tolist()))
+
+
+def crossing_count_float(u, skeleton: DiscreteBraid) -> int:
+    """Crossings of the float free strand with the skeleton plus the
+    skeleton's internal crossings."""
+    return total_crossing_number(skeleton) + _free_crossings(u, _float_paths(skeleton))
+
+
+def cycles(p: StrandPermutation) -> list[tuple[int, ...]]:
+    """Cycle decomposition of a strand permutation."""
+    seen = [False] * p.n
+    out = []
+    for k in range(p.n):
+        if seen[k]:
+            continue
+        cyc = [k]
+        seen[k] = True
+        v = p(k)
+        while v != k:
+            seen[v] = True
+            cyc.append(v)
+            v = p(v)
+        out.append(tuple(cyc))
+    return out
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Delete adjacent sigma_i sigma_i^{-1} pairs until none remain."""
+    stack: list[tuple[int, int]] = []
+    for let in w.letters:
+        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
+            stack.pop()
+        else:
+            stack.append(let)
+    return BraidWord(w.strands, tuple(stack))

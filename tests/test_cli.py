@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -137,6 +138,25 @@ def test_maslov_envelope_pinned(maslov, twice, crossings):
 def test_maslov_malformed_constant_matrix(capsys, monkeypatch, matrix, message):
     doc = {"maslov": {"family": {"kind": "constant", "matrix": matrix}}}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["maslov", "--input", "-"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"kind": "table", "times": [0, 1],
+          "matrices": [[[math.nan, 0], [0, 1]], [[1, 0], [0, 1]]]},
+         "error: matrices[0][0, 0] is nan, not a finite number"),
+        ({"kind": "constant", "matrix": [[1.0, 0.0], [0.0, math.nan]]},
+         "error: matrix[1, 1] is nan, not a finite number"),
+    ],
+    ids=["table", "constant"],
+)
+def test_maslov_nan_family_refused(capsys, monkeypatch, family, message):
+    # NaN fails no tolerance test, so it is refused when the family is built
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"maslov": {"family": family}})))
     code = main(["maslov", "--input", "-"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [message]

@@ -106,12 +106,15 @@ NOT_A_PAIR = st.one_of(
     st.lists(st.one_of(st.text(max_size=2), st.floats(0.5, 2.5), st.none()),
              min_size=2, max_size=2),
 )
+CONSTANT = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, -0.4]]}
 VALID_DOCUMENTS = {
     "word": ("homology", {"relative": {"word": {"text": "n=3; s2 s1 s2", "free": [1]}}}),
     "cyclic": ("homology", {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}}}),
-    "constant": ("maslov", {"maslov": {"family": {"kind": "constant",
-                                                  "matrix": [[1.0, 0.0], [0.0, -0.4]]}}}),
+    "constant": ("maslov", {"maslov": {"family": CONSTANT}}),
+    "rotation": ("maslov", {"maslov": {"family": {"kind": "rotation", "k": 1}}}),
+    "maslov": ("maslov", {"maslov": {"family": CONSTANT, "tau": 1.0}}),
 }
+NOT_A_NUMBER = st.one_of(st.none(), st.text(alphabet="abc", max_size=2), st.lists(st.integers()))
 # (block, field, wrong values): each leaves the named field missing or malformed
 BROKEN_FIELDS = st.one_of(
     st.tuples(st.just("word"), st.just("free"), st.one_of(st.just(MISSING), NOT_A_LIST)),
@@ -121,14 +124,24 @@ BROKEN_FIELDS = st.one_of(
               st.one_of(st.just(MISSING), NOT_A_PAIR)),
     st.tuples(st.just("cyclic"), st.just("ell"),
               st.one_of(st.just(MISSING), st.none(), st.text(alphabet="abc", max_size=2))),
-    st.tuples(st.just("constant"), st.just("matrix"), st.just(MISSING)),
+    st.tuples(st.just("cyclic"), st.just("radii"),
+              st.one_of(st.none(), st.integers(), st.lists(st.text(alphabet="abc"), min_size=1))),
+    st.tuples(st.just("constant"), st.just("matrix"),
+              st.one_of(st.just(MISSING), NOT_A_NUMBER, st.just([["a"]]))),
+    st.tuples(st.just("rotation"), st.just("k"), NOT_A_NUMBER),
+    st.tuples(st.just("maslov"), st.sampled_from(["tau", "b"]), NOT_A_NUMBER),
 )
 
 
 def _break(block, field, value):
     command, document = VALID_DOCUMENTS[block]
     document = json.loads(json.dumps(document))
-    inner = document["maslov"]["family"] if block == "constant" else document["relative"][block]
+    if block == "maslov":
+        inner = document["maslov"]
+    elif block in ("constant", "rotation"):
+        inner = document["maslov"]["family"]
+    else:
+        inner = document["relative"][block]
     if value is MISSING:
         del inner[field]
     else:
@@ -142,6 +155,11 @@ def _break(block, field, value):
 @example(("word", "free", 0))
 @example(("cyclic", "inner", [1]))
 @example(("constant", "matrix", MISSING))
+@example(("constant", "matrix", "ab"))
+@example(("cyclic", "radii", ["a"]))
+@example(("rotation", "k", "x"))
+@example(("maslov", "tau", "x"))
+@example(("maslov", "b", "x"))
 def test_malformed_field_is_named(broken):
     command, document = _break(*broken)
     code, err = _main([command, "--input", "-"], document)

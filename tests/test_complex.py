@@ -18,7 +18,7 @@ from braidfloer.homology import homology_from_json, relative_homology
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
 from braidfloer.words import StrandPermutation, word
 
-from helpers import reference_component
+from helpers import chain_counts, reference_component
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,7 +66,7 @@ def test_saddle_index_pair_homology():
     rb = make_relative([0, 0], crossing_pair_skeleton())
     comp = enumerate_component(rb)
     pair = index_pair(comp)
-    counts = pair.chain_counts()
+    counts = chain_counts(pair)
     assert counts == {0: 6, 1: 12, 2: 5}
     betti = relative_homology(pair)
     assert betti.as_dict() == {1: 1}

@@ -9,13 +9,14 @@ from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap
 from braidfloer.errors import BoundaryContactError, BraidInputError, ImproperClassError
 from braidfloer.flow import (
     RecurrenceRelation,
-    crossing_count_float,
     evolve,
     find_stationary,
     fitted_recurrence,
 )
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation
+
+from helpers import crossing_count_float
 
 
 def braids1_class():

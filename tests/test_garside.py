@@ -1,10 +1,15 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from braidfloer.garside import (
     is_left_weighted,
     left_normal_form,
     twist_padding,
 )
+from braidfloer.pipeline import cyclic_spec, realize
 from braidfloer.words import (
     compose,
     exponent_sum,
@@ -14,7 +19,37 @@ from braidfloer.words import (
     word,
 )
 
-from helpers import positive_words_equal, random_word, signed_words_equal
+from helpers import (
+    nf_to_word,
+    positive_words_equal,
+    random_word,
+    reference_left_normal_form,
+    signed_words_equal,
+)
+
+
+@st.composite
+def signed_words(draw):
+    """Words on up to 6 strands and 80 letters; the length is drawn first,
+    since st.lists alone rarely reaches 80 letters."""
+    n = draw(st.integers(2, 6))
+    length = draw(st.integers(0, 80))
+    letters = st.sampled_from([*range(1, n), *range(1 - n, 0)])
+    return word(n, draw(st.lists(letters, min_size=length, max_size=length)))
+
+
+# (inner, outer, ell) of the desk workload's cyclic classes that have a base
+# word; that of cyclic[-2/3,0,1/2] has 65 letters on 6 strands, 30 negative
+DESK_CYCLIC = [
+    ((1, 2), (2, 1), 1),
+    ((-3, 2), (-1, 2), -1),
+    ((3, 2), (1, 2), 1),
+    ((-1, 2), (1, 1), 0),
+    ((1, 2), (-1, 2), 0),
+    ((1, 2), (-1, 1), 0),
+    ((-2, 3), (1, 2), 0),
+    ((2, 1), (1, 2), 1),
+]
 
 
 def test_nf_permutation_braid():
@@ -38,7 +73,7 @@ def test_nf_negative_pair():
     assert nf.factors[0].perm == permutation_of(word(3, [1]))
     # cross-check by the exhaustive signed-word oracle
     assert signed_words_equal(word(3, [-1, -2]), compose(full_twist(3, -1), word(3, [2, 1, 2, 1])))
-    assert signed_words_equal(nf.to_word(), word(3, [-1, -2]))
+    assert signed_words_equal(nf_to_word(nf), word(3, [-1, -2]))
 
 
 def test_nf_b2_closed_form():
@@ -65,7 +100,7 @@ def test_nf_idempotent_and_left_weighted():
         w = random_word(rng, n, rng.randrange(0, 12))
         nf = left_normal_form(w)
         assert is_left_weighted(nf)
-        assert left_normal_form(nf.to_word()) == nf
+        assert left_normal_form(nf_to_word(nf)) == nf
 
 
 def test_nf_central_shift():
@@ -126,6 +161,18 @@ def test_nf_matches_positive_oracle_small():
         v = random_rewrite(w, rng, moves=12)
         # rewriting may introduce cancelling pairs; normal forms must agree anyway
         assert left_normal_form(w) == left_normal_form(v)
-        nfw = left_normal_form(w).to_word()
+        nfw = nf_to_word(left_normal_form(w))
         assert nfw.is_positive()
         assert positive_words_equal(nfw, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(signed_words())
+def test_nf_matches_reference(w):
+    assert left_normal_form(w) == reference_left_normal_form(w)
+
+
+@pytest.mark.parametrize("spec", DESK_CYCLIC, ids=str)
+def test_nf_matches_reference_on_desk_base_words(spec):
+    w = realize(cyclic_spec(*spec), None)[2]
+    assert left_normal_form(w) == reference_left_normal_form(w)

@@ -8,12 +8,13 @@ from braidfloer.words import (
     StrandPermutation,
     compose,
     exponent_sum,
-    free_reduce,
     full_twist,
     permutation_of,
     random_rewrite,
     word,
 )
+
+from helpers import cycles, free_reduce
 
 # The five-strand example braid from the generator figure.
 FIG3 = word(5, [-4, 3, 1, 3, -2, 1, 2, -3, -4, 1, 2, 3, -4, 1, -2])
@@ -50,7 +51,7 @@ def test_permutation_basics():
             assert permutation_of(full_twist(n, k)).is_identity()
     # sigma_1 sigma_2 in B_3 is a 3-cycle
     p = permutation_of(word(3, [1, 2]))
-    assert sorted(len(c) for c in p.cycles()) == [3]
+    assert sorted(len(c) for c in cycles(p)) == [3]
 
 
 def test_permutation_of_inverse_signs_ignored():
