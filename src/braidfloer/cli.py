@@ -149,6 +149,12 @@ def _finite_float(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError  # int() would truncate it
+    return int(value)
+
+
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
 
@@ -165,14 +171,15 @@ def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
             tuple(_field(c, key, "cyclic block", _is_pair, "a pair of integers [n, m]"))
             for key in ("inner", "outer")
         )
-        ell = _field(c, "ell", "cyclic block", expected="an integer", convert=int)
+        ell = _field(c, "ell", "cyclic block", expected="an integer", convert=_integer)
         kwargs = {}
         if "radii" in c:
             kwargs["radii"] = _field(c, "radii", "cyclic block", expected="a list of fractions",
                                      convert=lambda rs: tuple(Fraction(str(r)) for r in rs))
         if "phases" in c:
-            kwargs["phases"] = _field(c, "phases", "cyclic block", expected="a list of numbers",
-                                      convert=lambda ps: tuple(float(p) for p in ps))
+            kwargs["phases"] = _field(c, "phases", "cyclic block",
+                                      expected="a list of finite numbers",
+                                      convert=lambda ps: tuple(_finite_float(p) for p in ps))
         return pipeline.cyclic_spec(inner, outer, ell, label=c.get("label", ""), **kwargs)
     if "word" in rel:
         w = rel["word"]
@@ -203,7 +210,7 @@ def _maslov_payload(doc: dict) -> dict:
     tau = _field(m, "tau", "maslov block", expected="a finite number", convert=_finite_float,
                  default=1.0)
     if kind == "rotation":
-        k, n = (_field(fam_doc, key, "rotation family", expected="an integer", convert=int,
+        k, n = (_field(fam_doc, key, "rotation family", expected="an integer", convert=_integer,
                        default=1) for key in ("k", "n"))
         fam = rotation_family(k, n, tau)
     elif kind == "constant":
@@ -216,8 +223,8 @@ def _maslov_payload(doc: dict) -> dict:
             _field(fam_doc, "times", "table family"), _field(fam_doc, "matrices", "table family")
         )
     elif kind == "annulus":
-        eps, delta = (_field(fam_doc, key, "annulus family", expected="a number", convert=float,
-                             default=0.1) for key in ("eps", "delta"))
+        eps, delta = (_field(fam_doc, key, "annulus family", expected="a finite number",
+                             convert=_finite_float, default=0.1) for key in ("eps", "delta"))
         model = annulus_hamiltonian(eps=eps, delta=delta, outward=bool(fam_doc.get("outward", True)))
         if model.degenerate:
             raise DegenerateCrossingError("annulus model has a degenerate circle of equilibria")

@@ -86,52 +86,50 @@ class ComplexGeometry:
         self.rb = rb
         self.period = d = rb.period
         sk = rb.skeleton
+        m = sk.strands
+        lat = sk.lattice[:, :d]
+        order = np.argsort(lat, axis=0)  # skeleton strands bottom-up, per slot
+        ranked = np.take_along_axis(lat, order, axis=0)
+        clash = ((np.diff(ranked, axis=0) == 0).any(axis=0)
+                 | (abs(ranked) == sk.denominator).any(axis=0))  # on a marker
+        if clash.any():
+            raise TransversalityError(f"coincident fixed values at slot {np.argmax(clash)}")
         slots = []
-        for i in range(d):
-            entries = [(Fraction(-1), BARRIER_LOW), (Fraction(1), BARRIER_HIGH)]
-            entries.extend((sk.anchors[l][i], l) for l in range(sk.strands))
-            entries.sort()
-            values = tuple(v for v, _ in entries)
-            if len(set(values)) != len(values):
-                raise TransversalityError(f"coincident fixed values at slot {i}")
+        for i, strands in enumerate(order.T.tolist()):
+            values = (Fraction(-1), *(sk.anchors[l][i] for l in strands), Fraction(1))
             mids = tuple(
                 (values[g] + values[g + 1]) / 2 for g in range(len(values) - 1)
             )
-            slots.append(SlotTable(values, tuple(o for _, o in entries), mids))
+            slots.append(SlotTable(values, (BARRIER_LOW, *strands, BARRIER_HIGH), mids))
         self.slots: list[SlotTable] = slots
         self.ngaps = [t.ngaps for t in slots]
         self.nstates = [t.nstates for t in slots]
-        self.strides = []
-        acc = 1
-        for t in slots:
-            self.strides.append(acc)
-            acc *= t.nstates
-        self.total_states = acc
-        if acc >= 2**63:
+        # every slot has the m skeleton values and the two markers
+        states = self.nstates[0] ** d
+        self.strides = [self.nstates[0] ** i for i in range(d)]
+        if states >= 2**63:
             raise BraidInputError(
-                f"{acc} cell states overflow the int64 cell codes; "
+                f"{states} cell states overflow the int64 cell codes; "
                 "the class is beyond this build's desk scale"
             )
 
-        def position(i: int, owner: int) -> int:
-            """Index at slot i of the owner's value, continued through the closure."""
-            if owner == BARRIER_LOW:
-                return 0
-            if owner == BARRIER_HIGH:
-                return self.ngaps[i % d]
-            return slots[i % d].values.index(sk.value(owner, i))
-
-        self.prev_pos = [np.array([position(i - 1, o) for o in t.owners]) for i, t in enumerate(slots)]
-        self.next_pos = [np.array([position(i + 1, o) for o in t.owners]) for i, t in enumerate(slots)]
-        self.cross = []
-        for i, t in enumerate(slots):
-            here = [position(i, l) for l in range(sk.strands)]
-            there = [position(i + 1, l) for l in range(sk.strands)]
-            self.cross.append(np.array([
-                [sum((g < p) != (h < q) for p, q in zip(here, there))
-                 for h in range(self.ngaps[(i + 1) % d])]
-                for g in range(t.ngaps)
-            ]))
+        # pos[l, i]: index of strand l's value among the fixed values of slot
+        # i, at slots 0..d through the closure; before[l, i] is pos at i-1
+        pos = np.empty((m, d + 1), dtype=np.int64)
+        np.put_along_axis(pos[:, :d], order, np.arange(1, m + 1)[:, None], axis=0)
+        pos[:, d] = pos[sk.closure.image, 0]
+        before = np.roll(pos[:, :d], 1, axis=1)
+        before[sk.closure.image, 0] = pos[:, d - 1]
+        self.prev_pos, self.next_pos = (
+            np.pad(np.take_along_axis(t, order, axis=0).T, ((0, 0), (1, 1)),
+                   constant_values=((0, 0), (0, m + 1)))  # the barriers' positions
+            for t in (before, pos[:, 1:])
+        )
+        gap = np.arange(m + 1)
+        self.cross = (
+            (gap[None, :, None, None] < pos[:, :d].T[:, None, None, :])
+            != (gap[None, None, :, None] < pos[:, 1:].T[:, None, None, :])
+        ).sum(axis=3)
         self.skeleton_crossings = total_crossing_number(sk)
 
     def digits(self, codes: np.ndarray) -> np.ndarray:

@@ -3,19 +3,31 @@
 A discretized braid stores one rational anchor value per strand and slot;
 strands are linear in between and close up through a strand permutation.
 All crossings of such a diagram count as positive (Legendrian convention);
-signed counting lives in word exponent sums.  Anchor
-arithmetic is exact: float input is snapped to a dyadic grid.
+signed counting lives in word exponent sums.  Anchor arithmetic is exact:
+float input is snapped to a dyadic grid.
+
+The exact tests run on one integer view, `DiscreteBraid.lattice`: the anchors
+at slots 0..d, unrolled through the closure, as int64 numerators over their
+common denominator.  One positive scale keeps every comparison and sign, so
+transversality, crossings and strand order are whole-array operations.
+Snapped anchors have denominators dividing 2^20, word heights n+1; a common
+denominator from 2^62 up (differences would overflow) is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from .words import BraidWord, StrandPermutation, word
 
 SNAP_GRID = Fraction(1, 2**20)
+MAX_DENOMINATOR = 2**62  # differences of numerators up to 2 * denominator fit int64
 
 
 def snap(v) -> Fraction:
@@ -31,8 +43,8 @@ def snap(v) -> Fraction:
 class DiscreteBraid:
     """Closed PL braid: anchors[k][i] for strand k, slot i in 0..d-1.
 
-    Slot d is identified with slot 0 through the closure permutation:
-    value(k, d) = value(closure(k), 0).
+    Slot d is identified with slot 0 through the closure permutation: strand
+    k at slot d is strand closure(k) at slot 0.
     """
 
     strands: int
@@ -51,37 +63,49 @@ class DiscreteBraid:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise BraidInputError("anchors must be snapped to exact rationals")
-                if abs(v) > 1:
+                if abs(v.numerator) > v.denominator:
                     raise BraidInputError(f"anchor {v} outside [-1, 1]")
         _check_transversality(self)
 
-    def value(self, k: int, i: int) -> Fraction:
-        """Anchor of strand k at any integer slot, unrolled through the closure."""
-        d = self.period
-        while i >= d:
-            k = self.closure(k)
-            i -= d
-        while i < 0:
-            k = self.closure.inverse()(k)
-            i += d
-        return self.anchors[k][i]
+    @cached_property
+    def denominator(self) -> int:
+        return math.lcm(*{v.denominator for row in self.anchors for v in row})
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        """int64 (strands, d+1): anchors at slots 0..d over `denominator`;
+        column d is column 0 through the closure."""
+        den = self.denominator
+        if den >= MAX_DENOMINATOR:
+            raise BraidInputError(f"anchor denominator {den} does not fit the int64 anchor view")
+        nums = [[v.numerator * (den // v.denominator) for v in row] for row in self.anchors]
+        nums = np.array(nums, dtype=np.int64).reshape(self.strands, self.period)
+        return np.concatenate((nums, nums[list(self.closure.image), :1]), axis=1)
+
+
+def _pairs(b: DiscreteBraid) -> tuple[np.ndarray, ...]:
+    """Strand pairs k < l in (k, l) order, lattice[k] - lattice[l] per pair,
+    and whether the pair crosses in each slot interval (i, i+1).  A crossing
+    sitting exactly on anchor i+1 belongs to that interval."""
+    k, l = np.triu_indices(b.strands, 1)
+    diff = b.lattice[k] - b.lattice[l]
+    a, c = diff[:, :-1], diff[:, 1:]
+    return k, l, diff, (a != 0) & ((c == 0) | ((a < 0) != (c < 0)))
 
 
 def _check_transversality(b: DiscreteBraid) -> None:
-    for k in range(b.strands):
-        for l in range(k + 1, b.strands):
-            for i in range(b.period):
-                if b.anchors[k][i] == b.anchors[l][i]:
-                    if i == 0:
-                        raise TransversalityError(
-                            f"strands {k} and {l} coincide at the closure slot"
-                        )
-                    left = b.anchors[k][i - 1] - b.anchors[l][i - 1]
-                    right = b.value(k, i + 1) - b.value(l, i + 1)
-                    if left * right >= 0:
-                        raise TransversalityError(
-                            f"tangential contact of strands {k}, {l} at slot {i}"
-                        )
+    """Refuse the first anchor contact, in (k, l, slot) order, at the closure
+    slot or without its neighbouring slots on opposite sides."""
+    k, l, diff, _ = _pairs(b)
+    d = b.period
+    bad = diff[:, :d] == 0
+    bad[:, 1:] &= np.sign(diff[:, :d - 1]) * np.sign(diff[:, 2:]) >= 0
+    if bad.any():
+        p, i = divmod(int(np.argmax(bad)), d)
+        raise TransversalityError(
+            f"strands {k[p]} and {l[p]} coincide at the closure slot" if i == 0
+            else f"tangential contact of strands {k[p]}, {l[p]} at slot {i}"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +118,7 @@ class DiscreteRelativeBraid:
     def __post_init__(self):
         if self.free.period != self.skeleton.period:
             raise BraidInputError("free and skeleton periods differ")
-        _check_transversality(self.combined())
+        self.combined()  # its constructor checks transversality
 
     @property
     def period(self) -> int:
@@ -114,28 +138,9 @@ class DiscreteRelativeBraid:
         )
 
 
-def pair_crossings(b: DiscreteBraid, k: int, l: int, i: int) -> int:
-    """1 if strands k, l cross in the slot interval (i, i+1), else 0.
-
-    A crossing sitting exactly on anchor i+1 is attributed to this interval.
-    """
-    a = b.value(k, i) - b.value(l, i)
-    c = b.value(k, i + 1) - b.value(l, i + 1)
-    if a == 0:
-        return 0  # counted in the previous interval
-    if c == 0:
-        return 1
-    return 1 if (a < 0) != (c < 0) else 0
-
-
 def total_crossing_number(b: DiscreteBraid) -> int:
     """Unsigned crossing count of the PL diagram; all crossings positive."""
-    total = 0
-    for k in range(b.strands):
-        for l in range(k + 1, b.strands):
-            for i in range(b.period):
-                total += pair_crossings(b, k, l, i)
-    return total
+    return int(_pairs(b)[3].sum())
 
 
 def _heights(n: int) -> list[Fraction]:
@@ -201,20 +206,17 @@ def _layers_to_discrete(n: int, layers: list[list[int]], d: int) -> DiscreteBrai
 
 def discrete_to_word(b: DiscreteBraid) -> BraidWord:
     """Read the positive word of a PL diagram, slot interval by slot interval."""
+    k, l, diff, crossing = _pairs(b)
+    lat = b.lattice
+    # order strands by value just after slot i: ties at the anchor broken by
+    # slope, then by strand (the sort is stable)
+    orders = np.lexsort((np.diff(lat, axis=1), lat[:, :-1]), axis=0)
+    events_at: dict[int, list] = {}
+    for i, p in zip(*np.nonzero(crossing.T)):
+        va, vb = int(diff[p, i]), int(diff[p, i + 1])
+        events_at.setdefault(int(i), []).append((Fraction(va, va - vb), int(k[p]), int(l[p])))
     letters: list[int] = []
-    d = b.period
-    # order strands by value just after slot i: ties at the anchor broken by slope
-    for i in range(d):
-        start = [(b.value(k, i), b.value(k, i + 1) - b.value(k, i), k) for k in range(b.strands)]
-        order = [k for _, _, k in sorted(start)]
-        events = []
-        for a_idx in range(b.strands):
-            for b_idx in range(a_idx + 1, b.strands):
-                if pair_crossings(b, a_idx, b_idx, i):
-                    va = b.value(a_idx, i) - b.value(b_idx, i)
-                    vb = b.value(a_idx, i + 1) - b.value(b_idx, i + 1)
-                    t_star = va / (va - vb)
-                    events.append((t_star, a_idx, b_idx))
+    for i, events in events_at.items():
         events.sort(key=lambda e: e[0])
         for j in range(len(events) - 1):
             if events[j][0] == events[j + 1][0]:
@@ -223,6 +225,7 @@ def discrete_to_word(b: DiscreteBraid) -> BraidWord:
                     raise AmbiguousDiagramError(
                         f"two crossings at parameter {events[j][0]} in interval {i} share a strand"
                     )
+        order = orders[:, i].tolist()
         for _, ka, kb in events:
             pa, pb = order.index(ka), order.index(kb)
             if abs(pa - pb) != 1:

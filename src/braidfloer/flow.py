@@ -91,16 +91,15 @@ def fitted_recurrence(skeleton: DiscreteBraid) -> RecurrenceRelation:
     """Discrete Laplacian plus per-slot nonlinearity with the skeleton anchors
     as exact equilibria and the markers +-1 pinned."""
     d = skeleton.period
+    paths = skeleton.lattice / skeleton.denominator  # as in _float_paths
+    before = np.roll(paths[:, :d], 1, axis=1)  # slots -1..d-1
+    before[list(skeleton.closure.image), 0] = paths[:, d - 1]
+    curvature = -(before - 2 * paths[:, :d] + paths[:, 1:])
     maps = []
     derivs = []
     for i in range(d):
         xs, ys = [-1.0], [0.0]
-        entries = sorted(
-            (float(skeleton.anchors[l][i]),
-             -(float(skeleton.value(l, i - 1)) - 2 * float(skeleton.anchors[l][i])
-               + float(skeleton.value(l, i + 1))))
-            for l in range(skeleton.strands)
-        )
+        entries = sorted(zip(paths[:, i].tolist(), curvature[:, i].tolist()))
         for x, y in entries:
             if xs and abs(x - xs[-1]) < 1e-12:
                 raise BraidInputError(
@@ -134,9 +133,11 @@ class FlowState:
 
 
 def _float_paths(skeleton: DiscreteBraid) -> list[list[float]]:
-    """Skeleton strand values at slots 0..d as floats, unrolled through the closure."""
-    d = skeleton.period
-    return [[float(skeleton.value(l, i)) for i in range(d + 1)] for l in range(skeleton.strands)]
+    """Skeleton strand values at slots 0..d as floats, unrolled through the closure.
+
+    Each equals float() of its anchor while the denominator is below 2^53, as
+    for snapped and word anchors."""
+    return (skeleton.lattice / skeleton.denominator).tolist()
 
 
 def _free_crossings(u: Sequence[float], paths: list[list[float]]) -> int:

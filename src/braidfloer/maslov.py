@@ -187,6 +187,8 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
     the drift stays below 1e-8 at every node and the endpoint agrees with the
     next refinement to 1e-10.
     """
+    if not np.isfinite(tau):  # a NaN endpoint would never pass the refinement test
+        raise BraidInputError(f"tau is {tau}, not a finite number")
     n = family.dimension // 2
     j = standard_j(n)
     steps = max(min_steps, 64)

@@ -20,13 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .complex import enumerate_component, index_pair
 from .discrete import (
+    SNAP_GRID,
     DiscreteBraid,
     DiscreteRelativeBraid,
     discrete_to_word,
     insert_duplicate_slot,
-    snap,
     total_crossing_number,
     word_to_discrete_packed,
 )
@@ -210,15 +212,14 @@ def _sample_components(components, d: int) -> DiscreteBraid:
     closure = []
     base = 0
     for comp in components:
-        rho = float(comp.rotation)
-        r = float(comp.radius)
-        for j in range(comp.strands):
-            row = []
-            for i in range(d):
-                angle = 2 * math.pi * (rho * (i / d - j) + comp.phase)
-                row.append(snap(r * math.cos(angle)))
-            anchors.append(tuple(row))
-            closure.append(base + (j - 1) % comp.strands)
+        strand = np.arange(comp.strands)[:, None]
+        angle = 2 * math.pi * (float(comp.rotation) * (np.arange(d) / d - strand) + comp.phase)
+        # math.cos, so that no SIMD cosine of numpy's can move a grid point
+        cos = np.fromiter(map(math.cos, angle.ravel().tolist()), float, angle.size)
+        nums = np.rint(float(comp.radius) * cos / float(SNAP_GRID)).astype(np.int64)
+        anchors.extend(tuple(Fraction(v, SNAP_GRID.denominator) for v in row)
+                       for row in nums.reshape(angle.shape).tolist())
+        closure.extend(base + (j - 1) % comp.strands for j in range(comp.strands))
         base += comp.strands
     total = sum(c.strands for c in components)
     return DiscreteBraid(total, d, tuple(anchors), StrandPermutation(tuple(closure)))

@@ -59,12 +59,6 @@ class StrandPermutation:
     def __call__(self, k: int) -> int:
         return self.image[k]
 
-    def inverse(self) -> "StrandPermutation":
-        inv = [0] * self.n
-        for k, v in enumerate(self.image):
-            inv[v] = k
-        return StrandPermutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.image))
 

@@ -3,16 +3,22 @@ helpers the package does not need, and small generators."""
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from braidfloer.complex import IndexPair
+from braidfloer.complex import BARRIER_HIGH, BARRIER_LOW, IndexPair
 from braidfloer.discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
+    snap,
     total_crossing_number,
 )
+from braidfloer.errors import AmbiguousDiagramError, TransversalityError
 from braidfloer.flow import _float_paths, _free_crossings
 from braidfloer.garside import (
     GarsideNormalForm,
@@ -147,7 +153,7 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
     def below_owner(cube, i, f, j):
         """Whether the free strand of `cube` lies below pin f's owner at slot i+j."""
         owner = geo.slots[i].owners[f]
-        return geo.slots[(i + j) % d].mids[cube[(i + j) % d]] < sk.value(owner, i + j)
+        return geo.slots[(i + j) % d].mids[cube[(i + j) % d]] < unrolled_value(sk, owner, i + j)
 
     start = []
     for i, u in enumerate(geo.rb.free.anchors[0]):
@@ -326,3 +332,156 @@ def free_reduce(w: BraidWord) -> BraidWord:
         else:
             stack.append(let)
     return BraidWord(w.strands, tuple(stack))
+
+
+# Reference crossing count, word reading and transversality check: Fraction
+# arithmetic one strand pair and slot at a time.  The integer anchor view of
+# `braidfloer.discrete` must agree with them on every braid.  They take any
+# object with `strands`, `period`, `anchors` and `closure`, so
+# `UncheckedBraid` can hold anchor data the package would refuse.
+
+
+@dataclass(frozen=True)
+class UncheckedBraid:
+    """Anchor data with DiscreteBraid's fields, never checked."""
+
+    strands: int
+    period: int
+    anchors: tuple[tuple[Fraction, ...], ...]
+    closure: StrandPermutation
+
+
+def unrolled_value(b, k: int, i: int) -> Fraction:
+    """Anchor of strand k at any integer slot, unrolled through the closure."""
+    d = b.period
+    while i >= d:
+        k = b.closure(k)
+        i -= d
+    while i < 0:
+        k = b.closure.image.index(k)
+        i += d
+    return b.anchors[k][i]
+
+
+def pair_crossings(b, k: int, l: int, i: int) -> int:
+    """1 if strands k, l cross in the slot interval (i, i+1), else 0.
+
+    A crossing sitting exactly on anchor i+1 is attributed to this interval.
+    """
+    value = functools.partial(unrolled_value, b)
+    a = value(k, i) - value(l, i)
+    c = value(k, i + 1) - value(l, i + 1)
+    if a == 0:
+        return 0  # counted in the previous interval
+    if c == 0:
+        return 1
+    return 1 if (a < 0) != (c < 0) else 0
+
+
+def reference_crossing_number(b) -> int:
+    total = 0
+    for k in range(b.strands):
+        for l in range(k + 1, b.strands):
+            for i in range(b.period):
+                total += pair_crossings(b, k, l, i)
+    return total
+
+
+def reference_check_transversality(b) -> None:
+    for k in range(b.strands):
+        for l in range(k + 1, b.strands):
+            for i in range(b.period):
+                if b.anchors[k][i] == b.anchors[l][i]:
+                    if i == 0:
+                        raise TransversalityError(
+                            f"strands {k} and {l} coincide at the closure slot"
+                        )
+                    left = b.anchors[k][i - 1] - b.anchors[l][i - 1]
+                    right = unrolled_value(b, k, i + 1) - unrolled_value(b, l, i + 1)
+                    if left * right >= 0:
+                        raise TransversalityError(
+                            f"tangential contact of strands {k}, {l} at slot {i}"
+                        )
+
+
+def reference_discrete_to_word(b) -> BraidWord:
+    letters: list[int] = []
+    d = b.period
+    value = functools.partial(unrolled_value, b)
+    # order strands by value just after slot i: ties at the anchor broken by slope
+    for i in range(d):
+        start = [(value(k, i), value(k, i + 1) - value(k, i), k) for k in range(b.strands)]
+        order = [k for _, _, k in sorted(start)]
+        events = []
+        for a_idx in range(b.strands):
+            for b_idx in range(a_idx + 1, b.strands):
+                if pair_crossings(b, a_idx, b_idx, i):
+                    va = value(a_idx, i) - value(b_idx, i)
+                    vb = value(a_idx, i + 1) - value(b_idx, i + 1)
+                    t_star = va / (va - vb)
+                    events.append((t_star, a_idx, b_idx))
+        events.sort(key=lambda e: e[0])
+        for j in range(len(events) - 1):
+            if events[j][0] == events[j + 1][0]:
+                shared = {events[j][1], events[j][2]} & {events[j + 1][1], events[j + 1][2]}
+                if shared:
+                    raise AmbiguousDiagramError(
+                        f"two crossings at parameter {events[j][0]} in interval {i} share a strand"
+                    )
+        for _, ka, kb in events:
+            pa, pb = order.index(ka), order.index(kb)
+            if abs(pa - pb) != 1:
+                raise AmbiguousDiagramError(
+                    f"crossing of strands {ka}, {kb} in interval {i} is not adjacent in height"
+                )
+            lo = min(pa, pb)
+            letters.append(lo + 1)
+            order[lo], order[lo + 1] = order[lo + 1], order[lo]
+    return word(b.strands, letters)
+
+
+def reference_sample(components, d: int):
+    """Anchors and closure image of `pipeline._sample_components`, one float
+    snapped at a time, without building the braid."""
+    anchors = []
+    closure = []
+    base = 0
+    for comp in components:
+        rho = float(comp.rotation)
+        r = float(comp.radius)
+        for j in range(comp.strands):
+            row = []
+            for i in range(d):
+                angle = 2 * math.pi * (rho * (i / d - j) + comp.phase)
+                row.append(snap(r * math.cos(angle)))
+            anchors.append(tuple(row))
+            closure.append(base + (j - 1) % comp.strands)
+        base += comp.strands
+    return tuple(anchors), StrandPermutation(tuple(closure))
+
+
+def reference_geometry_tables(geo):
+    """`prev_pos`, `next_pos` and `cross` of a ComplexGeometry, each fixed
+    value looked up among its slot's Fraction values one at a time."""
+    d = geo.period
+    sk = geo.rb.skeleton
+
+    def position(i: int, owner: int) -> int:
+        if owner == BARRIER_LOW:
+            return 0
+        if owner == BARRIER_HIGH:
+            return geo.ngaps[i % d]
+        return geo.slots[i % d].values.index(unrolled_value(sk, owner, i))
+
+    prev_pos = [[position(i - 1, o) for o in t.owners] for i, t in enumerate(geo.slots)]
+    next_pos = [[position(i + 1, o) for o in t.owners] for i, t in enumerate(geo.slots)]
+    cross = []
+    for i, t in enumerate(geo.slots):
+        here = [position(i, l) for l in range(sk.strands)]
+        there = [position(i + 1, l) for l in range(sk.strands)]
+        cross.append([
+            [sum((g < p) != (h < q) for p, q in zip(here, there))
+             for h in range(geo.ngaps[(i + 1) % d])]
+            for g in range(t.ngaps)
+        ])
+    return prev_pos, next_pos, cross

@@ -11,6 +11,7 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +114,12 @@ VALID_DOCUMENTS = {
     "constant": ("maslov", {"maslov": {"family": CONSTANT}}),
     "rotation": ("maslov", {"maslov": {"family": {"kind": "rotation", "k": 1}}}),
     "maslov": ("maslov", {"maslov": {"family": CONSTANT, "tau": 1.0}}),
+    "annulus": ("maslov", {"maslov": {"family": {"kind": "annulus"}}}),
 }
 NOT_A_NUMBER = st.one_of(st.none(), st.text(alphabet="abc", max_size=2), st.lists(st.integers()))
+NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+NOT_AN_INTEGER = st.one_of(NOT_A_NUMBER, NOT_FINITE,
+                           st.floats(-5, 5).filter(lambda x: not x.is_integer()))
 # (block, field, wrong values): each leaves the named field missing or malformed
 BROKEN_FIELDS = st.one_of(
     st.tuples(st.just("word"), st.just("free"), st.one_of(st.just(MISSING), NOT_A_LIST)),
@@ -122,13 +127,17 @@ BROKEN_FIELDS = st.one_of(
               st.one_of(st.just(MISSING), st.none(), st.integers(), st.lists(st.integers()))),
     st.tuples(st.just("cyclic"), st.sampled_from(["inner", "outer"]),
               st.one_of(st.just(MISSING), NOT_A_PAIR)),
-    st.tuples(st.just("cyclic"), st.just("ell"),
-              st.one_of(st.just(MISSING), st.none(), st.text(alphabet="abc", max_size=2))),
+    st.tuples(st.just("cyclic"), st.just("ell"), st.one_of(st.just(MISSING), NOT_AN_INTEGER)),
+    st.tuples(st.just("cyclic"), st.just("phases"),
+              st.lists(st.one_of(NOT_FINITE, st.floats(0, 1)), min_size=1).filter(
+                  lambda ps: any(p != p or abs(p) == float("inf") for p in ps))),
     st.tuples(st.just("cyclic"), st.just("radii"),
               st.one_of(st.none(), st.integers(), st.lists(st.text(alphabet="abc"), min_size=1))),
     st.tuples(st.just("constant"), st.just("matrix"),
               st.one_of(st.just(MISSING), NOT_A_NUMBER, st.just([["a"]]))),
-    st.tuples(st.just("rotation"), st.just("k"), NOT_A_NUMBER),
+    st.tuples(st.just("rotation"), st.sampled_from(["k", "n"]), NOT_AN_INTEGER),
+    st.tuples(st.just("annulus"), st.sampled_from(["eps", "delta"]),
+              st.one_of(NOT_A_NUMBER, NOT_FINITE)),
     st.tuples(st.just("maslov"), st.sampled_from(["tau", "b"]), NOT_A_NUMBER),
 )
 
@@ -138,7 +147,7 @@ def _break(block, field, value):
     document = json.loads(json.dumps(document))
     if block == "maslov":
         inner = document["maslov"]
-    elif block in ("constant", "rotation"):
+    elif block in ("constant", "rotation", "annulus"):
         inner = document["maslov"]["family"]
     else:
         inner = document["relative"][block]
@@ -160,8 +169,22 @@ def _break(block, field, value):
 @example(("rotation", "k", "x"))
 @example(("maslov", "tau", "x"))
 @example(("maslov", "b", "x"))
+@example(("cyclic", "phases", [float("nan"), 0.03, 0.41]))
+@example(("annulus", "eps", float("nan")))
+@example(("annulus", "delta", float("nan")))
+@example(("cyclic", "ell", 1.5))
+@example(("rotation", "k", 1.5))
+@example(("rotation", "n", 1.5))
 def test_malformed_field_is_named(broken):
     command, document = _break(*broken)
     code, err = _main([command, "--input", "-"], document)
     _assert_contract(code, err)
     assert code == 1 and repr(broken[1]) in err, err
+
+
+@pytest.mark.parametrize("block, key", [("cyclic", "ell"), ("rotation", "k"), ("rotation", "n")])
+def test_integral_values_still_run(block, key):
+    """1, 1.0 and "1" are the same integer field and run alike."""
+    runs = [_main([VALID_DOCUMENTS[block][0], "--input", "-"], _break(block, key, value)[1])
+            for value in (1, 1.0, "1")]
+    assert runs[0][0] in (0, 3) and runs[1:] == runs[:1] * 2, runs

@@ -13,12 +13,12 @@ from braidfloer.complex import (
     index_pair,
 )
 from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap, word_to_discrete
-from braidfloer.errors import BraidInputError, ImproperClassError
+from braidfloer.errors import BraidInputError, ImproperClassError, TransversalityError
 from braidfloer.homology import homology_from_json, relative_homology
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
 from braidfloer.words import StrandPermutation, word
 
-from helpers import chain_counts, reference_component
+from helpers import chain_counts, reference_component, reference_geometry_tables
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -274,3 +274,25 @@ def test_improper_witness_is_a_top_cell_over_the_pin(build):
         for t, n, stride, value in zip(geo.slots, geo.ngaps, geo.strides, witness["pinned_values"])
     )
     assert pinned in geo.closure(np.array([top]))
+
+
+@pytest.mark.parametrize("build", [b for _, b in COMPONENT_CASES + IMPROPER_CASES],
+                         ids=[name for name, _ in COMPONENT_CASES + IMPROPER_CASES])
+def test_geometry_tables_match_reference(build):
+    geo = ComplexGeometry(build())
+    prev_pos, next_pos, cross = reference_geometry_tables(geo)
+    assert [row.tolist() for row in geo.prev_pos] == prev_pos
+    assert [row.tolist() for row in geo.next_pos] == next_pos
+    assert [table.tolist() for table in geo.cross] == cross
+    for t in geo.slots:
+        assert list(t.values) == sorted(t.values)
+        assert all(t.values[g] < t.mids[g] < t.values[g + 1] for g in range(t.ngaps))
+
+
+def test_coincident_fixed_values_refused():
+    # two skeleton strands swap through an exact contact at slot 1
+    skeleton = DiscreteBraid(
+        2, 2, ((snap(-0.5), snap(0.0)), (snap(0.5), snap(0.0))), StrandPermutation((1, 0))
+    )
+    with pytest.raises(TransversalityError, match="coincident fixed values at slot 1"):
+        ComplexGeometry(make_relative([0.75, 0.75], skeleton))

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from braidfloer import pipeline
 from braidfloer.discrete import (
     DiscreteBraid,
+    DiscreteRelativeBraid,
     insert_duplicate_slot,
     discrete_to_word,
     snap,
@@ -12,9 +16,19 @@ from braidfloer.discrete import (
     word_to_discrete,
     word_to_discrete_packed,
 )
-from braidfloer.errors import TransversalityError
+from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import left_normal_form
 from braidfloer.words import StrandPermutation, exponent_sum, full_twist, word
+
+from helpers import (
+    UncheckedBraid,
+    reference_check_transversality,
+    reference_crossing_number,
+    reference_discrete_to_word,
+    reference_sample,
+)
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_crossing_constant_strands():
@@ -118,3 +132,160 @@ def test_insert_duplicate_slot_keeps_braid():
     assert b2.period == b.period + 1
     assert total_crossing_number(b2) == total_crossing_number(b)
     assert left_normal_form(discrete_to_word(b2)) == left_normal_form(w)
+
+
+def test_anchor_view_refuses_int64_overflow():
+    near = Fraction(1, 2**61)
+    b = DiscreteBraid(2, 2, ((near, -near), (-near, near)), StrandPermutation((0, 1)))
+    assert total_crossing_number(b) == 2 == reference_crossing_number(b)
+    assert b.lattice.tolist() == [[1, -1, 1], [-1, 1, -1]]
+    with pytest.raises(BraidInputError, match="int64"):
+        DiscreteBraid(2, 2, ((near, Fraction(1, 3)), (-near, near)), StrandPermutation((0, 1)))
+
+
+# -- the integer anchor view against the Fraction reference -----------------
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except (TransversalityError, AmbiguousDiagramError, BraidInputError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_matches_reference(b, raw: UncheckedBraid) -> None:
+    """`b` is the braid built from `raw`'s anchors, or the exception that
+    building raised; checks, counts and words agree with the reference."""
+    expected = _outcome(lambda: reference_check_transversality(raw))
+    if isinstance(b, Exception):
+        assert (type(b).__name__, str(b)) == expected
+        return
+    assert expected == ("ok", None)
+    assert b.anchors == raw.anchors and b.closure == raw.closure
+    assert total_crossing_number(b) == reference_crossing_number(raw)
+    assert _outcome(lambda: discrete_to_word(b).letters) == _outcome(
+        lambda: reference_discrete_to_word(raw).letters
+    )
+
+
+def _built(build):
+    try:
+        return build()
+    except (TransversalityError, AmbiguousDiagramError, BraidInputError) as exc:
+        return exc
+
+
+def _raw(strands, anchors, closure) -> UncheckedBraid:
+    return UncheckedBraid(strands, len(anchors[0]), tuple(anchors), closure)
+
+
+POSITIVE_WORDS = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=16))
+)
+
+
+@DIFFERENTIAL
+@given(POSITIVE_WORDS, st.sampled_from(["exact", "longer", "packed"]), st.integers(0, 3),
+       st.data())
+def test_anchor_view_matches_reference_on_words(nw, layout, duplicates, data):
+    n, letters = nw
+    w = word(n, letters)
+    if layout == "packed":
+        b = word_to_discrete_packed(w)
+    else:
+        b = word_to_discrete(w, None if layout == "exact" else max(len(w), 2) + 3)
+    assert_matches_reference(b, _raw(n, b.anchors, b.closure))
+    for _ in range(duplicates):
+        at = data.draw(st.one_of(st.none(), st.integers(0, b.period - 1)))
+        dup = _built(lambda: insert_duplicate_slot(b, at))
+        a = b.period - 1 if at is None else at
+        anchors = [row[: a + 1] + (row[a],) + row[a + 1:] for row in b.anchors]
+        assert_matches_reference(dup, _raw(n, anchors, b.closure))
+        b = dup
+
+
+# the desk's and the large workload's cyclic classes, as (inner, outer, ell)
+BENCH_CYCLIC = [
+    ((1, 2), (2, 1), 1), ((-3, 2), (-1, 2), -1), ((3, 2), (1, 2), 1), ((-1, 2), (1, 1), 0),
+    ((1, 2), (-1, 2), 0), ((1, 2), (-1, 1), 0), ((-2, 3), (1, 2), 0), ((2, 1), (1, 2), 1),
+    ((-3, 2), (4, 1), 1), ((3, 2), (3, 1), 2), ((4, 3), (3, 1), 2),
+]
+
+
+# equal radii put two strands on one circle: closure-slot coincidences and
+# tangencies at some periods
+DEGENERATE_CYCLIC = [
+    ((1, 2), (2, 1), 1, (Fraction(2, 5), Fraction(2, 5), Fraction(9, 10)), (0.0, 0.0, 0.25)),
+    ((3, 2), (1, 2), 1, (Fraction(1, 5), Fraction(1, 5), Fraction(1, 2)), (0.5, 0.125, 0.17)),
+    ((1, 2), (-1, 2), 0, (Fraction(2, 5), Fraction(2, 5), Fraction(9, 10)), (0.125, 0.0, 0.25)),
+]
+
+
+def _positive_components(inner, outer, ell, bump, radii=pipeline.DEFAULT_RADII,
+                         phases=pipeline.DEFAULT_PHASES):
+    """The class's components twisted to a positive diagram, phases bumped
+    as `_realize_cyclic` retries them."""
+    spec = pipeline.cyclic_spec(inner, outer, ell, radii, phases)
+    components = (spec.cyclic_free,) + spec.cyclic_skeleton
+    k = pipeline._positivity_twist(components)
+    return tuple(
+        pipeline.CyclicComponent(c.strands, c.rotation + k, c.radius, c.phase + bump)
+        for c in components
+    )
+
+
+def assert_sample_matches_reference(components, d):
+    anchors, closure = reference_sample(components, d)
+    raw = _raw(len(anchors), anchors, closure)
+    assert_matches_reference(_built(lambda: pipeline._sample_components(components, d)), raw)
+
+
+@DIFFERENTIAL
+@given(st.sampled_from(BENCH_CYCLIC + DEGENERATE_CYCLIC), st.sampled_from([0.0, 0.013, 0.029]),
+       st.integers(3, 40))
+@example(DEGENERATE_CYCLIC[1], 0.029, 8)  # a tangency at slot 2
+def test_anchor_view_matches_reference_on_cyclic_samples(cls, bump, d):
+    inner, outer, ell, *shape = cls
+    assert_sample_matches_reference(_positive_components(inner, outer, ell, bump, *shape), d)
+
+
+@pytest.mark.parametrize("cls", BENCH_CYCLIC, ids=str)
+def test_anchor_view_matches_reference_at_fine_periods(cls):
+    components = _positive_components(*cls, 0.0)
+    expected = pipeline._expected_crossings(components)
+    d = min(8 * max(expected, 1) + 3, pipeline.FINE_SAMPLE_CAP)
+    assert_sample_matches_reference(components, d)
+
+
+# few anchor values, so contacts, tangencies, closure-slot coincidences and
+# simultaneous crossings are common
+ANCHOR_VALUES = st.sampled_from([Fraction(v, 4) for v in range(-4, 5)])
+
+
+@st.composite
+def hand_built(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    anchors = tuple(tuple(draw(st.lists(ANCHOR_VALUES, min_size=d, max_size=d))) for _ in range(n))
+    return n, anchors, StrandPermutation(tuple(draw(st.permutations(range(n)))))
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(hand_built())
+@example((2, ((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-1, 2))),
+          StrandPermutation((0, 1))))
+@example((2, ((Fraction(-1, 2), Fraction(0)), (Fraction(1, 2), Fraction(0))),
+          StrandPermutation((0, 1))))
+@example((3, ((Fraction(-1, 2), Fraction(1, 2)), (Fraction(0), Fraction(0)),
+              (Fraction(1, 2), Fraction(-1, 2))), StrandPermutation((0, 1, 2))))
+def test_anchor_view_matches_reference_on_hand_built_braids(case):
+    n, anchors, closure = case
+    b = _built(lambda: DiscreteBraid(n, len(anchors[0]), anchors, closure))
+    assert_matches_reference(b, _raw(n, anchors, closure))
+
+
+def test_relative_braid_refuses_contact_with_the_skeleton():
+    skeleton = word_to_discrete(word(2, [1]))
+    free = DiscreteBraid(1, 2, ((skeleton.anchors[0][0], snap(0.9)),), StrandPermutation((0,)))
+    with pytest.raises(TransversalityError, match="coincide at the closure slot"):
+        DiscreteRelativeBraid(free, skeleton)

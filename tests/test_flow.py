@@ -16,7 +16,7 @@ from braidfloer.flow import (
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation
 
-from helpers import crossing_count_float
+from helpers import crossing_count_float, unrolled_value
 
 
 def braids1_class():
@@ -39,9 +39,9 @@ def test_skeleton_anchors_are_exact_zeros():
         for i in range(sk.period):
             r = rec(
                 i,
-                float(sk.value(l, i - 1)),
+                float(unrolled_value(sk, l, i - 1)),
                 float(sk.anchors[l][i]),
-                float(sk.value(l, i + 1)),
+                float(unrolled_value(sk, l, i + 1)),
             )
             assert r == 0.0
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -242,3 +243,16 @@ def test_annulus_degenerate_and_validation():
         annulus_hamiltonian(r1=0.9, r2=0.5)
     with pytest.raises(BraidInputError):
         annulus_hamiltonian(delta=0.1, eps=2.0)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["table", "constant"])
+def test_integrate_path_refuses_non_finite_tau(kind, tau):
+    if kind == "table":
+        family = sampled_family([0.0, 1.0], [np.diag([1.0, 0.4]), np.diag([0.5, 1.0])])
+    else:
+        family = constant_family(np.diag([1.0, -0.4]))
+    start = time.perf_counter()
+    with pytest.raises(BraidInputError, match=r"^tau is -?(nan|inf), not a finite number$"):
+        integrate_path(family, tau)
+    assert time.perf_counter() - start < 1.0
