@@ -312,13 +312,17 @@ def run(job: JobSpec) -> ResultEnvelope:
         }
     elif job.command == "forcing":
         spec = _relative_spec(doc)
-        payload = pipeline.forcing_report(spec, period_cap=int(doc.get("period_cap", 12)))
+        period_cap = _field(doc, "period_cap", "forcing document", expected="an integer",
+                            convert=_integer, default=12)
+        payload = pipeline.forcing_report(spec, period_cap=period_cap)
         provenance.append("conjecture-shifted")
     elif job.command == "flow":
         rb = _geometric_relative(doc)
         fdoc = doc.get("flow", {})
+        horizon = _field(fdoc, "horizon", "flow block", expected="a finite number",
+                         convert=_finite_float, default=20.0)
         recurrence = fitted_recurrence(rb.skeleton)
-        state = evolve(rb, recurrence, horizon=float(fdoc.get("horizon", 20.0)))
+        state = evolve(rb, recurrence, horizon=horizon)
         payload = {
             "trace": [[s, c] for s, c in state.trace],
             "converged": state.converged,

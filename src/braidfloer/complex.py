@@ -16,17 +16,21 @@ neighbouring slots:
 The index pair takes N = closure of the class component and N^- = the faces
 through which the crossing number drops, the combinatorial transcription of
 the monotonicity of crossings under parabolic/Cauchy-Riemann dynamics.  The
-exit rule itself is an interpretation (the discrete literature fixes only the
-direction of decrease); it is validated against the computed cyclic classes.
+discrete literature fixes only the direction of decrease; the exit faces are
+the tangencies with the component on the hooked-over side of the pin.  Every
+index pair checks that rule against the crossing tables: across each
+skeleton tangency of a top cell the crossing number is c-2 exactly behind an
+exit face and c+2 otherwise, and no tangency on a +-1 marker is an exit face.
 
 A cell is a mixed-radix int64 code over the per-slot states (gaps 0..ngaps-1,
 pins ngaps+f).  The component's top cells, N, N^- and the relative cells are
 all sorted code arrays.  The component is flood-filled by frontier: each slot
 and direction applies the straddle test to the whole frontier at once.  N and
-N^- are built by down-closure one slot at a time; membership is a
-`searchsorted`.  Which side of a fixed value a gap lies on is exact integer
-data, so the straddle/tangency signs and the crossings of a representative
-strand come from per-slot tables built once per geometry.
+N^- come from one down-closure, one slot at a time, with an exit bit on each
+code; N^- is a mask on N, checked closed by sorted merges.  Which side of a
+fixed value a gap lies on is exact integer data, so the straddle/tangency
+signs and the crossings of a representative strand come from per-slot tables
+built once per geometry.
 """
 
 from __future__ import annotations
@@ -162,52 +166,53 @@ class ComplexGeometry:
     def representative(self, cube: list[int]) -> list[Fraction]:
         return [self.slots[i].mids[g] for i, g in enumerate(cube)]
 
-    def gap_mask(self, codes: np.ndarray, i: int) -> np.ndarray:
-        """Which codes hold a gap at slot i."""
-        return codes // self.strides[i] % self.nstates[i] < self.ngaps[i]
+    def gap_mask(self, codes: np.ndarray, i: int, unit: int = 1) -> np.ndarray:
+        """Which codes hold a gap at slot i; unit 2 reads flagged keys 2*code + bit."""
+        stride = unit * self.strides[i]
+        return codes % (stride * self.nstates[i]) < stride * self.ngaps[i]
 
     def pins(self, codes: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The faces at slot i of codes holding gap g there: pins g and g+1."""
         low = codes + self.ngaps[i] * self.strides[i]
         return low, low + self.strides[i]
 
-    def closure(self, seeds: np.ndarray) -> np.ndarray:
-        """Sorted codes of the down-closure of `seeds`, one slot at a time.
-
-        Closing slot i keeps slots < i closed, so one pass suffices.  The
-        partial closure only grows, and the cells with a gap at slot i and
-        their pins g there are distinct cells of the closure, so checking the
-        cap against either refuses exactly the closures larger than the cap,
-        and early, before the merge that would pass it.
+    def closure(self, tops: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """(N, mask of N^- on N): the down-closures of `tops` and of their faces
+        `seeds`, one slot at a time over keys 2*code + bit, bit 0 on N^-: a face
+        keeps its cell's bit and the dedupe a code's lowest key.  Closing slot
+        i keeps slots < i closed, so one pass suffices.  The partial closure
+        only grows, and the cells with a gap at slot i and their pins g there
+        are distinct cells of N, so checking the cap against either refuses
+        exactly the closures larger than the cap, and early, before the merge.
         """
-        cells = _unique(np.array(seeds, dtype=np.int64))
+        keys = _unique(np.concatenate((np.asarray(seeds, np.uint64) << 1,
+                                       np.asarray(tops, np.uint64) << 1 | 1)), flagged=True)
         for i in range(self.period):
-            gaps = cells[self.gap_mask(cells, i)]
-            if 2 * len(gaps) <= INDEX_CELL_CAP:
-                cells = _unique(np.concatenate((cells, *self.pins(gaps, i))))
-            if max(len(cells), 2 * len(gaps)) > INDEX_CELL_CAP:
+            low = keys[self.gap_mask(keys, i, 2)]
+            if 2 * len(low) <= INDEX_CELL_CAP:
+                low += 2 * self.ngaps[i] * self.strides[i]
+                keys = _unique(np.concatenate((keys, low, low + 2 * self.strides[i])), flagged=True)
+            if max(len(keys), 2 * len(low)) > INDEX_CELL_CAP:
                 raise BraidInputError(
                     f"index pair exceeds {INDEX_CELL_CAP} cells; "
                     "the class is beyond this build's desk scale"
                 )
-        return cells
+        return (keys >> 1).view(np.int64), (keys & 1) == 0
 
 
-def _unique(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct codes; sorts `codes` in place to save a copy.
-
-    Sort-and-mask: timsort merges the sorted runs the closure concatenates,
-    where np.unique would hash."""
+def _unique(codes: np.ndarray, flagged: bool = False) -> np.ndarray:
+    """Sorted distinct codes, or of flagged keys 2*code + bit the lowest key
+    of each code; sorts `codes` in place to save a copy.  Sort-and-mask:
+    timsort merges the sorted runs the closure concatenates, where np.unique
+    would hash."""
     codes.sort(kind="stable")
     keep = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    np.greater(codes[1:] ^ codes[:-1], int(flagged), out=keep[1:])
     return codes[keep]
 
 
 def _lookup(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, found) of `codes` in a sorted code array."""
-    if not len(sorted_codes):
-        return np.zeros(len(codes), dtype=np.int64), np.zeros(len(codes), dtype=bool)
+    """(positions, found) of `codes` in a sorted code array, empty only if `codes` is."""
     pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
     return pos, sorted_codes[pos] == codes
 
@@ -229,14 +234,18 @@ class IndexPair:
 
     component: BraidClassComponent
     cells: np.ndarray         # all of N, sorted codes
-    exit: np.ndarray          # N^-, a subcomplex of N, sorted codes
+    in_exit: np.ndarray       # mask of N^- on cells
 
     @property
     def geometry(self) -> ComplexGeometry:
         return self.component.geometry
 
+    @property
+    def exit(self) -> np.ndarray:  # N^-, sorted codes
+        return self.cells[self.in_exit]
+
     def relative_cells(self) -> np.ndarray:
-        return self.cells[~_lookup(self.exit, self.cells)[1]]
+        return self.cells[~self.in_exit]
 
     def chain_complex(self):
         """(sorted relative codes, their dimensions, relative boundary).
@@ -259,13 +268,18 @@ class IndexPair:
         return rel, dims, boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
 
     def validate(self) -> None:
-        """Exit set must be a subcomplex of N closed under the face relation."""
+        """N^- is closed: at each slot, the low and then the high pins of its gap
+        cells there, merged into its cells pinned there, each meet their equal."""
         geo = self.geometry
-        if not _lookup(self.cells, self.exit)[1].all():
-            raise AssertionError("exit cell outside N")
+        exit = self.exit
         for i in range(geo.period):
-            for face in geo.pins(self.exit[geo.gap_mask(self.exit, i)], i):
-                if not _lookup(self.exit, face)[1].all():
+            gap = geo.gap_mask(exit, i)
+            pinned, faces = exit[~gap], exit[gap]
+            for shift in (geo.ngaps[i] * geo.strides[i], geo.strides[i]):  # pin g, then g+1
+                faces += shift
+                merged = np.concatenate((pinned, faces))
+                merged.sort(kind="stable")
+                if np.count_nonzero(merged[1:] == merged[:-1]) != len(faces):
                     raise AssertionError("exit set not closed under faces")
 
     def to_chain_json(self) -> dict:
@@ -349,18 +363,31 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
         )
     geo = comp.geometry
     codes = comp.top_cells
-    cells = geo.closure(codes)
 
     # exit facets: tangency walls with the component on the hooked-over side,
     # i.e. the cube lies above a pin whose neighbours both lie below its
-    # owner, or below a pin whose neighbours both lie above
+    # owner, or below a pin whose neighbours both lie above.  Checked against
+    # the crossing drop: across a skeleton pin the cube has c-2 crossings
+    # behind an exit face and c or c+2 otherwise (only intervals i-1 and i
+    # change); a pin on a +-1 marker is never an exit.
     gaps = geo.digits(codes)
     seeds = []
     for i in range(geo.period):
         for up, face in enumerate(geo.pins(codes, i)):  # pin g, then pin g+1
             below, below_next = geo.sides(gaps, i, up)
-            seeds.append(face[(below == below_next) & (below == (up == 0))])
-    pair = IndexPair(comp, cells, geo.closure(np.concatenate(seeds)))
+            seed = (below == below_next) & (below == (up == 0))
+            seeds.append(face[seed])
+            other = gaps[:, i] + 2 * up - 1
+            across = (other >= 0) & (other < geo.ngaps[i])
+            g, h = gaps[across, i], other[across]
+            before, after = gaps[across, i - 1], gaps[across, (i + 1) % geo.period]
+            jump = (geo.cross[i - 1][before, h] - geo.cross[i - 1][before, g]
+                    + geo.cross[i][h, after] - geo.cross[i][g, after])
+            if seed[~across].any() or not np.where(
+                seed[across], jump == -2, (jump == 0) | (jump == 2)
+            ).all():
+                raise AssertionError("exit faces disagree with the crossing drop")
+    pair = IndexPair(comp, *geo.closure(codes, np.concatenate(seeds)))
     pair.validate()
     return pair
 

@@ -11,14 +11,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from braidfloer.complex import BARRIER_HIGH, BARRIER_LOW, IndexPair
+from braidfloer.complex import (
+    BARRIER_HIGH,
+    BARRIER_LOW,
+    INDEX_CELL_CAP,
+    IndexPair,
+    _lookup,
+    _unique,
+)
 from braidfloer.discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
     snap,
     total_crossing_number,
 )
-from braidfloer.errors import AmbiguousDiagramError, TransversalityError
+from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.flow import _float_paths, _free_crossings
 from braidfloer.garside import (
     GarsideNormalForm,
@@ -31,6 +38,7 @@ from braidfloer.garside import (
     _swap,
     _tau,
 )
+from braidfloer.homology import boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
 
@@ -485,3 +493,55 @@ def reference_geometry_tables(geo):
             for g in range(t.ngaps)
         ])
     return prev_pos, next_pos, cross
+
+
+# Reference index pair: N and N^- as two separate down-closures, N^- checked
+# inside N and closed by membership tests, and the relative cells found by
+# membership in N^-.  The single flagged closure of `complex.index_pair` must give
+# the same arrays on every class.
+
+
+def _reference_closure(geo, seeds: np.ndarray) -> np.ndarray:
+    cells = _unique(np.array(seeds, dtype=np.int64))
+    for i in range(geo.period):
+        gaps = cells[geo.gap_mask(cells, i)]
+        if 2 * len(gaps) <= INDEX_CELL_CAP:
+            cells = _unique(np.concatenate((cells, *geo.pins(gaps, i))))
+        if max(len(cells), 2 * len(gaps)) > INDEX_CELL_CAP:
+            raise BraidInputError(
+                f"index pair exceeds {INDEX_CELL_CAP} cells; "
+                "the class is beyond this build's desk scale"
+            )
+    return cells
+
+
+def reference_index_pair(comp):
+    """(N, N^-, relative codes, dims, relative boundary) of a proper component."""
+    geo = comp.geometry
+    codes = comp.top_cells
+    cells = _reference_closure(geo, codes)
+    gaps = geo.digits(codes)
+    seeds = []
+    for i in range(geo.period):
+        for up, face in enumerate(geo.pins(codes, i)):  # pin g, then pin g+1
+            below, below_next = geo.sides(gaps, i, up)
+            seeds.append(face[(below == below_next) & (below == (up == 0))])
+    exit_cells = _reference_closure(geo, np.concatenate(seeds))
+    if not np.isin(exit_cells, cells).all():
+        raise AssertionError("exit cell outside N")
+    for i in range(geo.period):
+        for face in geo.pins(exit_cells[geo.gap_mask(exit_cells, i)], i):
+            if not np.isin(face, exit_cells).all():
+                raise AssertionError("exit set not closed under faces")
+    rel = cells[~np.isin(cells, exit_cells)]
+    dims = np.zeros(len(rel), dtype=np.int8)
+    rows, cols = [], []
+    for i in range(geo.period):
+        gap = np.flatnonzero(geo.gap_mask(rel, i)).astype(np.int32)
+        dims[gap] += 1
+        for face in geo.pins(rel[gap], i):
+            pos, found = _lookup(rel, face)
+            rows.append(gap[found])
+            cols.append(pos[found].astype(np.int32))
+    bnd = boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
+    return cells, exit_cells, rel, dims, bnd

@@ -115,6 +115,10 @@ VALID_DOCUMENTS = {
     "rotation": ("maslov", {"maslov": {"family": {"kind": "rotation", "k": 1}}}),
     "maslov": ("maslov", {"maslov": {"family": CONSTANT, "tau": 1.0}}),
     "annulus": ("maslov", {"maslov": {"family": {"kind": "annulus"}}}),
+    "forcing": ("forcing", {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}},
+                            "period_cap": 5}),
+    "flow": ("flow", {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}},
+                      "flow": {"horizon": 2.0}}),
 }
 NOT_A_NUMBER = st.one_of(st.none(), st.text(alphabet="abc", max_size=2), st.lists(st.integers()))
 NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
@@ -139,13 +143,19 @@ BROKEN_FIELDS = st.one_of(
     st.tuples(st.just("annulus"), st.sampled_from(["eps", "delta"]),
               st.one_of(NOT_A_NUMBER, NOT_FINITE)),
     st.tuples(st.just("maslov"), st.sampled_from(["tau", "b"]), NOT_A_NUMBER),
+    st.tuples(st.just("forcing"), st.just("period_cap"), NOT_AN_INTEGER),
+    st.tuples(st.just("flow"), st.just("horizon"), st.one_of(NOT_A_NUMBER, NOT_FINITE)),
 )
 
 
 def _break(block, field, value):
     command, document = VALID_DOCUMENTS[block]
     document = json.loads(json.dumps(document))
-    if block == "maslov":
+    if block == "forcing":
+        inner = document
+    elif block == "flow":
+        inner = document["flow"]
+    elif block == "maslov":
         inner = document["maslov"]
     elif block in ("constant", "rotation", "annulus"):
         inner = document["maslov"]["family"]
@@ -175,6 +185,10 @@ def _break(block, field, value):
 @example(("cyclic", "ell", 1.5))
 @example(("rotation", "k", 1.5))
 @example(("rotation", "n", 1.5))
+@example(("forcing", "period_cap", 1.5))
+@example(("forcing", "period_cap", "x"))
+@example(("flow", "horizon", "x"))
+@example(("flow", "horizon", float("nan")))
 def test_malformed_field_is_named(broken):
     command, document = _break(*broken)
     code, err = _main([command, "--input", "-"], document)

@@ -4,21 +4,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidfloer import complex as complex_module
 from braidfloer.complex import (
     ComplexGeometry,
+    IndexPair,
     component_contains,
     enumerate_component,
     index_pair,
 )
-from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap, word_to_discrete
+from braidfloer.discrete import (
+    DiscreteBraid,
+    DiscreteRelativeBraid,
+    insert_duplicate_slot,
+    snap,
+    word_to_discrete,
+)
 from braidfloer.errors import BraidInputError, ImproperClassError, TransversalityError
 from braidfloer.homology import homology_from_json, relative_homology
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
-from braidfloer.words import StrandPermutation, word
+from braidfloer.words import StrandPermutation, permutation_of, word
 
-from helpers import chain_counts, reference_component, reference_geometry_tables
+from helpers import (
+    chain_counts,
+    reference_component,
+    reference_geometry_tables,
+    reference_index_pair,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -273,7 +287,8 @@ def test_improper_witness_is_a_top_cell_over_the_pin(build):
         (n + [str(v) for v in t.values].index(value)) * stride
         for t, n, stride, value in zip(geo.slots, geo.ngaps, geo.strides, witness["pinned_values"])
     )
-    assert pinned in geo.closure(np.array([top]))
+    cells, in_exit = geo.closure(np.array([top]), ())
+    assert pinned in cells and not in_exit.any()
 
 
 @pytest.mark.parametrize("build", [b for _, b in COMPONENT_CASES + IMPROPER_CASES],
@@ -296,3 +311,78 @@ def test_coincident_fixed_values_refused():
     )
     with pytest.raises(TransversalityError, match="coincident fixed values at slot 1"):
         ComplexGeometry(make_relative([0.75, 0.75], skeleton))
+
+
+def stabilized(rb: DiscreteRelativeBraid) -> DiscreteRelativeBraid:
+    """The period-(d+1) braid of the stabilization rerun."""
+    return DiscreteRelativeBraid(insert_duplicate_slot(rb.free), insert_duplicate_slot(rb.skeleton))
+
+
+def assert_pair_matches_reference(comp):
+    """N, N^-, the relative cells and the relative boundary are the reference's
+    arrays byte for byte, or both refuse with the same message."""
+    try:
+        expected = reference_index_pair(comp)
+    except BraidInputError as err:
+        with pytest.raises(BraidInputError) as got:
+            index_pair(comp)
+        assert str(got.value) == str(err)
+        return
+    pair = index_pair(comp)
+    rel, dims, bnd = pair.chain_complex()
+    cells, exit_cells, ref_rel, ref_dims, ref_bnd = expected
+    assert bnd.shape == ref_bnd.shape
+    for got, want in [(pair.cells, cells), (pair.exit, exit_cells),
+                      (pair.relative_cells(), ref_rel), (rel, ref_rel), (dims, ref_dims),
+                      (bnd.indptr, ref_bnd.indptr), (bnd.indices, ref_bnd.indices)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# the desk classes and the large benchmark's two twisted classes (the second
+# refused at the cell cap at d+1), each at period d and d+1
+LARGE_CYCLIC = [((3, 2), (3, 1), 2), ((4, 3), (3, 1), 2)]
+PAIR_CASES = COMPONENT_CASES + [
+    (f"cyclic{c}", lambda c=c: cyclic_relative(*c)) for c in LARGE_CYCLIC
+]
+PAIR_CASES = PAIR_CASES + [(f"{name}+1", lambda b=b: stabilized(b())) for name, b in PAIR_CASES]
+
+
+@pytest.mark.parametrize("build", [b for _, b in PAIR_CASES], ids=[name for name, _ in PAIR_CASES])
+def test_index_pair_matches_reference(build):
+    assert_pair_matches_reference(enumerate_component(build()))
+
+
+def _fixed_strands(letters) -> list[int]:
+    """The strands a 3-strand word maps to themselves, the ones a free mark may take."""
+    perm = permutation_of(word(3, letters))
+    return [k for k in range(3) if perm(k) == k]
+
+
+SHORT_MARKED_WORDS = (
+    st.lists(st.sampled_from([1, 2, -1, -2]), min_size=1, max_size=4)
+    .filter(_fixed_strands)
+    .flatmap(lambda ls: st.tuples(st.just(ls), st.sampled_from(_fixed_strands(ls))))
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(SHORT_MARKED_WORDS, st.booleans())
+def test_index_pair_matches_reference_on_short_words(marked, up):
+    letters, free = marked
+    rb = word_relative(letters, [free])
+    comp = enumerate_component(stabilized(rb) if up else rb)
+    assume(comp.proper)
+    assert_pair_matches_reference(comp)
+
+
+def test_validate_refuses_an_exit_set_missing_a_face():
+    pair = desk_pair((1, 2), (2, 1), 1)
+    geo = pair.geometry
+    pair.validate()
+    exit_cells = pair.exit
+    cell = exit_cells[geo.gap_mask(exit_cells, 0)][0]
+    face = cell + geo.ngaps[0] * geo.strides[0]  # its low pin at slot 0
+    in_exit = pair.in_exit.copy()
+    in_exit[np.searchsorted(pair.cells, face)] = False
+    with pytest.raises(AssertionError, match="exit set not closed under faces"):
+        IndexPair(pair.component, pair.cells, in_exit).validate()
