@@ -252,19 +252,27 @@ class IndexPair:
 
         The boundary is a CSR matrix over indices into the relative codes;
         faces inside the exit set are dropped.  N is closed, so every other
-        face is a relative cell.
+        face is a relative cell.  At each slot, the low and then the high pins
+        of the cells with a gap there are a sorted run; merged into the cells
+        pinned there, each face that is a relative cell lands right after its
+        equal.
         """
         geo = self.geometry
         rel = self.relative_cells()
         dims = np.zeros(len(rel), dtype=np.int8)
         rows, cols = [], []
         for i in range(geo.period):
-            gap = np.flatnonzero(geo.gap_mask(rel, i)).astype(np.int32)
-            dims[gap] += 1
+            is_gap = geo.gap_mask(rel, i)
+            dims += is_gap
+            gap, pin = (np.flatnonzero(m).astype(np.int32) for m in (is_gap, ~is_gap))
+            pinned = rel[pin]
             for face in geo.pins(rel[gap], i):
-                pos, found = _lookup(rel, face)
-                rows.append(gap[found])
-                cols.append(pos[found].astype(np.int32))
+                merged = np.concatenate((pinned, face))
+                order = merged.argsort(kind="stable")
+                merged.sort(kind="stable")  # merging two runs is cheaper than gathering
+                hit = np.flatnonzero(merged[1:] == merged[:-1])
+                rows.append(gap[order[hit + 1] - len(pin)])
+                cols.append(pin[order[hit]])
         return rel, dims, boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
 
     def validate(self) -> None:
@@ -323,7 +331,7 @@ def enumerate_component(rb: DiscreteRelativeBraid) -> BraidClassComponent:
         new = _unique(np.concatenate(reached))
         new = new[~_lookup(seen, new)[1]]
         if len(seen) + len(new) > COMPONENT_CUBE_CAP:
-            raise RuntimeError("braid class component exceeds the cube cap")
+            raise BraidInputError("braid class component exceeds the cube cap")
         if (geo.crossing_numbers(new) != cross).any():
             raise AssertionError("crossing number changed across an interior face")
         seen = _unique(np.concatenate((seen, new)))

@@ -6,21 +6,29 @@ check d^2 = 0 is the exact sparse product B @ B, every entry even, at every
 size.  Homology-preserving eliminations run next: coreduction pairs (a cell
 whose boundary is a single cell) and free-face reductions (a cell with a
 single coface), both fill-in free over Z2 (Mrozek-Batko coreduction).  They
-go in whole rounds of disjoint pairs found by sparse products, then one pair
-at a time from a queue over the CSR index arrays.  The surviving core is
+go in whole rounds of disjoint pairs, each round judged against the cells
+still alive; once half the rows are gone the matrices are cut to the live
+submatrix, so a round costs the live size.  A queue over the CSR index
+arrays removes the last few pairs one at a time.  The surviving core is
 finished off by bit-packed Gaussian elimination.  Euler and Morse-inequality
 identities are asserted on every run.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import BraidInputError
+
 GAUSS_CAP = 400_000
+# a coreduction round costs about what the queue takes for (live + TAIL) / 64
+# pairs, and cutting the matrices to the live cells pays from TAIL rows up
+TAIL = 4096
 
 # counts of structural identities verified across all homology runs
 IDENTITY_CHECKS = {"boundary_squared": 0, "euler": 0, "morse": 0}
@@ -97,43 +105,58 @@ def boundary_matrix(rows, cols, n: int) -> sp.csr_matrix:
     return bnd
 
 
-def _coreduce(core: list[int], bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
-    """Run coreduction and free-face reduction passes until both stall.
+def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
+    """Run coreduction and free-face reduction until no pair is left.
 
-    `core` lists the cells (rows of `bnd`) taking part and is cut down to the
-    survivors; `cob` is the transpose of `bnd`.  Returns the number of removed
-    cells.
+    `core` holds the cells (rows of `bnd`) taking part, an int64 array cut
+    down to the survivors; `cob` is the transpose of `bnd`.  Returns the
+    number of removed cells.
 
     A pair stays removable while other cells go, so disjoint pairs can go
-    together: whole rounds of them are found by sparse products while a round
-    removes at least 1/64 of the cells, then a queue finishes the rest.
+    together.  A round pairs every alive cell with one alive face, or with one
+    alive coface, with that neighbour, and keeps the pairs that share no cell
+    with a lower-numbered pair; sparse products then count the alive faces and
+    cofaces for the next round.  Once at most half the rows are alive, both
+    matrices are cut to the alive rows and columns, so later rounds cost the
+    live size, not n.  Rounds go on while each removes more pairs than the
+    one before (they ramp up from the first free faces) or at least
+    (live + TAIL) / 64 pairs; then a queue over the cut matrices finishes the
+    tail one pair at a time.
     """
-    n = bnd.shape[0]
-    mask = np.zeros(n, dtype=np.int32)
-    mask[core] = 1
-    tags = np.arange(1, n + 1)
+    alive = np.zeros(bnd.shape[0], dtype=np.int32)
+    alive[np.frombuffer(core, dtype=np.int64)] = 1
+    rows = np.arange(bnd.shape[0])  # original row of each row of bnd and cob
+    live, last = len(core), 0
+    face_count, coface_count = (  # alive faces and cofaces of each row
+        (np.diff(bnd.indptr), np.diff(cob.indptr)) if live == len(alive)
+        else (bnd @ alive, cob @ alive)
+    )
     while True:
-        face_count, coface_count = bnd @ mask, cob @ mask
-        # pair a cell with its one alive face, or with its one alive coface,
-        # named by the sum of the alive neighbours' tags
-        one_face = np.flatnonzero(mask & (face_count == 1))
-        one_coface = np.flatnonzero(mask & (coface_count == 1))
+        one_face = np.flatnonzero(alive & (face_count == 1))
+        one_coface = np.flatnonzero(alive & (coface_count == 1))
         x = np.concatenate((one_face, one_coface))
-        live = tags * mask
-        y = np.concatenate(((bnd @ live)[one_face], (cob @ live)[one_coface])) - 1
+        y = np.concatenate((_alive_entry(bnd, one_face, alive), _alive_entry(cob, one_coface, alive)))
         # keep each pair whose cells are in no lower-numbered pair
         pid = np.arange(len(x))
-        first = np.full(n, len(x))
+        first = np.full(len(alive), len(x))
         np.minimum.at(first, x, pid)
         np.minimum.at(first, y, pid)
         keep = (first[x] == pid) & (first[y] == pid)
-        if 64 * np.count_nonzero(keep) <= n:
+        pairs = np.count_nonzero(keep)
+        if not pairs or pairs <= last and 64 * pairs < live + TAIL:
             break
-        mask[x[keep]] = 0
-        mask[y[keep]] = 0
-    co_queue = deque(np.flatnonzero(mask & (face_count == 1)).tolist())
-    red_queue = deque(np.flatnonzero(mask & (coface_count == 1)).tolist())
-    alive = bytearray(mask.astype(np.uint8))
+        alive[x[keep]] = 0
+        alive[y[keep]] = 0
+        live, last = live - 2 * pairs, pairs
+        if TAIL <= 2 * live <= len(alive):
+            sub = alive.astype(bool)
+            bnd = bnd[sub][:, sub]
+            cob = bnd.T.tocsr()
+            rows, alive = rows[sub], alive[sub]
+        face_count, coface_count = bnd @ alive, cob @ alive
+    co_queue = deque(np.flatnonzero(alive & (face_count == 1)).tolist())
+    red_queue = deque(np.flatnonzero(alive & (coface_count == 1)).tolist())
+    alive = bytearray(alive.astype(np.uint8))
     # memoryviews give Python ints without copying the arrays into lists
     faces, cofaces = memoryview(face_count), memoryview(coface_count)
     b_idx, b_ptr = memoryview(bnd.indices), memoryview(bnd.indptr)
@@ -167,15 +190,25 @@ def _coreduce(core: list[int], bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
             b = next(f for f in c_idx[c_ptr[a]:c_ptr[a + 1]] if alive[f])
             drop(a)
             drop(b)
-    removed = len(core)
-    core[:] = np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)).tolist()
-    return removed - len(core)
+    survivors = rows[np.flatnonzero(np.frombuffer(alive, dtype=np.uint8))]
+    removed = len(core) - len(survivors)
+    core[:] = array("q", survivors.tobytes())
+    return removed
 
 
-def _gauss_ranks(core: list[int], dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
+def _alive_entry(m: sp.csr_matrix, cells: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The column of the one alive entry in each of the rows `cells` of `m`."""
+    starts = m.indptr[cells]
+    lens = m.indptr[cells + 1] - starts
+    ends = np.cumsum(lens)
+    cols = m.indices[np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)]
+    return cols[alive[cols] == 1]
+
+
+def _gauss_ranks(core: array, dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
     """rank of each boundary matrix d_k on the (small) core, over Z2."""
     if len(core) > GAUSS_CAP:
-        raise RuntimeError(f"core of {len(core)} cells exceeds the elimination cap")
+        raise BraidInputError(f"core of {len(core)} cells exceeds the elimination cap")
     by_dim: dict[int, list[int]] = {}
     for c in core:
         by_dim.setdefault(int(dims[c]), []).append(c)
@@ -238,14 +271,14 @@ def _check_morse_identities(counts: dict[int, int], betti: dict[int, int]) -> No
 
 def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
     """Betti numbers of the chain complex (dims, bnd); all checks on."""
-    ks, ns = np.unique(dims, return_counts=True)
-    counts = dict(zip(ks.tolist(), ns.tolist()))
+    low = int(np.min(dims, initial=0))
+    counts = {k + low: int(v) for k, v in enumerate(np.bincount(dims - low)) if v}
     _check_boundary_squared(bnd)
-    core = list(range(len(dims)))
+    core = array("q", np.arange(len(dims)).tobytes())
     _coreduce(core, bnd, bnd.T.tocsr())
     ranks = _gauss_ranks(core, dims, bnd)
     betti = {}
-    for k, n in zip(*np.unique(dims[core], return_counts=True)):
+    for k, n in zip(*np.unique(dims[np.frombuffer(core, dtype=np.int64)], return_counts=True)):
         b = int(n) - ranks.get(int(k), 0) - ranks.get(int(k) + 1, 0)
         if b:
             betti[int(k)] = b

@@ -301,6 +301,90 @@ def reference_left_normal_form(w: BraidWord) -> GarsideNormalForm:
     )
 
 
+# Round-then-queue coreduction as it stood before the rounds ran on the live
+# submatrix: whole rounds at full size while a round removes over 1/64 of all
+# cells, then the per-cell queue.  `_coreduce` must leave a core of the same
+# homology.
+
+
+def reference_coreduce(core: list[int], bnd, cob) -> int:
+    """Coreduce the cells `core` (a list, cut down to the survivors); returns
+    the number removed."""
+    n = bnd.shape[0]
+    mask = np.zeros(n, dtype=np.int32)
+    mask[core] = 1
+    tags = np.arange(1, n + 1)
+    while True:
+        face_count, coface_count = bnd @ mask, cob @ mask
+        one_face = np.flatnonzero(mask & (face_count == 1))
+        one_coface = np.flatnonzero(mask & (coface_count == 1))
+        x = np.concatenate((one_face, one_coface))
+        live = tags * mask
+        y = np.concatenate(((bnd @ live)[one_face], (cob @ live)[one_coface])) - 1
+        pid = np.arange(len(x))
+        first = np.full(n, len(x))
+        np.minimum.at(first, x, pid)
+        np.minimum.at(first, y, pid)
+        keep = (first[x] == pid) & (first[y] == pid)
+        if 64 * np.count_nonzero(keep) <= n:
+            break
+        mask[x[keep]] = 0
+        mask[y[keep]] = 0
+    co_queue = deque(np.flatnonzero(mask & (face_count == 1)).tolist())
+    red_queue = deque(np.flatnonzero(mask & (coface_count == 1)).tolist())
+    alive = bytearray(mask.astype(np.uint8))
+    faces, cofaces = memoryview(face_count), memoryview(coface_count)
+    b_idx, b_ptr = memoryview(bnd.indices), memoryview(bnd.indptr)
+    c_idx, c_ptr = memoryview(cob.indices), memoryview(cob.indptr)
+
+    def drop(x):
+        alive[x] = 0
+        for z in b_idx[b_ptr[x]:b_ptr[x + 1]]:
+            if alive[z]:
+                cofaces[z] -= 1
+                if cofaces[z] == 1:
+                    red_queue.append(z)
+        for z in c_idx[c_ptr[x]:c_ptr[x + 1]]:
+            if alive[z]:
+                faces[z] -= 1
+                if faces[z] == 1:
+                    co_queue.append(z)
+
+    while co_queue or red_queue:
+        while co_queue:
+            b = co_queue.popleft()
+            if not alive[b] or faces[b] != 1:
+                continue
+            a = next(f for f in b_idx[b_ptr[b]:b_ptr[b + 1]] if alive[f])
+            drop(b)
+            drop(a)
+        while red_queue:
+            a = red_queue.popleft()
+            if not alive[a] or cofaces[a] != 1:
+                continue
+            b = next(f for f in c_idx[c_ptr[a]:c_ptr[a + 1]] if alive[f])
+            drop(a)
+            drop(b)
+    removed = len(core)
+    core[:] = np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)).tolist()
+    return removed - len(core)
+
+
+def gf2_rank(m: np.ndarray) -> int:
+    """Rank over Z2 of a dense 0/1 matrix by row echelon on packed rows."""
+    rows = np.packbits(m.astype(bool), axis=1)
+    rank = 0
+    for col in range(m.shape[1]):
+        byte, bit = col >> 3, np.uint8(0x80 >> (col & 7))
+        hits = np.flatnonzero(rows[rank:, byte] & bit) + rank
+        if not len(hits):
+            continue
+        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
+        rows[hits[1:]] ^= rows[rank]
+        rank += 1
+    return rank
+
+
 def chain_counts(pair: IndexPair) -> dict[int, int]:
     """Number of relative cells of the pair in each dimension."""
     ks, counts = np.unique(pair.chain_complex()[1], return_counts=True)

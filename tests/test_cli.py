@@ -237,3 +237,15 @@ def test_free_mark_outside_the_strands_exit_code(capsys, monkeypatch, mark):
     err = capsys.readouterr().err
     assert code == 1
     assert err.splitlines() == [f"error: free mark {mark!r} is not a strand index in 0..2"]
+
+
+def test_word_class_refused_at_the_cell_cap(capsys, monkeypatch):
+    # the period-d homology coreduces 909,792 cells before the d+1 pair passes
+    # the cap; its first round frees under 1/64 of them and later rounds ramp up
+    doc = {"relative": {"word": {"text": "n=3; s2' s1 s2' s2 s1 s2", "free": [1]}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["homology", "--input", "-"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: index pair exceeds 1500000 cells; the class is beyond this build's desk scale"
+    ]

@@ -29,6 +29,7 @@ from braidfloer.words import StrandPermutation, permutation_of, word
 
 from helpers import (
     chain_counts,
+    gf2_rank,
     reference_component,
     reference_geometry_tables,
     reference_index_pair,
@@ -148,21 +149,6 @@ def test_chain_json_golden():
     assert json.dumps(pair.to_chain_json()) == golden
 
 
-def gf2_rank(m: np.ndarray) -> int:
-    """Rank over Z2 of a dense 0/1 matrix by row echelon on packed rows."""
-    rows = np.packbits(m.astype(bool), axis=1)
-    rank = 0
-    for col in range(m.shape[1]):
-        byte, bit = col >> 3, np.uint8(0x80 >> (col & 7))
-        hits = np.flatnonzero(rows[rank:, byte] & bit) + rank
-        if not len(hits):
-            continue
-        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
-        rows[hits[1:]] ^= rows[rank]
-        rank += 1
-    return rank
-
-
 @pytest.mark.parametrize("inner, outer, ell", DESK_CYCLIC)
 def test_relative_homology_matches_dense_rank(inner, outer, ell):
     pair = desk_pair(inner, outer, ell)
@@ -258,7 +244,7 @@ def test_component_cube_cap_is_exact(monkeypatch):
     monkeypatch.setattr(complex_module, "COMPONENT_CUBE_CAP", size)
     assert len(enumerate_component(rb).top_cells) == size
     monkeypatch.setattr(complex_module, "COMPONENT_CUBE_CAP", size - 1)
-    with pytest.raises(RuntimeError, match="cube cap"):
+    with pytest.raises(BraidInputError, match="cube cap"):
         enumerate_component(rb)
 
 
