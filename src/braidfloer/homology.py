@@ -27,7 +27,9 @@ from .errors import BraidInputError
 
 GAUSS_CAP = 400_000
 # a coreduction round costs about what the queue takes for (live + TAIL) / 64
-# pairs, and cutting the matrices to the live cells pays from TAIL rows up
+# pairs, and cutting the matrices to the live cells pays from TAIL rows up;
+# sweeping each role from 256 to 65536 puts the fastest _coreduce on the desk
+# and large complexes at 1024-4096 for both (BENCH_10.json)
 TAIL = 4096
 
 # counts of structural identities verified across all homology runs
@@ -115,10 +117,10 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
     A pair stays removable while other cells go, so disjoint pairs can go
     together.  A round pairs every alive cell with one alive face, or with one
     alive coface, with that neighbour, and keeps the pairs that share no cell
-    with a lower-numbered pair; sparse products then count the alive faces and
-    cofaces for the next round.  Once at most half the rows are alive, both
-    matrices are cut to the alive rows and columns, so later rounds cost the
-    live size, not n.  Rounds go on while each removes more pairs than the
+    with a lower-numbered pair; two sparse products count the alive faces and
+    cofaces of every row at the start of each round.  Once at most half the
+    rows are alive, both matrices are cut to the alive rows and columns, so
+    later rounds cost the live size, not n.  Rounds go on while each removes more pairs than the
     one before (they ramp up from the first free faces) or at least
     (live + TAIL) / 64 pairs; then a queue over the cut matrices finishes the
     tail one pair at a time.
@@ -127,11 +129,8 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
     alive[np.frombuffer(core, dtype=np.int64)] = 1
     rows = np.arange(bnd.shape[0])  # original row of each row of bnd and cob
     live, last = len(core), 0
-    face_count, coface_count = (  # alive faces and cofaces of each row
-        (np.diff(bnd.indptr), np.diff(cob.indptr)) if live == len(alive)
-        else (bnd @ alive, cob @ alive)
-    )
     while True:
+        face_count, coface_count = bnd @ alive, cob @ alive
         one_face = np.flatnonzero(alive & (face_count == 1))
         one_coface = np.flatnonzero(alive & (coface_count == 1))
         x = np.concatenate((one_face, one_coface))
@@ -153,7 +152,6 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
             bnd = bnd[sub][:, sub]
             cob = bnd.T.tocsr()
             rows, alive = rows[sub], alive[sub]
-        face_count, coface_count = bnd @ alive, cob @ alive
     co_queue = deque(np.flatnonzero(alive & (face_count == 1)).tolist())
     red_queue = deque(np.flatnonzero(alive & (coface_count == 1)).tolist())
     alive = bytearray(alive.astype(np.uint8))
