@@ -120,10 +120,10 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
     with a lower-numbered pair; two sparse products count the alive faces and
     cofaces of every row at the start of each round.  Once at most half the
     rows are alive, both matrices are cut to the alive rows and columns, so
-    later rounds cost the live size, not n.  Rounds go on while each removes more pairs than the
-    one before (they ramp up from the first free faces) or at least
-    (live + TAIL) / 64 pairs; then a queue over the cut matrices finishes the
-    tail one pair at a time.
+    later rounds cost the live size, not n.  Rounds go on while each removes
+    more pairs than the one before (they ramp up from the first free faces) or
+    at least (live + TAIL) / 64 pairs; then a queue over the cut matrices
+    finishes the tail one pair at a time.
     """
     alive = np.zeros(bnd.shape[0], dtype=np.int32)
     alive[np.frombuffer(core, dtype=np.int64)] = 1
