@@ -279,7 +279,10 @@ def run(job: JobSpec) -> ResultEnvelope:
     provenance: list[str] = []
     doc = job.document
     if job.command == "normalform":
-        w = parse_braid_text(doc["braid"]["text"]) if "braid" in doc else parse_braid_text(doc["text"])
+        block = _field(doc, "braid", "normalform document", lambda v: isinstance(v, dict),
+                       "a JSON object", default=doc)
+        where = "braid block" if block is not doc else "normalform document"
+        w = parse_braid_text(_field(block, "text", where, lambda v: isinstance(v, str), "a string"))
         nf = left_normal_form(w)
         pad = twist_padding(w)
         payload = {

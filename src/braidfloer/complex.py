@@ -290,17 +290,6 @@ class IndexPair:
                 if np.count_nonzero(merged[1:] == merged[:-1]) != len(faces):
                     raise AssertionError("exit set not closed under faces")
 
-    def to_chain_json(self) -> dict:
-        """Chain-complex dump (relative cells only) for external verification."""
-        rel, dims, bnd = self.chain_complex()
-        ids = rel.tolist()
-        faces = rel[bnd.indices].tolist()
-        ptr = bnd.indptr.tolist()
-        return {
-            "generators": [{"id": c, "dim": k} for c, k in zip(ids, dims.tolist())],
-            "boundaries": {str(c): faces[ptr[r]:ptr[r + 1]] for r, c in enumerate(ids)},
-        }
-
 
 def _initial_code(geo: ComplexGeometry) -> int:
     gaps = geo.gaps_of(geo.rb.free.anchors[0])

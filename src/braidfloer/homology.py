@@ -284,33 +284,8 @@ def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
     return betti
 
 
-def homology_of_chain(cells: dict[int, int], boundary) -> dict[int, int]:
-    """Betti numbers of a Z2 chain complex given by a callable.
-
-    `cells` maps generator -> dimension; `boundary` lists a generator's
-    faces (ones outside `cells` are dropped).
-    """
-    index = {c: r for r, c in enumerate(cells)}
-    rows, cols = [], []
-    for c, r in index.items():
-        for f in boundary(c):
-            if f in index:
-                rows.append(r)
-                cols.append(index[f])
-    dims = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
-    return _homology(dims, boundary_matrix(rows, cols, len(cells)))
-
-
 def relative_homology(pair) -> GradedBetti:
     """Betti numbers of the index pair (N, N^-): ker/im of the Z2 boundary."""
     _, dims, bnd = pair.chain_complex()
     betti = _homology(dims, bnd)
-    return GradedBetti.from_dict(betti, "direct")
-
-
-def homology_from_json(doc: dict) -> GradedBetti:
-    """Betti numbers of a chain-complex dump (`IndexPair.to_chain_json`)."""
-    cells = {int(g["id"]): int(g["dim"]) for g in doc["generators"]}
-    bmap = {int(k): [int(v) for v in vs] for k, vs in doc["boundaries"].items()}
-    betti = homology_of_chain(cells, lambda c: bmap.get(c, []))
     return GradedBetti.from_dict(betti, "direct")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BraidInputError,
@@ -220,6 +219,7 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
 
 
 def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> SymplecticPathSample:
+    from scipy.linalg import expm  # loaded only by the commands that take Maslov paths
     a = j @ family.constant
     norm = float(np.linalg.norm(a, 2))
     while tau / steps * norm > NODE_SPACING:

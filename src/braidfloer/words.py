@@ -35,9 +35,6 @@ class BraidWord:
     def __len__(self):
         return len(self.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
-
     def is_positive(self) -> bool:
         return all(s == 1 for _, s in self.letters)
 

@@ -26,7 +26,7 @@ from braidfloer.discrete import (
     total_crossing_number,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
-from braidfloer.flow import _float_paths, _free_crossings
+from braidfloer.flow import _free_crossings
 from braidfloer.garside import (
     GarsideNormalForm,
     PermutationBraid,
@@ -38,7 +38,7 @@ from braidfloer.garside import (
     _swap,
     _tau,
 )
-from braidfloer.homology import boundary_matrix
+from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
 
@@ -385,6 +385,47 @@ def gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
+def inverse(w: BraidWord) -> BraidWord:
+    return BraidWord(w.strands, tuple((i, -s) for i, s in reversed(w.letters)))
+
+
+def homology_of_chain(cells: dict[int, int], boundary) -> dict[int, int]:
+    """Betti numbers of a Z2 chain complex given by a callable.
+
+    `cells` maps generator -> dimension; `boundary` lists a generator's
+    faces (ones outside `cells` are dropped).
+    """
+    index = {c: r for r, c in enumerate(cells)}
+    rows, cols = [], []
+    for c, r in index.items():
+        for f in boundary(c):
+            if f in index:
+                rows.append(r)
+                cols.append(index[f])
+    dims = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
+    return _homology(dims, boundary_matrix(rows, cols, len(cells)))
+
+
+def to_chain_json(pair: IndexPair) -> dict:
+    """Chain-complex dump of a pair (relative cells only) for external verification."""
+    rel, dims, bnd = pair.chain_complex()
+    ids = rel.tolist()
+    faces = rel[bnd.indices].tolist()
+    ptr = bnd.indptr.tolist()
+    return {
+        "generators": [{"id": c, "dim": k} for c, k in zip(ids, dims.tolist())],
+        "boundaries": {str(c): faces[ptr[r]:ptr[r + 1]] for r, c in enumerate(ids)},
+    }
+
+
+def homology_from_json(doc: dict) -> GradedBetti:
+    """Betti numbers of a chain-complex dump (`to_chain_json`)."""
+    cells = {int(g["id"]): int(g["dim"]) for g in doc["generators"]}
+    bmap = {int(k): [int(v) for v in vs] for k, vs in doc["boundaries"].items()}
+    betti = homology_of_chain(cells, lambda c: bmap.get(c, []))
+    return GradedBetti.from_dict(betti, "direct")
+
+
 def chain_counts(pair: IndexPair) -> dict[int, int]:
     """Number of relative cells of the pair in each dimension."""
     ks, counts = np.unique(pair.chain_complex()[1], return_counts=True)
@@ -394,7 +435,8 @@ def chain_counts(pair: IndexPair) -> dict[int, int]:
 def crossing_count_float(u, skeleton: DiscreteBraid) -> int:
     """Crossings of the float free strand with the skeleton plus the
     skeleton's internal crossings."""
-    return total_crossing_number(skeleton) + _free_crossings(u, _float_paths(skeleton))
+    paths = (skeleton.lattice / skeleton.denominator).tolist()  # as in flow.evolve
+    return total_crossing_number(skeleton) + _free_crossings(u, paths)
 
 
 def cycles(p: StrandPermutation) -> list[tuple[int, ...]]:
@@ -453,6 +495,16 @@ def unrolled_value(b, k: int, i: int) -> Fraction:
         k = b.closure.image.index(k)
         i += d
     return b.anchors[k][i]
+
+
+def anchor_neighbours(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float anchors of every strand at slots i - 1, i and i + 1, each of
+    shape (strands, period), unrolled through the closure."""
+    return tuple(
+        np.array([[float(unrolled_value(b, k, i + shift)) for i in range(b.period)]
+                  for k in range(b.strands)])
+        for shift in (-1, 0, 1)
+    )
 
 
 def pair_crossings(b, k: int, l: int, i: int) -> int:

@@ -37,7 +37,14 @@ from braidfloer.pipeline import (
 )
 from braidfloer.words import StrandPermutation, compose, exponent_sum, full_twist, random_rewrite, word
 
-from helpers import chain_counts, nf_to_word, random_word, reference_left_normal_form, signed_words_equal
+from helpers import (
+    chain_counts,
+    nf_to_word,
+    random_word,
+    reference_left_normal_form,
+    signed_words_equal,
+    to_chain_json,
+)
 
 _memo = {}
 
@@ -358,7 +365,7 @@ def test_criterion_11_structural_suite():
     spec = cyclic_spec((1, 2), (2, 1), ell=1)
     rb, _, _ = _realize_cyclic(spec, None)
     pair = index_pair(enumerate_component(rb))
-    doc = pair.to_chain_json()
+    doc = to_chain_json(pair)
     cells = {g["id"]: g["dim"] for g in doc["generators"]}
     bnd = {int(c): faces for c, faces in doc["boundaries"].items()}
     for c in cells:

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,7 @@ def test_flow_job():
     values = [c for _, c in trace]
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert len(env.payload["stationary"]) >= 2
+    assert json.loads(env.to_json())["payload"] == env.payload  # plain JSON values
 
 
 def test_unknown_command_rejected():
@@ -249,3 +254,17 @@ def test_word_class_refused_at_the_cell_cap(capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "error: index pair exceeds 1500000 cells; the class is beyond this build's desk scale"
     ]
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """A fresh `import braidfloer.cli` loads scipy.sparse, but not the scipy
+    modules that only the flow fit (interpolate, and through it optimize and
+    special) or the Maslov paths (linalg) once needed."""
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.linalg"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, braidfloer.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

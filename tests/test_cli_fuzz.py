@@ -119,6 +119,8 @@ VALID_DOCUMENTS = {
                             "period_cap": 5}),
     "flow": ("flow", {"relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}},
                       "flow": {"horizon": 2.0}}),
+    "normalform": ("normalform", {"text": "n=3; s1"}),
+    "braid": ("normalform", {"braid": {"text": "n=3; s1"}}),
 }
 NOT_A_NUMBER = st.one_of(st.none(), st.text(alphabet="abc", max_size=2), st.lists(st.integers()))
 NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
@@ -145,13 +147,17 @@ BROKEN_FIELDS = st.one_of(
     st.tuples(st.just("maslov"), st.sampled_from(["tau", "b"]), NOT_A_NUMBER),
     st.tuples(st.just("forcing"), st.just("period_cap"), NOT_AN_INTEGER),
     st.tuples(st.just("flow"), st.just("horizon"), st.one_of(NOT_A_NUMBER, NOT_FINITE)),
+    st.tuples(st.just("normalform"), st.just("text"),
+              st.one_of(st.just(MISSING), st.none(), st.integers(), st.lists(st.integers()))),
+    st.tuples(st.just("braid"), st.just("braid"),
+              st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers()))),
 )
 
 
 def _break(block, field, value):
     command, document = VALID_DOCUMENTS[block]
     document = json.loads(json.dumps(document))
-    if block == "forcing":
+    if block in ("forcing", "normalform", "braid"):  # fields of the document itself
         inner = document
     elif block == "flow":
         inner = document["flow"]
@@ -189,6 +195,9 @@ def _break(block, field, value):
 @example(("forcing", "period_cap", "x"))
 @example(("flow", "horizon", "x"))
 @example(("flow", "horizon", float("nan")))
+@example(("normalform", "text", MISSING))  # {}
+@example(("braid", "braid", "n=3; s1"))  # {"braid": "n=3; s1"}
+@example(("normalform", "text", 5))  # {"text": 5}
 def test_malformed_field_is_named(broken):
     command, document = _break(*broken)
     code, err = _main([command, "--input", "-"], document)

@@ -23,16 +23,19 @@ from braidfloer.discrete import (
     word_to_discrete,
 )
 from braidfloer.errors import BraidInputError, ImproperClassError, TransversalityError
-from braidfloer.homology import homology_from_json, relative_homology
+from braidfloer.homology import relative_homology
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
 from braidfloer.words import StrandPermutation, permutation_of, word
 
 from helpers import (
     chain_counts,
     gf2_rank,
+    homology_from_json,
+    homology_of_chain,
     reference_component,
     reference_geometry_tables,
     reference_index_pair,
+    to_chain_json,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -116,13 +119,11 @@ def test_improper_unlinked_parallel_strand():
 def test_chain_json_round_trip():
     rb = make_relative([0, 0], crossing_pair_skeleton())
     pair = index_pair(enumerate_component(rb))
-    doc = pair.to_chain_json()
+    doc = to_chain_json(pair)
     assert homology_from_json(doc).as_dict() == {1: 1}
 
 
 def test_homology_of_small_pairs():
-    from braidfloer.homology import homology_of_chain
-
     # single point, empty exit
     assert homology_of_chain({0: 0}, lambda c: []) == {0: 1}
     # interval with both endpoints in the exit set: one relative 1-cell
@@ -146,7 +147,7 @@ def test_chain_json_golden():
     # pins the cell encoding: ids, dimensions and boundary order
     pair = desk_pair((1, 2), (2, 1), 1)
     golden = (FIXTURES / "chain_cyclic_1-2_2-1_1.json").read_text()
-    assert json.dumps(pair.to_chain_json()) == golden
+    assert json.dumps(to_chain_json(pair)) == golden
 
 
 @pytest.mark.parametrize("inner, outer, ell", DESK_CYCLIC)

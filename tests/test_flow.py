@@ -16,7 +16,7 @@ from braidfloer.flow import (
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation
 
-from helpers import crossing_count_float, unrolled_value
+from helpers import anchor_neighbours, crossing_count_float
 
 
 def braids1_class():
@@ -35,15 +35,10 @@ def test_skeleton_anchors_are_exact_zeros():
     rb = braids1_class()
     rec = fitted_recurrence(rb.skeleton)
     sk = rb.skeleton
-    for l in range(sk.strands):
-        for i in range(sk.period):
-            r = rec(
-                i,
-                float(unrolled_value(sk, l, i - 1)),
-                float(sk.anchors[l][i]),
-                float(unrolled_value(sk, l, i + 1)),
-            )
-            assert r == 0.0
+    r = rec.field(*anchor_neighbours(sk))
+    assert r.shape == (sk.strands, sk.period)
+    for value in r.ravel():
+        assert value == 0.0
 
 
 def test_default_recurrence_is_monotone():
@@ -54,7 +49,7 @@ def test_default_recurrence_is_monotone():
 
 def test_non_monotone_relation_rejected():
     with pytest.raises(BraidInputError):
-        RecurrenceRelation(2, [lambda l, c, r: -l + r, lambda l, c, r: l + r])
+        RecurrenceRelation(2, lambda l, c, r: np.array([-1.0, 1.0]) * l + r)
 
 
 def test_near_equilibrium_convergence():
@@ -136,9 +131,7 @@ def test_boundary_contact_reported():
         DiscreteBraid(1, 2, ((snap(0.9), snap(0.9)),), StrandPermutation((0,))), skeleton
     )
     # push the free strand outward faster than the Laplacian pulls back
-    rec = RecurrenceRelation(
-        2, [lambda l, c, r: 0.2 * l + 0.2 * r + 0.7, lambda l, c, r: 0.2 * l + 0.2 * r + 0.7]
-    )
+    rec = RecurrenceRelation(2, lambda l, c, r: 0.2 * l + 0.2 * r + 0.7)
     with pytest.raises(BoundaryContactError):
         evolve(rel, rec, horizon=10.0)
 
@@ -169,3 +162,21 @@ def test_find_stationary_does_not_swallow_internal_errors(monkeypatch):
     monkeypatch.setattr(flow, "evolve", broken)
     with pytest.raises(AssertionError, match="flow bug"):
         find_stationary(braids1_class())
+
+
+def test_batched_newton_rows_are_independent():
+    # d = 2, so each slot's two neighbours are the other slot and J is
+    # [[-2 + g'(u0), 2], [2, -2 + g'(u1)]]: exactly singular at u = (0, 0)
+    rec = RecurrenceRelation(
+        2, lambda l, c, r: l - 2 * c + r + c**3 + 0.01, lambda c: 3 * c**2
+    )
+    starts = np.array([[0.3, 0.2], [0.0, 0.0], [-0.1, -0.3], [0.9, -0.9], [0.5, 0.6]])
+    polished, ok = flow._newton_polish(rec, starts)
+    assert not ok[1]  # the singular row is dropped, the others go on
+    assert ok.sum() >= 2
+    for n in range(len(starts)):
+        alone, ok_alone = flow._newton_polish(rec, starts[n:n + 1])
+        assert ok_alone[0] == ok[n]
+        if ok[n]:
+            assert np.array_equal(alone[0], polished[n])
+            assert np.max(np.abs(rec.vector_field(polished[n]))) < 1e-8

@@ -13,11 +13,10 @@ from braidfloer.homology import (
     _coreduce,
     _gauss_ranks,
     boundary_matrix,
-    homology_of_chain,
     poincare_polynomial,
 )
 
-from helpers import gf2_rank, reference_coreduce
+from helpers import gf2_rank, homology_of_chain, reference_coreduce
 
 
 def test_poincare_polynomial_formats():

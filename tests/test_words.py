@@ -14,7 +14,7 @@ from braidfloer.words import (
     word,
 )
 
-from helpers import cycles, free_reduce
+from helpers import cycles, free_reduce, inverse
 
 # The five-strand example braid from the generator figure.
 FIG3 = word(5, [-4, 3, 1, 3, -2, 1, 2, -3, -4, 1, 2, 3, -4, 1, -2])
@@ -27,7 +27,7 @@ def test_exponent_sum_figure_braid():
 def test_exponent_sum_identity_and_cancellation():
     assert exponent_sum(word(3, [])) == 0
     w = word(4, [1, -2, 3])
-    assert exponent_sum(compose(w, w.inverse())) == 0
+    assert exponent_sum(compose(w, inverse(w))) == 0
 
 
 def test_compose_trivial_cases():
