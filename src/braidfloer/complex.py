@@ -52,31 +52,17 @@ COMPONENT_CUBE_CAP = 500_000
 INDEX_CELL_CAP = 1_500_000
 
 
-@dataclass(frozen=True)
-class SlotTable:
-    """Fixed values of one slot: skeleton anchors plus the two markers."""
-
-    values: tuple[Fraction, ...]          # sorted, markers at the extremes
-    owners: tuple[int, ...]               # skeleton strand id or barrier constant
-    mids: tuple[Fraction, ...]            # gap midpoints
-
-    @property
-    def ngaps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def nstates(self) -> int:
-        # gaps are states 0..ngaps-1, pins follow as ngaps + f
-        return 2 * len(self.values) - 1
-
-
 class ComplexGeometry:
-    """Per-slot state tables, sign and crossing tables, and the cell codes.
+    """Fixed values, sign and crossing tables, and the cell codes.
 
-    Gap g of a slot lies below fixed value p of the same slot iff g < p, so
-    for pin f at slot i, `prev_pos[i][f]` and `next_pos[i][f]` locate its
-    owner at slots i-1 and i+1, and `cross[i][g, h]` counts the crossings
-    with the skeleton of a strand in gap g at slot i and gap h at slot i+1.
+    `values[i]` holds the fixed values of slot i bottom-up as int64
+    numerators over `den`, the markers -+1 at the ends, and `owners[i]` the
+    skeleton strand or barrier of each.  Every slot has `ngaps` gaps and
+    `nstates` states.  Gap g of a slot lies below fixed value p of the same
+    slot iff g < p, so for pin f at slot i, `prev_pos[i][f]` and
+    `next_pos[i][f]` locate its owner at slots i-1 and i+1, and
+    `cross[i][g, h]` counts the crossings with the skeleton of a strand in
+    gap g at slot i and gap h at slot i+1.
     """
 
     def __init__(self, rb: DiscreteRelativeBraid):
@@ -90,27 +76,21 @@ class ComplexGeometry:
         self.rb = rb
         self.period = d = rb.period
         sk = rb.skeleton
-        m = sk.strands
+        m, den = sk.strands, sk.denominator
         lat = sk.lattice[:, :d]
         order = np.argsort(lat, axis=0)  # skeleton strands bottom-up, per slot
         ranked = np.take_along_axis(lat, order, axis=0)
         clash = ((np.diff(ranked, axis=0) == 0).any(axis=0)
-                 | (abs(ranked) == sk.denominator).any(axis=0))  # on a marker
+                 | (abs(ranked) == den).any(axis=0))  # on a marker
         if clash.any():
             raise TransversalityError(f"coincident fixed values at slot {np.argmax(clash)}")
-        slots = []
-        for i, strands in enumerate(order.T.tolist()):
-            values = (Fraction(-1), *(sk.anchors[l][i] for l in strands), Fraction(1))
-            mids = tuple(
-                (values[g] + values[g + 1]) / 2 for g in range(len(values) - 1)
-            )
-            slots.append(SlotTable(values, (BARRIER_LOW, *strands, BARRIER_HIGH), mids))
-        self.slots: list[SlotTable] = slots
-        self.ngaps = [t.ngaps for t in slots]
-        self.nstates = [t.nstates for t in slots]
-        # every slot has the m skeleton values and the two markers
-        states = self.nstates[0] ** d
-        self.strides = [self.nstates[0] ** i for i in range(d)]
+        self.den = den
+        self.values = np.pad(ranked.T, ((0, 0), (1, 1)), constant_values=(-den, den))
+        self.owners = np.pad(order.T, ((0, 0), (1, 1)), constant_values=(BARRIER_LOW, BARRIER_HIGH))
+        # gaps are states 0..ngaps-1, pins follow as ngaps + f
+        self.ngaps, self.nstates = m + 1, 2 * m + 3
+        states = self.nstates ** d
+        self.strides = [self.nstates ** i for i in range(d)]
         if states >= 2**63:
             raise BraidInputError(
                 f"{states} cell states overflow the int64 cell codes; "
@@ -138,7 +118,7 @@ class ComplexGeometry:
 
     def digits(self, codes: np.ndarray) -> np.ndarray:
         """Per-slot states of the codes, one row each; the gap rows of top cells."""
-        return codes[:, None] // np.array(self.strides) % np.array(self.nstates)
+        return codes[:, None] // np.array(self.strides) % self.nstates
 
     def crossing_numbers(self, codes: np.ndarray) -> np.ndarray:
         """Total crossings of the representative free strand of each top cell."""
@@ -158,22 +138,24 @@ class ComplexGeometry:
     def gaps_of(self, values) -> list[int | None]:
         """Per slot, the gap holding the value strictly inside it; None on a fixed value."""
         out = []
-        for t, u in zip(self.slots, values):
-            k = bisect_left(t.values, u)
-            out.append(k - 1 if 0 < k < len(t.values) and t.values[k] != u else None)
+        for row, u in zip(self.values.tolist(), values):
+            k = bisect_left(row, u * self.den)
+            out.append(k - 1 if 0 < k < len(row) and row[k] != u * self.den else None)
         return out
 
     def representative(self, cube: list[int]) -> list[Fraction]:
-        return [self.slots[i].mids[g] for i, g in enumerate(cube)]
+        """The gap midpoints of a top cell, slot by slot."""
+        return [Fraction(int(row[g] + row[g + 1]), 2 * self.den)
+                for row, g in zip(self.values, cube)]
 
     def gap_mask(self, codes: np.ndarray, i: int, unit: int = 1) -> np.ndarray:
         """Which codes hold a gap at slot i; unit 2 reads flagged keys 2*code + bit."""
         stride = unit * self.strides[i]
-        return codes % (stride * self.nstates[i]) < stride * self.ngaps[i]
+        return codes % (stride * self.nstates) < stride * self.ngaps
 
     def pins(self, codes: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The faces at slot i of codes holding gap g there: pins g and g+1."""
-        low = codes + self.ngaps[i] * self.strides[i]
+        low = codes + self.ngaps * self.strides[i]
         return low, low + self.strides[i]
 
     def closure(self, tops: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +172,7 @@ class ComplexGeometry:
         for i in range(self.period):
             low = keys[self.gap_mask(keys, i, 2)]
             if 2 * len(low) <= INDEX_CELL_CAP:
-                low += 2 * self.ngaps[i] * self.strides[i]
+                low += 2 * self.ngaps * self.strides[i]
                 keys = _unique(np.concatenate((keys, low, low + 2 * self.strides[i])), flagged=True)
             if max(len(keys), 2 * len(low)) > INDEX_CELL_CAP:
                 raise BraidInputError(
@@ -283,7 +265,7 @@ class IndexPair:
         for i in range(geo.period):
             gap = geo.gap_mask(exit, i)
             pinned, faces = exit[~gap], exit[gap]
-            for shift in (geo.ngaps[i] * geo.strides[i], geo.strides[i]):  # pin g, then g+1
+            for shift in (geo.ngaps * geo.strides[i], geo.strides[i]):  # pin g, then g+1
                 faces += shift
                 merged = np.concatenate((pinned, faces))
                 merged.sort(kind="stable")
@@ -315,7 +297,7 @@ def enumerate_component(rb: DiscreteRelativeBraid) -> BraidClassComponent:
                 other = gaps[:, i] + step
                 below_prev, below_next = geo.sides(gaps, i, up)
                 # a tangency walls the class off; a straddle joins two of its cubes
-                hop = (other >= 0) & (other < geo.ngaps[i]) & (below_prev != below_next)
+                hop = (other >= 0) & (other < geo.ngaps) & (below_prev != below_next)
                 reached.append(frontier[hop] + step * geo.strides[i])
         new = _unique(np.concatenate(reached))
         new = new[~_lookup(seen, new)[1]]
@@ -336,7 +318,7 @@ def _collapse_scan(geo: ComplexGeometry, top_cells: np.ndarray) -> tuple[bool, d
     owners = [BARRIER_LOW, BARRIER_HIGH] + [l for l in range(sk.strands) if sk.closure(l) == l]
     gaps = geo.digits(top_cells)
     for owner in owners:
-        fixed_idx = [t.owners.index(owner) for t in geo.slots]
+        fixed_idx = np.argmax(geo.owners == owner, axis=1)
         hits = np.flatnonzero(((gaps == fixed_idx) | (gaps + 1 == fixed_idx)).all(axis=1))
         if len(hits):
             witness = {
@@ -345,7 +327,8 @@ def _collapse_scan(geo: ComplexGeometry, top_cells: np.ndarray) -> tuple[bool, d
                     else "boundary +1" if owner == BARRIER_HIGH
                     else f"skeleton strand {owner}"
                 ),
-                "pinned_values": [str(t.values[f]) for t, f in zip(geo.slots, fixed_idx)],
+                "pinned_values": [str(Fraction(v, geo.den)) for v in
+                                  geo.values[np.arange(geo.period), fixed_idx].tolist()],
                 "from_top_cell": gaps[hits[0]].tolist(),
             }
             return False, witness
@@ -375,7 +358,7 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
             seed = (below == below_next) & (below == (up == 0))
             seeds.append(face[seed])
             other = gaps[:, i] + 2 * up - 1
-            across = (other >= 0) & (other < geo.ngaps[i])
+            across = (other >= 0) & (other < geo.ngaps)
             g, h = gaps[across, i], other[across]
             before, after = gaps[across, i - 1], gaps[across, (i + 1) % geo.period]
             jump = (geo.cross[i - 1][before, h] - geo.cross[i - 1][before, g]

@@ -83,14 +83,19 @@ class DiscreteBraid:
         return np.concatenate((nums, nums[list(self.closure.image), :1]), axis=1)
 
 
+def crosses(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether two strands whose difference is a at the start of a slot
+    interval and c at its end cross in it.  A crossing sitting exactly on the
+    end anchor belongs to the interval, one on the start anchor does not."""
+    return (a != 0) & ((c == 0) | ((a < 0) != (c < 0)))
+
+
 def _pairs(b: DiscreteBraid) -> tuple[np.ndarray, ...]:
     """Strand pairs k < l in (k, l) order, lattice[k] - lattice[l] per pair,
-    and whether the pair crosses in each slot interval (i, i+1).  A crossing
-    sitting exactly on anchor i+1 belongs to that interval."""
+    and whether the pair crosses in each slot interval (i, i+1)."""
     k, l = np.triu_indices(b.strands, 1)
     diff = b.lattice[k] - b.lattice[l]
-    a, c = diff[:, :-1], diff[:, 1:]
-    return k, l, diff, (a != 0) & ((c == 0) | ((a < 0) != (c < 0)))
+    return k, l, diff, crosses(diff[:, :-1], diff[:, 1:])
 
 
 def _check_transversality(b: DiscreteBraid) -> None:

@@ -36,10 +36,6 @@ class StiffnessError(RuntimeError):
 class BoundaryContactError(RuntimeError):
     """A parabolic trajectory reached the disc boundary."""
 
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
 
 class MonotonicityViolationError(RuntimeError):
     """Crossing number increased along a parabolic flow step; implementation bug."""

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .complex import component_contains, enumerate_component
-from .discrete import DiscreteBraid, DiscreteRelativeBraid, snap, total_crossing_number
+from .discrete import DiscreteBraid, DiscreteRelativeBraid, crosses, snap, total_crossing_number
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
                      MonotonicityViolationError, TransversalityError)
 
 MONOTONE_MARGIN = 1e-6
 STATIONARY_RESIDUAL = 1e-8
 DISTINCT_TOL = 1e-4
+SEEDS = 60  # top cells sampled as starts of a stationary search
 
 
 @dataclass
@@ -48,10 +49,10 @@ class RecurrenceRelation:
         self._left, self._right = self._slots - 1, (self._slots + 1) % self.period  # -1: d-1
         self.certify_monotone()
 
-    def certify_monotone(self, samples: int = 9) -> None:
+    def certify_monotone(self) -> None:
         """Finite-difference check of dR/d(left) > 0 and dR/d(right) > 0."""
         h = 1e-4
-        grid = np.linspace(-0.9, 0.9, samples)[::3]
+        grid = np.linspace(-0.9, 0.9, 9)[::3]
         a, c, b = (np.repeat(v.reshape(-1, 1), self.period, axis=1)
                    for v in np.meshgrid(grid, grid, grid, indexing="ij"))
         d1 = (self.field(a + h, c, b) - self.field(a - h, c, b)) / (2 * h)
@@ -153,40 +154,35 @@ class FlowState:
     trace: list[tuple[float, int]] = field(default_factory=list)
     converged: bool = False
     steps_accepted: int = 0
-    steps_retried: int = 0
 
     def crossings_non_increasing(self) -> bool:
         values = [c for _, c in self.trace]
         return all(b <= a for a, b in zip(values, values[1:]))
 
 
-def _free_crossings(u: Sequence[float], paths: list[list[float]]) -> int:
-    """Crossings of the float free strand with the float skeleton paths."""
-    d, total = len(u), 0
-    for path in paths:
-        for i in range(d):
-            a, b = u[i] - path[i], u[(i + 1) % d] - path[i + 1]
-            if a != 0 and (b == 0 or (a < 0) != (b < 0)):
-                total += 1
-    return total
+def _free_crossings(u: np.ndarray, paths: np.ndarray) -> int:
+    """Crossings of the float free strand u (slots 0..d-1) with the float
+    skeleton paths (strands by slots 0..d)."""
+    after = np.concatenate((u[1:], u[:1]))  # u at slots 1..d; np.roll is slower
+    return int(crosses(u - paths[:, :-1], after - paths[:, 1:]).sum())
 
 
-def evolve(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation, horizon: float = 50.0,
-           initial_step: float = 0.02, min_step: float = 1e-9, record_every: int = 1) -> FlowState:
+def evolve(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation,
+           horizon: float = 50.0) -> FlowState:
     """Integrate the parabolic flow from the free strand of `rel`.
 
     Steps that would increase the crossing number are halved; a persistent
     increase raises MonotonicityViolationError.  Leaving (-1, 1) raises
-    BoundaryContactError carrying the state reached.
+    BoundaryContactError.  Every accepted step is recorded in the trace.
     """
     if rel.free.strands != 1:
         raise BraidInputError("the simulator drives one free strand")
     # skeleton values at slots 0..d, unrolled through the closure; each equals
     # float() of its anchor while the denominator is below 2^53
-    paths = (rel.skeleton.lattice / rel.skeleton.denominator).tolist()
+    paths = rel.skeleton.lattice / rel.skeleton.denominator
     internal = total_crossing_number(rel.skeleton)
     u = np.array([float(v) for v in rel.free.anchors[0]])
-    s, h = 0.0, initial_step
+    s, h = 0.0, 0.02
     cross = internal + _free_crossings(u, paths)
     state = FlowState(u, s, [(0.0, cross)])
     while s < horizon:
@@ -198,24 +194,19 @@ def evolve(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation, horizon: 
         while True:
             candidate = u + step * r
             if np.max(np.abs(candidate)) >= 1.0:
-                raise BoundaryContactError(f"trajectory reached the disc boundary at s={s:.4g}",
-                                           state)
+                raise BoundaryContactError(f"trajectory reached the disc boundary at s={s:.4g}")
             new_cross = internal + _free_crossings(candidate, paths)
             if new_cross <= cross:
                 break
-            state.steps_retried += 1
             step /= 2
-            if step < min_step:
+            if step < 1e-9:
                 raise MonotonicityViolationError("crossing number increases at every step size; "
                                                  "the monotonicity property is violated")
         u, s, cross = candidate, s + step, new_cross
         state.steps_accepted += 1
-        if state.steps_accepted % record_every == 0:
-            state.trace.append((s, cross))
+        state.trace.append((s, cross))
         h = min(step * 1.3, 0.05)
     state.u, state.s = u, s
-    if state.trace[-1][0] != s:
-        state.trace.append((s, cross))
     if not state.crossings_non_increasing():
         raise MonotonicityViolationError("recorded trace increased")
     return state
@@ -254,7 +245,7 @@ def _newton_polish(recurrence: RecurrenceRelation, u0: np.ndarray, iterations: i
 
 
 def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation | None = None,
-                    seeds: int = 60, rng=None, expected: int | None = None):
+                    rng=None, expected: int | None = None):
     """Stationary free strands in the braid class of `rel`, and warnings.
 
     Multistart flow descent followed by one batched Newton polish; solutions
@@ -267,7 +258,7 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
     geo = comp.geometry
     gaps = geo.digits(comp.top_cells)
     cubes = gaps[np.lexsort(gaps.T[::-1])].tolist()  # lexicographic, slot 0 first
-    chosen = cubes if len(cubes) <= seeds else (rng or random.Random(0)).sample(cubes, seeds)
+    chosen = cubes if len(cubes) <= SEEDS else (rng or random.Random(0)).sample(cubes, SEEDS)
     picks = [rel.free.anchors[0], *map(geo.representative, chosen)]
     starts = np.array([[float(v) for v in start] for start in picks])
     smoothed = starts.copy()

@@ -63,35 +63,17 @@ class GradedBetti:
         return bool(self.betti)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Formal sum of integer coefficients; degrees may be negative."""
-
-    coeffs: tuple[tuple[int, int], ...]  # sorted (degree, coefficient)
-
-    @staticmethod
-    def from_dict(d: dict[int, int]) -> "IntPolynomial":
-        return IntPolynomial(tuple(sorted((k, v) for k, v in d.items() if v)))
-
-    def __call__(self, t: float):
-        return sum(c * t**k for k, c in self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in self.coeffs:
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts)
-
-
-def poincare_polynomial(b: GradedBetti) -> IntPolynomial:
-    """Formal sum of betti_k t^k."""
-    return IntPolynomial.from_dict(b.as_dict())
+def poincare_polynomial(b: GradedBetti) -> str:
+    """The formal sum of betti_k t^k as text, lowest degree first: "0",
+    "t^-1 + 1", "2*t"."""
+    parts = []
+    for k, c in b.betti:
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mono = "t" if k == 1 else f"t^{k}"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(parts) or "0"
 
 
 def boundary_matrix(rows, cols, n: int) -> sp.csr_matrix:

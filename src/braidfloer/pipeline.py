@@ -186,7 +186,7 @@ class FloerResult:
 
     @property
     def poincare(self) -> str:
-        return str(poincare_polynomial(self.betti))
+        return poincare_polynomial(self.betti)
 
     def payload(self) -> dict:
         return {

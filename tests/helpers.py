@@ -26,7 +26,6 @@ from braidfloer.discrete import (
     total_crossing_number,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
-from braidfloer.flow import _free_crossings
 from braidfloer.garside import (
     GarsideNormalForm,
     PermutationBraid,
@@ -142,6 +141,18 @@ def random_word(rng, strands: int, length: int) -> BraidWord:
     )
 
 
+def reference_slots(sk, d: int) -> list[tuple[tuple[Fraction, ...], tuple[int, ...]]]:
+    """Per slot, the fixed values as sorted Fractions with the markers -+1 at
+    the ends, and the skeleton strand or barrier owning each, built from the
+    anchors one slot at a time."""
+    out = []
+    for i in range(d):
+        ranked = sorted((sk.anchors[l][i], l) for l in range(sk.strands))
+        out.append(((Fraction(-1), *(v for v, _ in ranked), Fraction(1)),
+                    (BARRIER_LOW, *(l for _, l in ranked), BARRIER_HIGH)))
+    return out
+
+
 def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
     """Top cells (gap tuples) and crossing number of a braid-class component.
 
@@ -153,19 +164,24 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
     """
     d = geo.period
     sk = geo.rb.skeleton
+    slots = reference_slots(sk, d)
+
+    def mid(i, g):
+        values = slots[i % d][0]
+        return (values[g] + values[g + 1]) / 2
 
     def crossing_number(cube):
-        free = DiscreteBraid(1, d, (tuple(geo.representative(cube)),), StrandPermutation((0,)))
+        free = DiscreteBraid(1, d, (tuple(mid(i, g) for i, g in enumerate(cube)),),
+                             StrandPermutation((0,)))
         return total_crossing_number(DiscreteRelativeBraid(free, sk).combined())
 
     def below_owner(cube, i, f, j):
         """Whether the free strand of `cube` lies below pin f's owner at slot i+j."""
-        owner = geo.slots[i].owners[f]
-        return geo.slots[(i + j) % d].mids[cube[(i + j) % d]] < unrolled_value(sk, owner, i + j)
+        owner = slots[i][1][f]
+        return mid(i + j, cube[(i + j) % d]) < unrolled_value(sk, owner, i + j)
 
     start = []
-    for i, u in enumerate(geo.rb.free.anchors[0]):
-        values = geo.slots[i].values
+    for (values, _), u in zip(slots, geo.rb.free.anchors[0]):
         start.append(next(g for g in range(len(values) - 1) if values[g] < u < values[g + 1]))
     start = tuple(start)
     cross = crossing_number(start)
@@ -176,7 +192,7 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
         for i in range(d):
             g = cube[i]
             for f, other in ((g, g - 1), (g + 1, g + 1)):
-                if not 0 <= other < geo.ngaps[i]:
+                if not 0 <= other < len(slots[i][0]) - 1:
                     continue
                 if below_owner(cube, i, f, -1) == below_owner(cube, i, f, 1):
                     continue  # tangency: the face walls the class off
@@ -432,11 +448,24 @@ def chain_counts(pair: IndexPair) -> dict[int, int]:
     return dict(zip(ks.tolist(), counts.tolist()))
 
 
+def reference_free_crossings(u, paths) -> int:
+    """Crossings of the float free strand u (slots 0..d-1) with float skeleton
+    paths (slots 0..d), one strand and slot interval at a time: the reference
+    for `flow._free_crossings`."""
+    d, total = len(u), 0
+    for path in paths:
+        for i in range(d):
+            a, b = u[i] - path[i], u[(i + 1) % d] - path[i + 1]
+            if a != 0 and (b == 0 or (a < 0) != (b < 0)):
+                total += 1
+    return total
+
+
 def crossing_count_float(u, skeleton: DiscreteBraid) -> int:
     """Crossings of the float free strand with the skeleton plus the
     skeleton's internal crossings."""
     paths = (skeleton.lattice / skeleton.denominator).tolist()  # as in flow.evolve
-    return total_crossing_number(skeleton) + _free_crossings(u, paths)
+    return total_crossing_number(skeleton) + reference_free_crossings(u, paths)
 
 
 def cycles(p: StrandPermutation) -> list[tuple[int, ...]]:
@@ -606,27 +635,30 @@ def reference_sample(components, d: int):
 
 def reference_geometry_tables(geo):
     """`prev_pos`, `next_pos` and `cross` of a ComplexGeometry, each fixed
-    value looked up among its slot's Fraction values one at a time."""
+    value looked up among its slot's Fraction values (`reference_slots`) one
+    at a time."""
     d = geo.period
     sk = geo.rb.skeleton
+    slots = reference_slots(sk, d)
 
     def position(i: int, owner: int) -> int:
+        values = slots[i % d][0]
         if owner == BARRIER_LOW:
             return 0
         if owner == BARRIER_HIGH:
-            return geo.ngaps[i % d]
-        return geo.slots[i % d].values.index(unrolled_value(sk, owner, i))
+            return len(values) - 1
+        return values.index(unrolled_value(sk, owner, i))
 
-    prev_pos = [[position(i - 1, o) for o in t.owners] for i, t in enumerate(geo.slots)]
-    next_pos = [[position(i + 1, o) for o in t.owners] for i, t in enumerate(geo.slots)]
+    prev_pos = [[position(i - 1, o) for o in owners] for i, (_, owners) in enumerate(slots)]
+    next_pos = [[position(i + 1, o) for o in owners] for i, (_, owners) in enumerate(slots)]
     cross = []
-    for i, t in enumerate(geo.slots):
+    for i, (values, _) in enumerate(slots):
         here = [position(i, l) for l in range(sk.strands)]
         there = [position(i + 1, l) for l in range(sk.strands)]
         cross.append([
             [sum((g < p) != (h < q) for p, q in zip(here, there))
-             for h in range(geo.ngaps[(i + 1) % d])]
-            for g in range(t.ngaps)
+             for h in range(len(slots[(i + 1) % d][0]) - 1)]
+            for g in range(len(values) - 1)
         ])
     return prev_pos, next_pos, cross
 

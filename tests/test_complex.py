@@ -35,6 +35,7 @@ from helpers import (
     reference_component,
     reference_geometry_tables,
     reference_index_pair,
+    reference_slots,
     to_chain_json,
 )
 
@@ -162,10 +163,10 @@ def test_relative_homology_matches_dense_rank(inner, outer, ell):
     for c in relative:
         rest, dims[c], faces[c] = c, 0, []
         for i in range(geo.period):
-            rest, s = divmod(rest, geo.nstates[i])
-            if s < geo.ngaps[i]:
+            rest, s = divmod(rest, geo.nstates)
+            if s < geo.ngaps:
                 dims[c] += 1
-                for pin in (geo.ngaps[i] + s, geo.ngaps[i] + s + 1):
+                for pin in (geo.ngaps + s, geo.ngaps + s + 1):
                     face = c + (pin - s) * geo.strides[i]
                     if face not in exit_cells:
                         faces[c].append(face)
@@ -270,9 +271,10 @@ def test_improper_witness_is_a_top_cell_over_the_pin(build):
     geo, witness = comp.geometry, comp.collapse_witness
     top = int(np.dot(witness["from_top_cell"], geo.strides))
     assert top in comp.top_cells
+    slots = reference_slots(geo.rb.skeleton, geo.period)
     pinned = sum(
-        (n + [str(v) for v in t.values].index(value)) * stride
-        for t, n, stride, value in zip(geo.slots, geo.ngaps, geo.strides, witness["pinned_values"])
+        (geo.ngaps + [str(v) for v in values].index(value)) * stride
+        for (values, _), stride, value in zip(slots, geo.strides, witness["pinned_values"])
     )
     cells, in_exit = geo.closure(np.array([top]), ())
     assert pinned in cells and not in_exit.any()
@@ -286,9 +288,15 @@ def test_geometry_tables_match_reference(build):
     assert [row.tolist() for row in geo.prev_pos] == prev_pos
     assert [row.tolist() for row in geo.next_pos] == next_pos
     assert [table.tolist() for table in geo.cross] == cross
-    for t in geo.slots:
-        assert list(t.values) == sorted(t.values)
-        assert all(t.values[g] < t.mids[g] < t.values[g + 1] for g in range(t.ngaps))
+    slots = reference_slots(geo.rb.skeleton, geo.period)
+    assert geo.values.tolist() == [[v * geo.den for v in values] for values, _ in slots]
+    assert geo.owners.tolist() == [list(owners) for _, owners in slots]
+    assert (geo.ngaps, geo.nstates) == (len(slots[0][0]) - 1, 2 * len(slots[0][0]) - 1)
+    mids = [[(v[g] + v[g + 1]) / 2 for g in range(geo.ngaps)] for v, _ in slots]
+    for (values, _), row in zip(slots, mids):
+        assert all(values[g] < row[g] < values[g + 1] for g in range(geo.ngaps))
+    for g in range(geo.ngaps):
+        assert geo.representative([g] * geo.period) == [row[g] for row in mids]
 
 
 def test_coincident_fixed_values_refused():
@@ -368,7 +376,7 @@ def test_validate_refuses_an_exit_set_missing_a_face():
     pair.validate()
     exit_cells = pair.exit
     cell = exit_cells[geo.gap_mask(exit_cells, 0)][0]
-    face = cell + geo.ngaps[0] * geo.strides[0]  # its low pin at slot 0
+    face = cell + geo.ngaps * geo.strides[0]  # its low pin at slot 0
     in_exit = pair.in_exit.copy()
     in_exit[np.searchsorted(pair.cells, face)] = False
     with pytest.raises(AssertionError, match="exit set not closed under faces"):

@@ -16,7 +16,7 @@ from braidfloer.flow import (
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation
 
-from helpers import anchor_neighbours, crossing_count_float
+from helpers import anchor_neighbours, crossing_count_float, reference_free_crossings
 
 
 def braids1_class():
@@ -121,6 +121,36 @@ def test_strict_decrease_only_at_contacts():
             if cross < prev_cross:
                 assert pat != prev_pat
             prev_cross, prev_pat = cross, pat
+
+
+def test_free_crossings_match_scalar_reference():
+    rng = np.random.default_rng(11)
+    grid = np.linspace(-0.75, 0.75, 7)
+    zeros = {"start": 0, "end": 0}
+    for trial in range(400):
+        d, m = int(rng.integers(2, 6)), int(rng.integers(0, 5))
+        u, paths = rng.uniform(-1, 1, d), rng.uniform(-1, 1, (m, d + 1))
+        if trial % 2:  # values from a coarse grid make exact zero differences common
+            u, paths = rng.choice(grid, d), rng.choice(grid, (m, d + 1))
+        zeros["start"] += int((u - paths[:, :-1] == 0).sum())
+        zeros["end"] += int((np.roll(u, -1) - paths[:, 1:] == 0).sum())
+        assert flow._free_crossings(u, paths) == reference_free_crossings(u, paths.tolist())
+    assert min(zeros.values()) > 0, zeros
+
+
+def test_finite_difference_jacobian_matches_exact():
+    # the fitted relation without its declared slope takes the central
+    # differences branch of RecurrenceRelation.jacobian
+    rb = braids1_class()
+    exact = fitted_recurrence(rb.skeleton)
+    numeric = RecurrenceRelation(rb.period, exact.field)
+    u = np.random.default_rng(5).uniform(-0.95, 0.95, (40, rb.period))
+    assert np.max(np.abs(numeric.jacobian(u) - exact.jacobian(u))) < 1e-6
+    want, _ = find_stationary(rb, exact, rng=random.Random(1))
+    got, _ = find_stationary(rb, numeric, rng=random.Random(1))
+    assert len(want) == len(got) == 7
+    for (a, _), (b, _) in zip(want, got):
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_boundary_contact_reported():
