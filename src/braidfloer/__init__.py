@@ -14,7 +14,6 @@ from .discrete import (
     DiscreteRelativeBraid,
     discrete_to_word,
     total_crossing_number,
-    word_to_discrete,
 )
 from .flow import FlowState, RecurrenceRelation, evolve, find_stationary, fitted_recurrence
 from .garside import GarsideNormalForm, PermutationBraid, TwistPadding, left_normal_form, twist_padding
@@ -82,5 +81,4 @@ __all__ = [
     "twist_padding",
     "word",
     "word_spec",
-    "word_to_discrete",
 ]

@@ -155,6 +155,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _radius(value) -> Fraction:
+    r = Fraction(str(value))
+    if not 0 < r < 1:
+        raise ValueError
+    return r
+
+
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
 
@@ -174,8 +181,9 @@ def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
         ell = _field(c, "ell", "cyclic block", expected="an integer", convert=_integer)
         kwargs = {}
         if "radii" in c:
-            kwargs["radii"] = _field(c, "radii", "cyclic block", expected="a list of fractions",
-                                     convert=lambda rs: tuple(Fraction(str(r)) for r in rs))
+            kwargs["radii"] = _field(c, "radii", "cyclic block",
+                                     expected="a list of fractions strictly between 0 and 1",
+                                     convert=lambda rs: tuple(_radius(r) for r in rs))
         if "phases" in c:
             kwargs["phases"] = _field(c, "phases", "cyclic block",
                                       expected="a list of finite numbers",

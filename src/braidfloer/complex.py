@@ -76,7 +76,7 @@ class ComplexGeometry:
         self.rb = rb
         self.period = d = rb.period
         sk = rb.skeleton
-        m, den = sk.strands, sk.denominator
+        m, den = sk.strands, sk.den
         lat = sk.lattice[:, :d]
         order = np.argsort(lat, axis=0)  # skeleton strands bottom-up, per slot
         ranked = np.take_along_axis(lat, order, axis=0)
@@ -135,12 +135,14 @@ class ComplexGeometry:
         return (gaps[:, i - 1] < self.prev_pos[i][pin],
                 gaps[:, (i + 1) % self.period] < self.next_pos[i][pin])
 
-    def gaps_of(self, values) -> list[int | None]:
-        """Per slot, the gap holding the value strictly inside it; None on a fixed value."""
+    def gaps_of(self, nums: np.ndarray, den: int) -> list[int | None]:
+        """Per slot, the gap holding the value nums[i] / den strictly inside it;
+        None on a fixed value."""
         out = []
-        for row, u in zip(self.values.tolist(), values):
-            k = bisect_left(row, u * self.den)
-            out.append(k - 1 if 0 < k < len(row) and row[k] != u * self.den else None)
+        for row, num in zip(self.values.tolist(), nums.tolist()):
+            u = num * self.den  # over den * self.den, as is each v * den of the row
+            k = bisect_left(row, u, key=lambda v: v * den)
+            out.append(k - 1 if 0 < k < len(row) and row[k] * den != u else None)
         return out
 
     def representative(self, cube: list[int]) -> list[Fraction]:
@@ -274,7 +276,7 @@ class IndexPair:
 
 
 def _initial_code(geo: ComplexGeometry) -> int:
-    gaps = geo.gaps_of(geo.rb.free.anchors[0])
+    gaps = geo.gaps_of(geo.rb.free.nums[0], geo.rb.free.den)
     if None in gaps:
         raise BraidInputError(
             f"free anchor at slot {gaps.index(None)} coincides with a fixed value; "
@@ -372,9 +374,9 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
     return pair
 
 
-def component_contains(comp: BraidClassComponent, free_values) -> bool:
-    """Whether a free-strand value vector lies in one of the component's cubes."""
-    gaps = comp.geometry.gaps_of(free_values)
+def component_contains(comp: BraidClassComponent, nums: np.ndarray, den: int) -> bool:
+    """Whether the free-strand values nums / den lie in one of the component's cubes."""
+    gaps = comp.geometry.gaps_of(nums, den)
     if None in gaps:
         return False
     code = np.dot(gaps, comp.geometry.strides)

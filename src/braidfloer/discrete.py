@@ -1,17 +1,17 @@
 """Piecewise-linear (anchor-point) closed braids.
 
-A discretized braid stores one rational anchor value per strand and slot;
-strands are linear in between and close up through a strand permutation.
+A discretized braid stores its anchors as one int64 array of numerators over
+one denominator: nums[k, i] / den is the value of strand k at slot i.
+Strands are linear in between and close up through a strand permutation.
 All crossings of such a diagram count as positive (Legendrian convention);
 signed counting lives in word exponent sums.  Anchor arithmetic is exact:
-float input is snapped to a dyadic grid.
+float input is snapped to the 1/SNAP grid, word heights lie over n+1.
 
-The exact tests run on one integer view, `DiscreteBraid.lattice`: the anchors
-at slots 0..d, unrolled through the closure, as int64 numerators over their
-common denominator.  One positive scale keeps every comparison and sign, so
-transversality, crossings and strand order are whole-array operations.
-Snapped anchors have denominators dividing 2^20, word heights n+1; a common
-denominator from 2^62 up (differences would overflow) is refused.
+The exact tests run on `DiscreteBraid.lattice`: the numerators at slots
+0..d, unrolled through the closure.  One positive scale keeps every
+comparison and sign, so transversality, crossings and strand order are
+whole-array operations.  A denominator from 2^62 up (differences would
+overflow) is refused.
 """
 
 from __future__ import annotations
@@ -26,61 +26,53 @@ import numpy as np
 from .errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from .words import BraidWord, StrandPermutation, word
 
-SNAP_GRID = Fraction(1, 2**20)
+SNAP = 2**20  # float anchors land on the 1/SNAP grid
 MAX_DENOMINATOR = 2**62  # differences of numerators up to 2 * denominator fit int64
 
 
-def snap(v) -> Fraction:
-    """Exact rationals pass through; floats land on the 2^-20 grid."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    return Fraction(round(v / SNAP_GRID)) * SNAP_GRID
+def _fitting(den: int) -> int:
+    if not 0 < den < MAX_DENOMINATOR:
+        raise BraidInputError(f"anchor denominator {den} does not fit the int64 anchor view")
+    return den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteBraid:
-    """Closed PL braid: anchors[k][i] for strand k, slot i in 0..d-1.
+    """Closed PL braid: nums[k, i] / den for strand k, slot i in 0..d-1.
 
-    Slot d is identified with slot 0 through the closure permutation: strand
-    k at slot d is strand closure(k) at slot 0.
+    `nums` is an int64 (strands, period) array.  Slot d is identified with
+    slot 0 through the closure permutation: strand k at slot d is strand
+    closure(k) at slot 0.
     """
 
-    strands: int
-    period: int
-    anchors: tuple[tuple[Fraction, ...], ...]
+    nums: np.ndarray
+    den: int
     closure: StrandPermutation
 
     def __post_init__(self):
         if self.period < 1:
             raise BraidInputError("period must be >= 1")
-        if len(self.anchors) != self.strands or any(len(row) != self.period for row in self.anchors):
-            raise BraidInputError("anchor array shape does not match strands x period")
         if self.closure.n != self.strands:
             raise BraidInputError("closure permutation size mismatch")
-        for row in self.anchors:
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise BraidInputError("anchors must be snapped to exact rationals")
-                if abs(v.numerator) > v.denominator:
-                    raise BraidInputError(f"anchor {v} outside [-1, 1]")
+        _fitting(self.den)
+        outside = np.abs(self.nums) > self.den
+        if outside.any():
+            num = int(self.nums[outside][0])
+            raise BraidInputError(f"anchor {Fraction(num, self.den)} outside [-1, 1]")
         _check_transversality(self)
 
-    @cached_property
-    def denominator(self) -> int:
-        return math.lcm(*{v.denominator for row in self.anchors for v in row})
+    @property
+    def strands(self) -> int:
+        return self.nums.shape[0]
+
+    @property
+    def period(self) -> int:
+        return self.nums.shape[1]
 
     @cached_property
     def lattice(self) -> np.ndarray:
-        """int64 (strands, d+1): anchors at slots 0..d over `denominator`;
-        column d is column 0 through the closure."""
-        den = self.denominator
-        if den >= MAX_DENOMINATOR:
-            raise BraidInputError(f"anchor denominator {den} does not fit the int64 anchor view")
-        nums = [[v.numerator * (den // v.denominator) for v in row] for row in self.anchors]
-        nums = np.array(nums, dtype=np.int64).reshape(self.strands, self.period)
-        return np.concatenate((nums, nums[list(self.closure.image), :1]), axis=1)
+        """int64 (strands, d+1): `nums` plus column d, column 0 through the closure."""
+        return np.concatenate((self.nums, self.nums[list(self.closure.image), :1]), axis=1)
 
 
 def crosses(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -130,42 +122,17 @@ class DiscreteRelativeBraid:
         return self.free.period
 
     def combined(self) -> DiscreteBraid:
-        """All strands in one braid, free strands first."""
-        n, m = self.free.strands, self.skeleton.strands
-        image = tuple(self.free.closure(k) for k in range(n)) + tuple(
-            n + self.skeleton.closure(k) for k in range(m)
-        )
-        return DiscreteBraid(
-            n + m,
-            self.period,
-            self.free.anchors + self.skeleton.anchors,
-            StrandPermutation(image),
-        )
+        """All strands in one braid, free strands first, over the lcm of both denominators."""
+        free, sk = self.free, self.skeleton
+        den = _fitting(math.lcm(free.den, sk.den))
+        image = free.closure.image + tuple(free.strands + v for v in sk.closure.image)
+        nums = np.concatenate((free.nums * (den // free.den), sk.nums * (den // sk.den)))
+        return DiscreteBraid(nums, den, StrandPermutation(image))
 
 
 def total_crossing_number(b: DiscreteBraid) -> int:
     """Unsigned crossing count of the PL diagram; all crossings positive."""
     return int(_pairs(b)[3].sum())
-
-
-def _heights(n: int) -> list[Fraction]:
-    return [Fraction(-1) + Fraction(2 * j, n + 1) for j in range(1, n + 1)]
-
-
-def word_to_discrete(w: BraidWord, period: int | None = None) -> DiscreteBraid:
-    """Legendrian representative of a positive word, one letter per slot interval.
-
-    Slot boundaries put strands at n evenly spaced heights in (-1, 1); the
-    t-th letter swaps the two height levels it involves between slots t-1 and
-    t; slots past the word copy values forward.
-    """
-    if not w.is_positive():
-        raise BraidInputError("word_to_discrete needs a positive word")
-    n = w.strands
-    d = max(len(w), 2) if period is None else period
-    if d < max(len(w), 2):
-        raise BraidInputError("period too small for the word")
-    return _layers_to_discrete(n, [[i] for i, _ in w.letters], d)
 
 
 def word_to_discrete_packed(w: BraidWord) -> DiscreteBraid:
@@ -190,9 +157,11 @@ def word_to_discrete_packed(w: BraidWord) -> DiscreteBraid:
 
 
 def _layers_to_discrete(n: int, layers: list[list[int]], d: int) -> DiscreteBraid:
-    heights = _heights(n)
+    """Layer t swaps, between slots t-1 and t, the height levels its letters
+    involve; slots past the layers copy values forward.  Level j sits at
+    (2j + 1 - n) / (n + 1), n evenly spaced heights in (-1, 1)."""
     level_of = list(range(n))  # strand k -> current height level
-    anchors = [[heights[k]] for k in range(n)]
+    levels = [level_of[:]]  # per slot
     for t in range(1, d + 1):
         swaps = layers[t - 1] if t - 1 < len(layers) else []
         occupant = [0] * n
@@ -203,10 +172,9 @@ def _layers_to_discrete(n: int, layers: list[list[int]], d: int) -> DiscreteBrai
             level_of[a], level_of[b] = level_of[b], level_of[a]
             occupant[i - 1], occupant[i] = b, a
         if t < d:
-            for k in range(n):
-                anchors[k].append(heights[level_of[k]])
-    closure = StrandPermutation(tuple(level_of))
-    return DiscreteBraid(n, d, tuple(tuple(row) for row in anchors), closure)
+            levels.append(level_of[:])
+    nums = 2 * np.array(levels, dtype=np.int64).reshape(d, n).T + 1 - n
+    return DiscreteBraid(nums, n + 1, StrandPermutation(tuple(level_of)))
 
 
 def discrete_to_word(b: DiscreteBraid) -> BraidWord:
@@ -252,11 +220,8 @@ def insert_duplicate_slot(b: DiscreteBraid, at: int | None = None) -> DiscreteBr
     candidates = range(b.period - 1, -1, -1) if at is None else [at]
     err = None
     for a in candidates:
-        anchors = tuple(
-            tuple(row[: a + 1]) + (row[a],) + tuple(row[a + 1:]) for row in b.anchors
-        )
         try:
-            return DiscreteBraid(b.strands, b.period + 1, anchors, b.closure)
+            return DiscreteBraid(np.insert(b.nums, a + 1, b.nums[:, a], axis=1), b.den, b.closure)
         except TransversalityError as exc:
             err = exc
     raise err

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .complex import component_contains, enumerate_component
-from .discrete import DiscreteBraid, DiscreteRelativeBraid, crosses, snap, total_crossing_number
+from .discrete import SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, total_crossing_number
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
                      MonotonicityViolationError, TransversalityError)
 
@@ -128,7 +128,7 @@ def fitted_recurrence(skeleton: DiscreteBraid) -> RecurrenceRelation:
     """Discrete Laplacian plus per-slot nonlinearity with the skeleton anchors
     as exact equilibria and the markers +-1 pinned."""
     d = skeleton.period
-    paths = skeleton.lattice / skeleton.denominator  # as in evolve
+    paths = skeleton.lattice / skeleton.den  # as in evolve
     before = np.roll(paths[:, :d], 1, axis=1)  # slots -1..d-1
     before[list(skeleton.closure.image), 0] = paths[:, d - 1]
     curvature = -(before - 2 * paths[:, :d] + paths[:, 1:])
@@ -177,11 +177,11 @@ def evolve(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation,
     """
     if rel.free.strands != 1:
         raise BraidInputError("the simulator drives one free strand")
-    # skeleton values at slots 0..d, unrolled through the closure; each equals
-    # float() of its anchor while the denominator is below 2^53
-    paths = rel.skeleton.lattice / rel.skeleton.denominator
+    # skeleton values at slots 0..d, unrolled through the closure, and the free
+    # strand's; each is the anchor rounded once while the denominator is below 2^53
+    paths = rel.skeleton.lattice / rel.skeleton.den
     internal = total_crossing_number(rel.skeleton)
-    u = np.array([float(v) for v in rel.free.anchors[0]])
+    u = rel.free.nums[0] / rel.free.den
     s, h = 0.0, 0.02
     cross = internal + _free_crossings(u, paths)
     state = FlowState(u, s, [(0.0, cross)])
@@ -259,15 +259,14 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
     gaps = geo.digits(comp.top_cells)
     cubes = gaps[np.lexsort(gaps.T[::-1])].tolist()  # lexicographic, slot 0 first
     chosen = cubes if len(cubes) <= SEEDS else (rng or random.Random(0)).sample(cubes, SEEDS)
-    picks = [rel.free.anchors[0], *map(geo.representative, chosen)]
-    starts = np.array([[float(v) for v in start] for start in picks])
+    starts = np.array([rel.free.nums[0] / rel.free.den,
+                       *([float(v) for v in geo.representative(cube)] for cube in chosen)])
     smoothed = starts.copy()
     for n, u0 in enumerate(starts):
         # a short descent smooths the seed; most trajectories exit the class (it is
         # isolated, not attracting), so Newton does the real work, from both seeds
         try:
-            free = DiscreteBraid(1, rel.period, (tuple(snap(float(x)) for x in u0),),
-                                 rel.free.closure)
+            free = DiscreteBraid(np.rint(u0 * SNAP).astype(np.int64)[None], SNAP, rel.free.closure)
             state = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4)
             smoothed[n] = state.u
         except (TransversalityError, BraidInputError, BoundaryContactError):
@@ -278,7 +277,7 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
     warnings: list[str] = []
     for n in np.flatnonzero(ok.any(axis=0)):
         u_star = polished[0 if ok[0, n] else 1, n]
-        if component_contains(comp, [snap(float(v)) for v in u_star]) and all(
+        if component_contains(comp, np.rint(u_star * SNAP).astype(np.int64), SNAP) and all(
                 np.max(np.abs(u_star - s)) > DISTINCT_TOL for s in solutions):
             solutions.append(u_star)
     if expected is not None and len(solutions) < expected:

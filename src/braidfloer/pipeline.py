@@ -24,7 +24,7 @@ import numpy as np
 
 from .complex import enumerate_component, index_pair
 from .discrete import (
-    SNAP_GRID,
+    SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
     discrete_to_word,
@@ -95,31 +95,6 @@ class RelativeBraidSpec:
         if self.presentation == "cyclic":
             return self.cyclic_free.strands
         return len(self.free_marks)
-
-    def twisted(self, k: int) -> "RelativeBraidSpec":
-        """The spec composed with Delta^{2k}."""
-        if self.presentation == "cyclic":
-            return RelativeBraidSpec(
-                "cyclic",
-                f"{self.label}*twist{k}",
-                CyclicComponent(
-                    self.cyclic_free.strands,
-                    self.cyclic_free.rotation + k,
-                    self.cyclic_free.radius,
-                    self.cyclic_free.phase,
-                ),
-                tuple(
-                    CyclicComponent(c.strands, c.rotation + k, c.radius, c.phase)
-                    for c in self.cyclic_skeleton
-                ),
-            )
-        n = self.word.strands
-        return RelativeBraidSpec(
-            "word",
-            f"{self.label}*twist{k}",
-            word=compose(self.word, full_twist(n, k)),
-            free_marks=self.free_marks,
-        )
 
 
 def cyclic_spec(
@@ -208,21 +183,16 @@ class FloerResult:
 
 
 def _sample_components(components, d: int) -> DiscreteBraid:
-    anchors = []
-    closure = []
-    base = 0
+    rows, closure, base = [], [], 0
     for comp in components:
         strand = np.arange(comp.strands)[:, None]
         angle = 2 * math.pi * (float(comp.rotation) * (np.arange(d) / d - strand) + comp.phase)
         # math.cos, so that no SIMD cosine of numpy's can move a grid point
         cos = np.fromiter(map(math.cos, angle.ravel().tolist()), float, angle.size)
-        nums = np.rint(float(comp.radius) * cos / float(SNAP_GRID)).astype(np.int64)
-        anchors.extend(tuple(Fraction(v, SNAP_GRID.denominator) for v in row)
-                       for row in nums.reshape(angle.shape).tolist())
+        rows.append(np.rint(float(comp.radius) * cos * SNAP).astype(np.int64).reshape(angle.shape))
         closure.extend(base + (j - 1) % comp.strands for j in range(comp.strands))
         base += comp.strands
-    total = sum(c.strands for c in components)
-    return DiscreteBraid(total, d, tuple(anchors), StrandPermutation(tuple(closure)))
+    return DiscreteBraid(np.concatenate(rows), SNAP, StrandPermutation(tuple(closure)))
 
 
 def _expected_crossings(components) -> int:
@@ -298,13 +268,10 @@ def _split_first_free(combined: DiscreteBraid, n_free: int) -> DiscreteRelativeB
     free_image = combined.closure.image[:n_free]
     if set(free_image) != set(range(n_free)):
         raise BraidInputError("free strands are not closed under the braid closure")
-    free = DiscreteBraid(
-        n_free, combined.period, combined.anchors[:n_free], StrandPermutation(free_image)
-    )
+    free = DiscreteBraid(combined.nums[:n_free], combined.den, StrandPermutation(free_image))
     skel = DiscreteBraid(
-        combined.strands - n_free,
-        combined.period,
-        combined.anchors[n_free:],
+        combined.nums[n_free:],
+        combined.den,
         StrandPermutation(tuple(v - n_free for v in combined.closure.image[n_free:])),
     )
     return DiscreteRelativeBraid(free, skel)
@@ -362,10 +329,9 @@ def _realize_word(spec: RelativeBraidSpec, period: int | None):
             combined = insert_duplicate_slot(combined)
     marks = set(spec.free_marks)
     order = sorted(range(combined.strands), key=lambda s: (s not in marks, s))
-    anchors = tuple(combined.anchors[s] for s in order)
     pos_of = {s: i for i, s in enumerate(order)}
     closure = StrandPermutation(tuple(pos_of[combined.closure(s)] for s in order))
-    reordered = DiscreteBraid(combined.strands, combined.period, anchors, closure)
+    reordered = DiscreteBraid(combined.nums[order], combined.den, closure)
     rb = _split_first_free(reordered, len(marks))
     return rb, pad.g, spec.word
 

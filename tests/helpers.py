@@ -20,9 +20,10 @@ from braidfloer.complex import (
     _unique,
 )
 from braidfloer.discrete import (
+    SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
-    snap,
+    _layers_to_discrete,
     total_crossing_number,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
@@ -39,7 +40,89 @@ from braidfloer.garside import (
 )
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
-from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
+from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
+from braidfloer.words import BraidWord, StrandPermutation, compose, full_twist, half_twist_letters, word
+
+
+# -- Fraction views and builders the package does not need -------------------
+
+
+def snap(v) -> Fraction:
+    """Exact rationals pass through; floats land on the 1/SNAP grid."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    return Fraction(round(v * SNAP), SNAP)
+
+
+def fraction_braid(strands: int, period: int, anchors, closure: StrandPermutation) -> DiscreteBraid:
+    """The braid with Fraction anchors[k][i], over their least common denominator."""
+    den = math.lcm(*(v.denominator for row in anchors for v in row))
+    nums = [[v.numerator * (den // v.denominator) for v in row] for row in anchors]
+    return DiscreteBraid(np.array(nums, dtype=np.int64).reshape(strands, period), den, closure)
+
+
+def fractions_of(b: DiscreteBraid) -> tuple[tuple[Fraction, ...], ...]:
+    """The anchors of a braid as Fractions, strand by strand."""
+    return tuple(tuple(Fraction(v, b.den) for v in row) for row in b.nums.tolist())
+
+
+def word_to_discrete(w: BraidWord, period: int | None = None) -> DiscreteBraid:
+    """Legendrian representative of a positive word, one letter per slot
+    interval; slots past the word copy values forward."""
+    if not w.is_positive():
+        raise BraidInputError("word_to_discrete needs a positive word")
+    d = max(len(w), 2) if period is None else period
+    if d < max(len(w), 2):
+        raise BraidInputError("period too small for the word")
+    return _layers_to_discrete(w.strands, [[i] for i, _ in w.letters], d)
+
+
+def reference_layers_to_discrete(n: int, layers: list[list[int]], d: int):
+    """Anchors and closure of `discrete._layers_to_discrete`, with Fraction
+    heights -1 + 2j/(n+1), j = 1..n, one strand and slot at a time."""
+    heights = [Fraction(-1) + Fraction(2 * j, n + 1) for j in range(1, n + 1)]
+    level_of = list(range(n))  # strand k -> current height level
+    anchors = [[heights[k]] for k in range(n)]
+    for t in range(1, d + 1):
+        swaps = layers[t - 1] if t - 1 < len(layers) else []
+        occupant = [0] * n
+        for k, lev in enumerate(level_of):
+            occupant[lev] = k
+        for i in swaps:
+            a, b = occupant[i - 1], occupant[i]
+            level_of[a], level_of[b] = level_of[b], level_of[a]
+            occupant[i - 1], occupant[i] = b, a
+        if t < d:
+            for k in range(n):
+                anchors[k].append(heights[level_of[k]])
+    return tuple(tuple(row) for row in anchors), StrandPermutation(tuple(level_of))
+
+
+def twisted(spec: RelativeBraidSpec, k: int) -> RelativeBraidSpec:
+    """The spec composed with Delta^{2k}."""
+    if spec.presentation == "cyclic":
+        return RelativeBraidSpec(
+            "cyclic",
+            f"{spec.label}*twist{k}",
+            CyclicComponent(
+                spec.cyclic_free.strands,
+                spec.cyclic_free.rotation + k,
+                spec.cyclic_free.radius,
+                spec.cyclic_free.phase,
+            ),
+            tuple(
+                CyclicComponent(c.strands, c.rotation + k, c.radius, c.phase)
+                for c in spec.cyclic_skeleton
+            ),
+        )
+    return RelativeBraidSpec(
+        "word",
+        f"{spec.label}*twist{k}",
+        word=compose(spec.word, full_twist(spec.word.strands, k)),
+        free_marks=spec.free_marks,
+    )
 
 
 def _neighbors(letters: tuple[int, ...]):
@@ -145,9 +228,10 @@ def reference_slots(sk, d: int) -> list[tuple[tuple[Fraction, ...], tuple[int, .
     """Per slot, the fixed values as sorted Fractions with the markers -+1 at
     the ends, and the skeleton strand or barrier owning each, built from the
     anchors one slot at a time."""
+    anchors = fractions_of(sk)
     out = []
     for i in range(d):
-        ranked = sorted((sk.anchors[l][i], l) for l in range(sk.strands))
+        ranked = sorted((anchors[l][i], l) for l in range(sk.strands))
         out.append(((Fraction(-1), *(v for v, _ in ranked), Fraction(1)),
                     (BARRIER_LOW, *(l for _, l in ranked), BARRIER_HIGH)))
     return out
@@ -165,23 +249,24 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
     d = geo.period
     sk = geo.rb.skeleton
     slots = reference_slots(sk, d)
+    fixed = unchecked(sk)
 
     def mid(i, g):
         values = slots[i % d][0]
         return (values[g] + values[g + 1]) / 2
 
     def crossing_number(cube):
-        free = DiscreteBraid(1, d, (tuple(mid(i, g) for i, g in enumerate(cube)),),
-                             StrandPermutation((0,)))
+        free = fraction_braid(1, d, (tuple(mid(i, g) for i, g in enumerate(cube)),),
+                              StrandPermutation((0,)))
         return total_crossing_number(DiscreteRelativeBraid(free, sk).combined())
 
     def below_owner(cube, i, f, j):
         """Whether the free strand of `cube` lies below pin f's owner at slot i+j."""
         owner = slots[i][1][f]
-        return mid(i + j, cube[(i + j) % d]) < unrolled_value(sk, owner, i + j)
+        return mid(i + j, cube[(i + j) % d]) < unrolled_value(fixed, owner, i + j)
 
     start = []
-    for (values, _), u in zip(slots, geo.rb.free.anchors[0]):
+    for (values, _), u in zip(slots, fractions_of(geo.rb.free)[0]):
         start.append(next(g for g in range(len(values) - 1) if values[g] < u < values[g + 1]))
     start = tuple(start)
     cross = crossing_number(start)
@@ -464,7 +549,7 @@ def reference_free_crossings(u, paths) -> int:
 def crossing_count_float(u, skeleton: DiscreteBraid) -> int:
     """Crossings of the float free strand with the skeleton plus the
     skeleton's internal crossings."""
-    paths = (skeleton.lattice / skeleton.denominator).tolist()  # as in flow.evolve
+    paths = (skeleton.lattice / skeleton.den).tolist()  # as in flow.evolve
     return total_crossing_number(skeleton) + reference_free_crossings(u, paths)
 
 
@@ -499,19 +584,26 @@ def free_reduce(w: BraidWord) -> BraidWord:
 
 # Reference crossing count, word reading and transversality check: Fraction
 # arithmetic one strand pair and slot at a time.  The integer anchor view of
-# `braidfloer.discrete` must agree with them on every braid.  They take any
-# object with `strands`, `period`, `anchors` and `closure`, so
-# `UncheckedBraid` can hold anchor data the package would refuse.
+# `braidfloer.discrete` must agree with them on every braid.  They take a
+# DiscreteBraid or an `UncheckedBraid`, which can hold anchor data the
+# package would refuse.
 
 
 @dataclass(frozen=True)
 class UncheckedBraid:
-    """Anchor data with DiscreteBraid's fields, never checked."""
+    """Fraction anchor data with a closure, never checked."""
 
     strands: int
     period: int
     anchors: tuple[tuple[Fraction, ...], ...]
     closure: StrandPermutation
+
+
+def unchecked(b) -> UncheckedBraid:
+    """The Fraction anchor data of a braid; an UncheckedBraid as it is."""
+    if isinstance(b, UncheckedBraid):
+        return b
+    return UncheckedBraid(b.strands, b.period, fractions_of(b), b.closure)
 
 
 def unrolled_value(b, k: int, i: int) -> Fraction:
@@ -529,6 +621,7 @@ def unrolled_value(b, k: int, i: int) -> Fraction:
 def anchor_neighbours(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float anchors of every strand at slots i - 1, i and i + 1, each of
     shape (strands, period), unrolled through the closure."""
+    b = unchecked(b)
     return tuple(
         np.array([[float(unrolled_value(b, k, i + shift)) for i in range(b.period)]
                   for k in range(b.strands)])
@@ -552,6 +645,7 @@ def pair_crossings(b, k: int, l: int, i: int) -> int:
 
 
 def reference_crossing_number(b) -> int:
+    b = unchecked(b)
     total = 0
     for k in range(b.strands):
         for l in range(k + 1, b.strands):
@@ -561,6 +655,7 @@ def reference_crossing_number(b) -> int:
 
 
 def reference_check_transversality(b) -> None:
+    b = unchecked(b)
     for k in range(b.strands):
         for l in range(k + 1, b.strands):
             for i in range(b.period):
@@ -578,6 +673,7 @@ def reference_check_transversality(b) -> None:
 
 
 def reference_discrete_to_word(b) -> BraidWord:
+    b = unchecked(b)
     letters: list[int] = []
     d = b.period
     value = functools.partial(unrolled_value, b)
@@ -638,8 +734,8 @@ def reference_geometry_tables(geo):
     value looked up among its slot's Fraction values (`reference_slots`) one
     at a time."""
     d = geo.period
-    sk = geo.rb.skeleton
-    slots = reference_slots(sk, d)
+    sk = unchecked(geo.rb.skeleton)
+    slots = reference_slots(geo.rb.skeleton, d)
 
     def position(i: int, owner: int) -> int:
         values = slots[i % d][0]

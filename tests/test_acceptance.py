@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from braidfloer.complex import enumerate_component, index_pair
-from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, discrete_to_word, snap, word_to_discrete
+from braidfloer.discrete import DiscreteRelativeBraid, discrete_to_word
 from braidfloer.errors import BraidInputError, ImproperClassError, StabilizationError
 from braidfloer.flow import evolve, find_stationary, fitted_recurrence
 from braidfloer.garside import is_left_weighted, left_normal_form, twist_padding
@@ -39,11 +39,16 @@ from braidfloer.words import StrandPermutation, compose, exponent_sum, full_twis
 
 from helpers import (
     chain_counts,
+    fraction_braid,
+    fractions_of,
     nf_to_word,
     random_word,
     reference_left_normal_form,
     signed_words_equal,
+    snap,
     to_chain_json,
+    twisted,
+    word_to_discrete,
 )
 
 _memo = {}
@@ -138,8 +143,8 @@ def _random_proper_specs(count=5, seed=2026):
         spec = cyclic_spec((n, m), (n2, m2), ell=rng.choice(ells))
         try:
             homology_of(spec)
-            homology_of(spec.twisted(1))
-            homology_of(spec.twisted(-1))
+            homology_of(twisted(spec, 1))
+            homology_of(twisted(spec, -1))
         except (ImproperClassError, BraidInputError, StabilizationError):
             continue
         specs.append(spec)
@@ -158,7 +163,7 @@ def test_criterion_04_shift_theorem():
         base = homology_of(spec).betti.as_dict()
         n = spec.free_strands()
         for k in (1, -1):
-            shifted = homology_of(spec.twisted(k)).betti.as_dict()
+            shifted = homology_of(twisted(spec, k)).betti.as_dict()
             expected = {deg + 2 * n * k: v for deg, v in base.items()}
             assert shifted == expected, (
                 f"{spec.label} twisted by {k}: {shifted} != {expected}"
@@ -283,7 +288,7 @@ def _monotonicity_classes():
         _realize_cyclic(cyclic_spec((-1, 2), (1, 1), ell=0), None)[0],
     ]
     skel = word_to_discrete(word(2, [1]))
-    free = DiscreteBraid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
+    free = fraction_braid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
     out.append(DiscreteRelativeBraid(free, skel))
     return out
 
@@ -298,14 +303,14 @@ def test_criterion_09_monotonicity():
     per_class = 200
     for rel in classes:
         rec = fitted_recurrence(rel.skeleton)
-        base = [float(v) for v in rel.free.anchors[0]]
+        base = [float(v) for v in fractions_of(rel.free)[0]]
         done = 0
         while done < per_class:
             jitter = [v + rng.uniform(-0.1, 0.1) for v in base]
             if max(abs(v) for v in jitter) >= 0.97:
                 continue
             try:
-                free = DiscreteBraid(
+                free = fraction_braid(
                     1,
                     rel.period,
                     (tuple(snap(v) for v in jitter),),

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +14,7 @@ from braidfloer.complex import (
     enumerate_component,
     index_pair,
 )
-from braidfloer.discrete import (
-    DiscreteBraid,
-    DiscreteRelativeBraid,
-    insert_duplicate_slot,
-    snap,
-    word_to_discrete,
-)
+from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, insert_duplicate_slot
 from braidfloer.errors import BraidInputError, ImproperClassError, TransversalityError
 from braidfloer.homology import relative_homology
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec, realize, word_spec
@@ -29,6 +22,7 @@ from braidfloer.words import StrandPermutation, permutation_of, word
 
 from helpers import (
     chain_counts,
+    fraction_braid,
     gf2_rank,
     homology_from_json,
     homology_of_chain,
@@ -36,7 +30,9 @@ from helpers import (
     reference_geometry_tables,
     reference_index_pair,
     reference_slots,
+    snap,
     to_chain_json,
+    word_to_discrete,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,7 +54,7 @@ def constant_strand(value, period):
 
 
 def make_relative(free_values, skeleton: DiscreteBraid) -> DiscreteRelativeBraid:
-    free = DiscreteBraid(
+    free = fraction_braid(
         1, skeleton.period, (tuple(snap(v) for v in free_values),), StrandPermutation((0,))
     )
     return DiscreteRelativeBraid(free, skeleton)
@@ -77,8 +73,8 @@ def test_saddle_component():
     # plus-shaped component: centre plus four one-step excursions
     assert len(comp.top_cells) == 5
     assert np.dot((1, 1), comp.geometry.strides) in comp.top_cells
-    assert component_contains(comp, [Fraction(0), Fraction(0)])
-    assert not component_contains(comp, [Fraction(1, 2), Fraction(1, 2)])
+    assert component_contains(comp, np.array([0, 0]), 1)
+    assert not component_contains(comp, np.array([1, 1]), 2)
 
 
 def test_saddle_index_pair_homology():
@@ -101,7 +97,7 @@ def test_saddle_exit_jump_is_two():
 
 
 def test_improper_empty_skeleton():
-    empty = DiscreteBraid(0, 2, (), StrandPermutation(()))
+    empty = fraction_braid(0, 2, (), StrandPermutation(()))
     rb = make_relative([0, 0], empty)
     comp = enumerate_component(rb)
     assert not comp.proper
@@ -111,7 +107,7 @@ def test_improper_empty_skeleton():
 
 
 def test_improper_unlinked_parallel_strand():
-    skeleton = DiscreteBraid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
+    skeleton = fraction_braid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
     rb = make_relative([-0.25, -0.25], skeleton)
     comp = enumerate_component(rb)
     assert not comp.proper
@@ -203,7 +199,7 @@ def test_index_cell_cap_is_exact(monkeypatch):
 def test_cell_codes_refuse_int64_overflow():
     # ten parallel skeleton strands at period 14: 23**14 > 2**63 cell states
     period = 14
-    skeleton = DiscreteBraid(
+    skeleton = fraction_braid(
         10,
         period,
         tuple(constant_strand(-0.9 + 0.18 * k, period) for k in range(10)),
@@ -255,10 +251,10 @@ IMPROPER_CASES = [
     ("cyclic[0/1,0,1/1]", lambda: cyclic_relative((0, 1), (1, 1), 0)),
     ("word[s1 s1 s2 s2;2]", lambda: word_relative([1, 1, 2, 2], [2])),
     ("empty skeleton", lambda: make_relative(
-        [0, 0], DiscreteBraid(0, 2, (), StrandPermutation(()))
+        [0, 0], fraction_braid(0, 2, (), StrandPermutation(()))
     )),
     ("parallel strand", lambda: make_relative(
-        [-0.25, -0.25], DiscreteBraid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
+        [-0.25, -0.25], fraction_braid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
     )),
 ]
 
@@ -301,7 +297,7 @@ def test_geometry_tables_match_reference(build):
 
 def test_coincident_fixed_values_refused():
     # two skeleton strands swap through an exact contact at slot 1
-    skeleton = DiscreteBraid(
+    skeleton = fraction_braid(
         2, 2, ((snap(-0.5), snap(0.0)), (snap(0.5), snap(0.0))), StrandPermutation((1, 0))
     )
     with pytest.raises(TransversalityError, match="coincident fixed values at slot 1"):

@@ -1,38 +1,44 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidfloer import pipeline
+from braidfloer import discrete, pipeline
 from braidfloer.discrete import (
+    SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
     insert_duplicate_slot,
     discrete_to_word,
-    snap,
     total_crossing_number,
-    word_to_discrete,
     word_to_discrete_packed,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import left_normal_form
 from braidfloer.words import StrandPermutation, exponent_sum, full_twist, word
 
+import helpers
 from helpers import (
     UncheckedBraid,
+    fraction_braid,
+    fractions_of,
     reference_check_transversality,
     reference_crossing_number,
     reference_discrete_to_word,
+    reference_layers_to_discrete,
     reference_sample,
+    snap,
+    word_to_discrete,
 )
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_crossing_constant_strands():
-    b = DiscreteBraid(
+    b = fraction_braid(
         2, 2,
         ((snap(-0.5), snap(-0.5)), (snap(0.5), snap(0.5))),
         StrandPermutation((0, 1)),
@@ -88,22 +94,22 @@ def test_crossing_number_jitter_invariance():
         b = word_to_discrete(w)
         eps = Fraction(1, 2**12)
         anchors = tuple(
-            tuple(v + eps * rng.randrange(-3, 4) for v in row) for row in b.anchors
+            tuple(v + eps * rng.randrange(-3, 4) for v in row) for row in fractions_of(b)
         )
-        jittered = DiscreteBraid(n, b.period, anchors, b.closure)
+        jittered = fraction_braid(n, b.period, anchors, b.closure)
         assert total_crossing_number(jittered) == total_crossing_number(b)
 
 
 def test_transversality_rejected():
     with pytest.raises(TransversalityError):
-        DiscreteBraid(
+        fraction_braid(
             2, 2,
             ((snap(0.0), snap(0.5)), (snap(0.0), snap(-0.5))),
             StrandPermutation((0, 1)),
         )
     # tangency in the middle slot
     with pytest.raises(TransversalityError):
-        DiscreteBraid(
+        fraction_braid(
             2, 2,
             ((snap(-0.5), snap(0.0)), (snap(0.5), snap(0.0))),
             StrandPermutation((0, 1)),
@@ -111,13 +117,13 @@ def test_transversality_rejected():
 
 
 def test_interior_transversal_equality_allowed():
-    b = DiscreteBraid(
+    b = fraction_braid(
         2, 2,
         ((snap(-0.5), snap(0.0)), (snap(0.5), snap(0.0) + Fraction(0))),
         StrandPermutation((1, 0)),
     )
     # strands swap through an exact anchor contact at slot 1
-    b2 = DiscreteBraid(
+    b2 = fraction_braid(
         2, 2,
         ((snap(-0.5), snap(0.0)), (snap(0.5), snap(-0.2))),
         StrandPermutation((0, 1)),
@@ -136,11 +142,60 @@ def test_insert_duplicate_slot_keeps_braid():
 
 def test_anchor_view_refuses_int64_overflow():
     near = Fraction(1, 2**61)
-    b = DiscreteBraid(2, 2, ((near, -near), (-near, near)), StrandPermutation((0, 1)))
+    b = fraction_braid(2, 2, ((near, -near), (-near, near)), StrandPermutation((0, 1)))
     assert total_crossing_number(b) == 2 == reference_crossing_number(b)
     assert b.lattice.tolist() == [[1, -1, 1], [-1, 1, -1]]
     with pytest.raises(BraidInputError, match="int64"):
-        DiscreteBraid(2, 2, ((near, Fraction(1, 3)), (-near, near)), StrandPermutation((0, 1)))
+        fraction_braid(2, 2, ((near, Fraction(1, 3)), (-near, near)), StrandPermutation((0, 1)))
+
+
+@pytest.mark.parametrize("den", [2**62, 2**62 + 3, 0, -4])
+def test_denominator_outside_the_int64_view_refused_at_construction(den):
+    nums = np.array([[1, -1], [-1, 1]], dtype=np.int64)
+    with pytest.raises(BraidInputError, match=f"anchor denominator {den} does not fit"):
+        DiscreteBraid(nums, den, StrandPermutation((0, 1)))
+    assert total_crossing_number(DiscreteBraid(nums, 2**62 - 1, StrandPermutation((0, 1)))) == 2
+
+
+def test_word_braids_match_the_fraction_height_reference(monkeypatch):
+    """Packed and unpacked word braids hold the anchors and closure of the
+    Fraction-height construction on the same layers."""
+    layered = []
+    build = discrete._layers_to_discrete
+
+    def spy(n, layers, d):
+        layered.append((build(n, layers, d), (n, layers, d)))
+        return layered[-1][0]
+
+    monkeypatch.setattr(discrete, "_layers_to_discrete", spy)
+    monkeypatch.setattr(helpers, "_layers_to_discrete", spy)
+    rng = random.Random(23)
+    for _ in range(80):
+        n = rng.randrange(1, 6)
+        w = word(n, [rng.randrange(1, n) for _ in range(rng.randrange(0, 12))] if n > 1 else [])
+        word_to_discrete(w)
+        word_to_discrete(w, max(len(w), 2) + rng.randrange(0, 3))
+        word_to_discrete_packed(w)
+    assert len(layered) == 240
+    for b, args in layered:
+        anchors, closure = reference_layers_to_discrete(*args)
+        assert fractions_of(b) == anchors and b.closure == closure
+        assert b.den == args[0] + 1
+
+
+def test_combined_over_mixed_denominators():
+    """A free strand on the SNAP grid and a word skeleton over 3 combine over
+    the lcm of their denominators, as the Fraction concatenation does."""
+    skeleton = word_to_discrete(word(2, [1]))
+    free = fraction_braid(1, 2, ((snap(0.0625), snap(-0.3)),), StrandPermutation((0,)))
+    assert (free.den, skeleton.den) == (SNAP, 3)
+    both = DiscreteRelativeBraid(free, skeleton).combined()
+    assert both.den == 3 * SNAP
+    assert fractions_of(both) == fractions_of(free) + fractions_of(skeleton)
+    assert both.closure == StrandPermutation((0, 2, 1))
+    assert total_crossing_number(both) == reference_crossing_number(
+        UncheckedBraid(3, 2, fractions_of(free) + fractions_of(skeleton), both.closure)
+    )
 
 
 # -- the integer anchor view against the Fraction reference -----------------
@@ -161,7 +216,7 @@ def assert_matches_reference(b, raw: UncheckedBraid) -> None:
         assert (type(b).__name__, str(b)) == expected
         return
     assert expected == ("ok", None)
-    assert b.anchors == raw.anchors and b.closure == raw.closure
+    assert fractions_of(b) == raw.anchors and b.closure == raw.closure
     assert total_crossing_number(b) == reference_crossing_number(raw)
     assert _outcome(lambda: discrete_to_word(b).letters) == _outcome(
         lambda: reference_discrete_to_word(raw).letters
@@ -194,12 +249,12 @@ def test_anchor_view_matches_reference_on_words(nw, layout, duplicates, data):
         b = word_to_discrete_packed(w)
     else:
         b = word_to_discrete(w, None if layout == "exact" else max(len(w), 2) + 3)
-    assert_matches_reference(b, _raw(n, b.anchors, b.closure))
+    assert_matches_reference(b, _raw(n, fractions_of(b), b.closure))
     for _ in range(duplicates):
         at = data.draw(st.one_of(st.none(), st.integers(0, b.period - 1)))
         dup = _built(lambda: insert_duplicate_slot(b, at))
         a = b.period - 1 if at is None else at
-        anchors = [row[: a + 1] + (row[a],) + row[a + 1:] for row in b.anchors]
+        anchors = [row[: a + 1] + (row[a],) + row[a + 1:] for row in fractions_of(b)]
         assert_matches_reference(dup, _raw(n, anchors, b.closure))
         b = dup
 
@@ -280,12 +335,12 @@ def hand_built(draw):
               (Fraction(1, 2), Fraction(-1, 2))), StrandPermutation((0, 1, 2))))
 def test_anchor_view_matches_reference_on_hand_built_braids(case):
     n, anchors, closure = case
-    b = _built(lambda: DiscreteBraid(n, len(anchors[0]), anchors, closure))
+    b = _built(lambda: fraction_braid(n, len(anchors[0]), anchors, closure))
     assert_matches_reference(b, _raw(n, anchors, closure))
 
 
 def test_relative_braid_refuses_contact_with_the_skeleton():
     skeleton = word_to_discrete(word(2, [1]))
-    free = DiscreteBraid(1, 2, ((skeleton.anchors[0][0], snap(0.9)),), StrandPermutation((0,)))
+    free = fraction_braid(1, 2, ((fractions_of(skeleton)[0][0], snap(0.9)),), StrandPermutation((0,)))
     with pytest.raises(TransversalityError, match="coincide at the closure slot"):
         DiscreteRelativeBraid(free, skeleton)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from braidfloer import flow
-from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap
+from braidfloer.discrete import DiscreteRelativeBraid
 from braidfloer.errors import BoundaryContactError, BraidInputError, ImproperClassError
 from braidfloer.flow import (
     RecurrenceRelation,
@@ -16,7 +16,8 @@ from braidfloer.flow import (
 from braidfloer.pipeline import _realize_cyclic, cyclic_spec
 from braidfloer.words import StrandPermutation
 
-from helpers import anchor_neighbours, crossing_count_float, reference_free_crossings
+from helpers import (anchor_neighbours, crossing_count_float, fraction_braid, fractions_of,
+                     reference_free_crossings, snap)
 
 
 def braids1_class():
@@ -25,7 +26,7 @@ def braids1_class():
 
 
 def with_free(rb: DiscreteRelativeBraid, values) -> DiscreteRelativeBraid:
-    free = DiscreteBraid(
+    free = fraction_braid(
         1, rb.period, (tuple(snap(float(v)) for v in values),), StrandPermutation((0,))
     )
     return DiscreteRelativeBraid(free, rb.skeleton)
@@ -57,7 +58,7 @@ def test_near_equilibrium_convergence():
     # nearby equilibrium with constant crossing count
     rb = braids1_class()
     sk = rb.skeleton
-    offset = [float(sk.anchors[0][i]) + 0.02 for i in range(sk.period)]
+    offset = [float(fractions_of(sk)[0][i]) + 0.02 for i in range(sk.period)]
     rel = with_free(rb, offset)
     rec = fitted_recurrence(sk)
     state = evolve(rel, rec, horizon=40.0)
@@ -69,7 +70,7 @@ def test_near_equilibrium_convergence():
 def test_monotone_trace_random_seeds():
     rb = braids1_class()
     rec = fitted_recurrence(rb.skeleton)
-    geo_values = [float(v) for v in rb.free.anchors[0]]
+    geo_values = [float(v) for v in fractions_of(rb.free)[0]]
     rng = random.Random(5)
     runs = 0
     for _ in range(60):
@@ -93,12 +94,13 @@ def test_strict_decrease_only_at_contacts():
     rec = fitted_recurrence(rb.skeleton)
     rng = random.Random(11)
     sk = rb.skeleton
+    anchors = fractions_of(sk)
     d = rb.period
 
     def patterns(u):
         out = []
         for l in range(sk.strands):
-            out.append(tuple(u[i] > float(sk.anchors[l][i]) for i in range(d)))
+            out.append(tuple(u[i] > float(anchors[l][i]) for i in range(d)))
         return out
 
     for _ in range(10):
@@ -107,7 +109,7 @@ def test_strict_decrease_only_at_contacts():
             rel = with_free(rb, values)
         except Exception:
             continue
-        u = np.array([float(v) for v in rel.free.anchors[0]])
+        u = np.array([float(v) for v in fractions_of(rel.free)[0]])
         rec_vec = rec.vector_field
         h = 0.01
         prev_cross = crossing_count_float(u, sk)
@@ -154,11 +156,11 @@ def test_finite_difference_jacobian_matches_exact():
 
 
 def test_boundary_contact_reported():
-    skeleton = DiscreteBraid(
+    skeleton = fraction_braid(
         1, 2, ((snap(-0.5), snap(-0.5)),), StrandPermutation((0,))
     )
     rel = DiscreteRelativeBraid(
-        DiscreteBraid(1, 2, ((snap(0.9), snap(0.9)),), StrandPermutation((0,))), skeleton
+        fraction_braid(1, 2, ((snap(0.9), snap(0.9)),), StrandPermutation((0,))), skeleton
     )
     # push the free strand outward faster than the Laplacian pulls back
     rec = RecurrenceRelation(2, lambda l, c, r: 0.2 * l + 0.2 * r + 0.7)

@@ -6,7 +6,7 @@ import pytest
 
 from braidfloer import pipeline
 from braidfloer.cli import JobSpec, format_braid_text, run
-from braidfloer.discrete import discrete_to_word, word_to_discrete
+from braidfloer.discrete import DiscreteRelativeBraid, discrete_to_word
 from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.pipeline import (
     CyclicComponent,
@@ -16,7 +16,9 @@ from braidfloer.pipeline import (
     forcing_report,
     word_spec,
 )
-from braidfloer.words import permutation_of, word
+from braidfloer.words import StrandPermutation, permutation_of, word
+
+from helpers import fraction_braid, snap, twisted, word_to_discrete
 
 
 def test_braids_unlinked_interval_case():
@@ -46,8 +48,8 @@ def test_negative_ell_shifts_below_zero():
 def test_shift_theorem_on_cyclic_spec():
     spec = cyclic_spec((1, 2), (2, 1), ell=1)
     base = braid_floer_homology(spec)
-    up = braid_floer_homology(spec.twisted(1))
-    down = braid_floer_homology(spec.twisted(-1))
+    up = braid_floer_homology(twisted(spec, 1))
+    down = braid_floer_homology(twisted(spec, -1))
     n = 1
     assert up.betti.as_dict() == {k + 2 * n: v for k, v in base.betti.as_dict().items()}
     assert down.betti.as_dict() == {k - 2 * n: v for k, v in base.betti.as_dict().items()}
@@ -63,11 +65,8 @@ def test_improper_spec_refused_with_witness():
 
 def test_word_route_saddle_class():
     # free strand between an exchanging pair: combined 3-strand positive word
-    from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap
-    from braidfloer.words import StrandPermutation
-
     skel = word_to_discrete(word(2, [1]))
-    free = DiscreteBraid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
+    free = fraction_braid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
     combined = DiscreteRelativeBraid(free, skel).combined()
     w = discrete_to_word(combined)
     spec = word_spec(w, free_marks=[1], label="saddle")
@@ -79,18 +78,15 @@ def test_word_route_saddle_class():
 def test_word_route_shift():
     # negative twists go through the Garside padding; the positive direction
     # is exercised by the cyclic specs, whose representatives stay small
-    from braidfloer.discrete import DiscreteBraid, DiscreteRelativeBraid, snap
-    from braidfloer.words import StrandPermutation
-
     skel = word_to_discrete(word(2, [1]))
-    free = DiscreteBraid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
+    free = fraction_braid(1, 2, ((snap(0.0625), snap(0.0625)),), StrandPermutation((0,)))
     w = discrete_to_word(DiscreteRelativeBraid(free, skel).combined())
     spec = word_spec(w, free_marks=[1])
     base = braid_floer_homology(spec)
-    down = braid_floer_homology(spec.twisted(-1))
+    down = braid_floer_homology(twisted(spec, -1))
     assert down.betti.as_dict() == {k - 2: v for k, v in base.betti.as_dict().items()}
     assert down.g == base.g + 1
-    double = braid_floer_homology(spec.twisted(-2))
+    double = braid_floer_homology(twisted(spec, -2))
     assert double.betti.as_dict() == {k - 4: v for k, v in base.betti.as_dict().items()}
 
 
@@ -164,7 +160,7 @@ def test_random_small_cyclic_specs_shift():
             base = braid_floer_homology(spec)
         except (ImproperClassError, BraidInputError):
             continue
-        up = braid_floer_homology(spec.twisted(1))
+        up = braid_floer_homology(twisted(spec, 1))
         assert up.betti.as_dict() == {k + 2: v for k, v in base.betti.as_dict().items()}
         found += 1
     assert found >= 2
@@ -206,6 +202,6 @@ def test_internal_errors_are_not_retried(monkeypatch):
 
 def test_cell_cap_refusal():
     # the period-(d+1) pair of this class passes the 1.5M cell cap
-    spec = cyclic_spec((1, 3), (2, 1), ell=1).twisted(1)
+    spec = twisted(cyclic_spec((1, 3), (2, 1), ell=1), 1)
     with pytest.raises(BraidInputError, match="^index pair exceeds 1500000 cells"):
         braid_floer_homology(spec)
