@@ -223,7 +223,8 @@ def _maslov_payload(doc: dict) -> dict:
         fam = rotation_family(k, n, tau)
     elif kind == "constant":
         fam = constant_family(_field(
-            fam_doc, "matrix", "constant family", lambda v: isinstance(v, list),
+            fam_doc, "matrix", "constant family",
+            lambda v: v and isinstance(v, list) and all(isinstance(r, list) and r for r in v),
             "a list of rows of numbers", lambda v: np.asarray(v, dtype=float),
         ))
     elif kind == "table":

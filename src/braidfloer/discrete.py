@@ -30,10 +30,9 @@ SNAP = 2**20  # float anchors land on the 1/SNAP grid
 MAX_DENOMINATOR = 2**62  # differences of numerators up to 2 * denominator fit int64
 
 
-def _fitting(den: int) -> int:
-    if not 0 < den < MAX_DENOMINATOR:
-        raise BraidInputError(f"anchor denominator {den} does not fit the int64 anchor view")
-    return den
+def snapped(u) -> np.ndarray:
+    """int64 numerators over SNAP of the float values u, rounded half to even."""
+    return np.rint(np.asarray(u, dtype=float) * SNAP).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +49,14 @@ class DiscreteBraid:
     closure: StrandPermutation
 
     def __post_init__(self):
+        if getattr(self.nums, "dtype", None) != np.int64 or self.nums.ndim != 2:
+            raise BraidInputError("anchor numerators must be an int64 (strands, period) array")
         if self.period < 1:
             raise BraidInputError("period must be >= 1")
         if self.closure.n != self.strands:
             raise BraidInputError("closure permutation size mismatch")
-        _fitting(self.den)
+        if not 0 < self.den < MAX_DENOMINATOR:
+            raise BraidInputError(f"anchor denominator {self.den} does not fit the int64 anchor view")
         outside = np.abs(self.nums) > self.den
         if outside.any():
             num = int(self.nums[outside][0])
@@ -124,7 +126,7 @@ class DiscreteRelativeBraid:
     def combined(self) -> DiscreteBraid:
         """All strands in one braid, free strands first, over the lcm of both denominators."""
         free, sk = self.free, self.skeleton
-        den = _fitting(math.lcm(free.den, sk.den))
+        den = math.lcm(free.den, sk.den)  # refused from 2^62 up before nums is read
         image = free.closure.image + tuple(free.strands + v for v in sk.closure.image)
         nums = np.concatenate((free.nums * (den // free.den), sk.nums * (den // sk.den)))
         return DiscreteBraid(nums, den, StrandPermutation(image))
@@ -217,9 +219,8 @@ def insert_duplicate_slot(b: DiscreteBraid, at: int | None = None) -> DiscreteBr
     Slots holding an anchor equality cannot be duplicated (it would create a
     tangential contact), so by default the first admissible slot is used.
     """
-    candidates = range(b.period - 1, -1, -1) if at is None else [at]
     err = None
-    for a in candidates:
+    for a in range(b.period - 1, -1, -1) if at is None else [at]:
         try:
             return DiscreteBraid(np.insert(b.nums, a + 1, b.nums[:, a], axis=1), b.den, b.closure)
         except TransversalityError as exc:

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .complex import component_contains, enumerate_component
-from .discrete import SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, total_crossing_number
+from .discrete import (SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, snapped,
+                       total_crossing_number)
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
                      MonotonicityViolationError, TransversalityError)
 
@@ -266,7 +267,7 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
         # a short descent smooths the seed; most trajectories exit the class (it is
         # isolated, not attracting), so Newton does the real work, from both seeds
         try:
-            free = DiscreteBraid(np.rint(u0 * SNAP).astype(np.int64)[None], SNAP, rel.free.closure)
+            free = DiscreteBraid(snapped(u0)[None], SNAP, rel.free.closure)
             state = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4)
             smoothed[n] = state.u
         except (TransversalityError, BraidInputError, BoundaryContactError):
@@ -277,7 +278,7 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
     warnings: list[str] = []
     for n in np.flatnonzero(ok.any(axis=0)):
         u_star = polished[0 if ok[0, n] else 1, n]
-        if component_contains(comp, np.rint(u_star * SNAP).astype(np.int64), SNAP) and all(
+        if component_contains(comp, snapped(u_star), SNAP) and all(
                 np.max(np.abs(u_star - s)) > DISTINCT_TOL for s in solutions):
             solutions.append(u_star)
     if expected is not None and len(solutions) < expected:

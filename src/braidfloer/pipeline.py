@@ -29,6 +29,7 @@ from .discrete import (
     DiscreteRelativeBraid,
     discrete_to_word,
     insert_duplicate_slot,
+    snapped,
     total_crossing_number,
     word_to_discrete_packed,
 )
@@ -189,7 +190,7 @@ def _sample_components(components, d: int) -> DiscreteBraid:
         angle = 2 * math.pi * (float(comp.rotation) * (np.arange(d) / d - strand) + comp.phase)
         # math.cos, so that no SIMD cosine of numpy's can move a grid point
         cos = np.fromiter(map(math.cos, angle.ravel().tolist()), float, angle.size)
-        rows.append(np.rint(float(comp.radius) * cos * SNAP).astype(np.int64).reshape(angle.shape))
+        rows.append(snapped(float(comp.radius) * cos).reshape(angle.shape))
         closure.extend(base + (j - 1) % comp.strands for j in range(comp.strands))
         base += comp.strands
     return DiscreteBraid(np.concatenate(rows), SNAP, StrandPermutation(tuple(closure)))

@@ -135,7 +135,7 @@ def test_maslov_envelope_pinned(maslov, twice, crossings):
     [
         ([[1.0, 2.0], [0.0, 1.0]], "error: K(t) is not symmetric"),
         ([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]], "error: K(t) must be 2x2"),
-        ([1.0, 2.0], "error: K(t) must be 2x2"),
+        ([1.0, 2.0], "error: constant family field 'matrix' must be a list of rows of numbers"),
     ],
     ids=["nonsymmetric", "nonsquare", "vector"],
 )

@@ -126,10 +126,6 @@ NOT_A_NUMBER = st.one_of(st.none(), st.text(alphabet="abc", max_size=2), st.list
 NOT_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
 NOT_AN_INTEGER = st.one_of(NOT_A_NUMBER, NOT_FINITE,
                            st.floats(-5, 5).filter(lambda x: not x.is_integer()))
-# a list of numbers is a matrix of the wrong shape, refused by the Maslov layer
-# (test_cli pins the message); rows holding text are no matrix at all
-NOT_A_MATRIX = st.one_of(st.none(), st.text(alphabet="abc", max_size=2),
-                         st.lists(st.lists(st.text(alphabet="abc"), min_size=1), min_size=1))
 RADIUS = st.fractions(0, 1).filter(lambda r: 0 < r < 1).map(str)
 OUT_OF_RANGE = st.one_of(st.fractions(max_value=0).map(str), st.fractions(min_value=1).map(str),
                          st.floats(max_value=0), st.floats(min_value=1))
@@ -148,7 +144,8 @@ BROKEN_FIELDS = st.one_of(
               st.one_of(st.none(), st.integers(), st.lists(st.text(alphabet="abc"), min_size=1),
                         st.lists(RADIUS, max_size=2).flatmap(lambda ok: st.lists(
                             OUT_OF_RANGE, min_size=1, max_size=2).map(lambda bad: ok + bad)))),
-    st.tuples(st.just("constant"), st.just("matrix"), st.one_of(st.just(MISSING), NOT_A_MATRIX)),
+    st.tuples(st.just("constant"), st.just("matrix"),
+              st.one_of(st.just(MISSING), NOT_A_NUMBER, st.just([["a"]]))),
     st.tuples(st.just("rotation"), st.sampled_from(["k", "n"]), NOT_AN_INTEGER),
     st.tuples(st.just("annulus"), st.sampled_from(["eps", "delta"]),
               st.one_of(NOT_A_NUMBER, NOT_FINITE)),
@@ -189,6 +186,8 @@ def _break(block, field, value):
 @example(("cyclic", "inner", [1]))
 @example(("constant", "matrix", MISSING))
 @example(("constant", "matrix", "ab"))
+@example(("constant", "matrix", []))  # was "K(t) must be 0x0"
+@example(("constant", "matrix", [0]))  # was "dimension must be even (2n)"
 @example(("cyclic", "radii", ["a"]))
 @example(("cyclic", "radii", ["-1/5", "2/5", "9/10"]))  # ran as if -1/5 were a radius
 @example(("cyclic", "radii", ["1/5", "2/5", "3/2"]))  # refused only after every sampling

@@ -157,6 +157,32 @@ def test_denominator_outside_the_int64_view_refused_at_construction(den):
     assert total_crossing_number(DiscreteBraid(nums, 2**62 - 1, StrandPermutation((0, 1)))) == 2
 
 
+@pytest.mark.parametrize("nums", [
+    [[1, -1], [-1, 1]],
+    np.array([1, -1], dtype=np.int64),
+    np.array([[1, -1], [-1, 1]], dtype=np.int32),
+    np.array([[0.5, -0.5], [-0.5, 0.5]]),
+], ids=["list", "1-D", "int32", "float"])
+def test_anchor_numerators_other_than_a_2d_int64_array_refused(nums):
+    with pytest.raises(BraidInputError, match="int64 \\(strands, period\\) array"):
+        DiscreteBraid(nums, 2, StrandPermutation((0, 1)))
+
+
+@DIFFERENTIAL
+@given(st.lists(st.floats(-1, 1), min_size=1, max_size=8))
+@example([0.5 / SNAP, 1.5 / SNAP, -2.5 / SNAP, 1.0, -1.0])  # ties round to even
+def test_snapped_matches_the_fraction_snap(values):
+    got = discrete.snapped(values)
+    assert got.dtype == np.int64
+    assert [Fraction(int(v), SNAP) for v in got] == [snap(v) for v in values]
+
+
+def test_combined_denominator_outside_the_int64_view_refused():
+    free = fraction_braid(1, 2, ((Fraction(1, 2**61), Fraction(-1, 2**61)),), StrandPermutation((0,)))
+    with pytest.raises(BraidInputError, match=f"anchor denominator {3 * 2**61} does not fit"):
+        DiscreteRelativeBraid(free, word_to_discrete(word(2, [1])))
+
+
 def test_word_braids_match_the_fraction_height_reference(monkeypatch):
     """Packed and unpacked word braids hold the anchors and closure of the
     Fraction-height construction on the same layers."""
