@@ -31,7 +31,7 @@ from .errors import (
     StationaryDegenerateError,
 )
 from .flow import evolve, find_stationary, fitted_recurrence
-from .garside import left_normal_form, twist_padding
+from .garside import factor_letters, left_normal_form, twist_padding
 from .maslov import (
     annulus_hamiltonian,
     constant_family,
@@ -300,7 +300,7 @@ def run(job: JobSpec) -> ResultEnvelope:
             "exponent_sum": exponent_sum(w),
             "infimum": nf.infimum,
             "canonical_length": len(nf.factors),
-            "factors": [f.letters() for f in nf.factors],
+            "factors": [factor_letters(f) for f in nf.factors],
             "g": pad.g,
             "positive_word": format_braid_text(pad.positive_word),
         }
@@ -326,7 +326,10 @@ def run(job: JobSpec) -> ResultEnvelope:
         spec = _relative_spec(doc)
         period_cap = _field(doc, "period_cap", "forcing document", expected="an integer",
                             convert=_integer, default=12)
-        payload = pipeline.forcing_report(spec, period_cap=period_cap)
+        result = pipeline.braid_floer_homology(
+            spec, period=job.period, period_check=job.period_check
+        )
+        payload = pipeline.forcing_report(spec, result=result, period_cap=period_cap)
         provenance.append("conjecture-shifted")
     elif job.command == "flow":
         rb = _geometric_relative(doc)
@@ -388,8 +391,7 @@ def main(argv=None) -> int:
     parser.add_argument("--outer", nargs=2, type=int, metavar=("N", "M"))
     parser.add_argument("--ell", type=int)
     parser.add_argument("--period", type=int, default=None)
-    parser.add_argument("--period-check", dest="period_check", action="store_true", default=True)
-    parser.add_argument("--no-period-check", dest="period_check", action="store_false")
+    parser.add_argument("--period-check", action=argparse.BooleanOptionalAction, default=True)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the full envelope")

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrete import DiscreteRelativeBraid, total_crossing_number
+from .discrete import DiscreteRelativeBraid
 from .errors import BraidInputError, ImproperClassError, TransversalityError
 from .homology import boundary_matrix
 
@@ -114,7 +114,7 @@ class ComplexGeometry:
             (gap[None, :, None, None] < pos[:, :d].T[:, None, None, :])
             != (gap[None, None, :, None] < pos[:, 1:].T[:, None, None, :])
         ).sum(axis=3)
-        self.skeleton_crossings = total_crossing_number(sk)
+        self.skeleton_crossings = sk.crossings
 
     def digits(self, codes: np.ndarray) -> np.ndarray:
         """Per-slot states of the codes, one row each; the gap rows of top cells."""

@@ -76,6 +76,11 @@ class DiscreteBraid:
         """int64 (strands, d+1): `nums` plus column d, column 0 through the closure."""
         return np.concatenate((self.nums, self.nums[list(self.closure.image), :1]), axis=1)
 
+    @cached_property
+    def crossings(self) -> int:
+        """Unsigned crossing count of the PL diagram; all crossings positive."""
+        return int(_pairs(self)[3].sum())
+
 
 def crosses(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether two strands whose difference is a at the start of a slot
@@ -130,11 +135,6 @@ class DiscreteRelativeBraid:
         image = free.closure.image + tuple(free.strands + v for v in sk.closure.image)
         nums = np.concatenate((free.nums * (den // free.den), sk.nums * (den // sk.den)))
         return DiscreteBraid(nums, den, StrandPermutation(image))
-
-
-def total_crossing_number(b: DiscreteBraid) -> int:
-    """Unsigned crossing count of the PL diagram; all crossings positive."""
-    return int(_pairs(b)[3].sum())
 
 
 def word_to_discrete_packed(w: BraidWord) -> DiscreteBraid:

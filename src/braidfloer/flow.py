@@ -20,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .complex import component_contains, enumerate_component
-from .discrete import (SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, snapped,
-                       total_crossing_number)
+from .discrete import SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, snapped
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
                      MonotonicityViolationError, TransversalityError)
 
@@ -181,7 +180,7 @@ def evolve(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation,
     # skeleton values at slots 0..d, unrolled through the closure, and the free
     # strand's; each is the anchor rounded once while the denominator is below 2^53
     paths = rel.skeleton.lattice / rel.skeleton.den
-    internal = total_crossing_number(rel.skeleton)
+    internal = rel.skeleton.crossings
     u = rel.free.nums[0] / rel.free.den
     s, h = 0.0, 0.02
     cross = internal + _free_crossings(u, paths)

@@ -58,48 +58,28 @@ def _finishing_set(p: tuple[int, ...]) -> set[int]:
     return {i for i in range(1, len(p)) if inv[i - 1] > inv[i]}
 
 
-def _perm_word(p: tuple[int, ...]) -> list[int]:
-    """Lexicographically-least reduced word for the permutation braid of p."""
+def factor_letters(f: StrandPermutation) -> list[int]:
+    """Lexicographically least positive word of the permutation braid of f."""
     out = []
-    cur = p
+    cur = f.image
     while True:
         start = _starting_set(cur)
         if not start:
             break
         i = min(start)
         out.append(i)
-        cur = _mul(cur, _swap(len(p), i))  # strip sigma_i from the front
+        cur = _mul(cur, _swap(f.n, i))  # strip sigma_i from the front
     return out
 
 
 @dataclass(frozen=True)
-class PermutationBraid:
-    """Positive braid in which each strand pair crosses at most once."""
-
-    n: int
-    perm: StrandPermutation
-
-    @property
-    def p(self) -> tuple[int, ...]:
-        return self.perm.image
-
-    def is_identity(self) -> bool:
-        return self.p == _identity(self.n)
-
-    def is_delta(self) -> bool:
-        return self.p == _delta_perm(self.n)
-
-    def letters(self) -> list[int]:
-        return _perm_word(self.p)
-
-
-@dataclass(frozen=True)
 class GarsideNormalForm:
-    """Delta^infimum followed by left-weighted permutation-braid factors."""
+    """Delta^infimum followed by left-weighted permutation-braid factors, each
+    given by its strand permutation."""
 
     strands: int
     infimum: int
-    factors: tuple[PermutationBraid, ...]
+    factors: tuple[StrandPermutation, ...]
 
 
 @dataclass(frozen=True)
@@ -159,18 +139,16 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
         if factors and factors[0] == delta:
             factors.pop(0)
             k += 1
-    return GarsideNormalForm(
-        n, k, tuple(PermutationBraid(n, StrandPermutation(p)) for p in factors)
-    )
+    return GarsideNormalForm(n, k, tuple(map(StrandPermutation, factors)))
 
 
 def is_left_weighted(nf: GarsideNormalForm) -> bool:
     """Structural check of the normal-form invariants."""
     for f in nf.factors:
-        if f.is_identity() or f.is_delta():
+        if f.is_identity() or f.image == _delta_perm(f.n):
             return False
     for a, b in zip(nf.factors, nf.factors[1:]):
-        if not _starting_set(b.p) <= _finishing_set(a.p):
+        if not _starting_set(b.image) <= _finishing_set(a.image):
             return False
     return True
 
@@ -191,7 +169,7 @@ def twist_padding(w: BraidWord) -> TwistPadding:
         return TwistPadding(1, 0, BraidWord(1, ()))
     letters = half_twist_letters(n) * (nf.infimum + 2 * g)
     for f in nf.factors:
-        letters.extend(f.letters())
+        letters.extend(factor_letters(f))
     positive = word(n, letters)
     expected = exponent_sum(w) + g * n * (n - 1)
     if exponent_sum(positive) != expected:

@@ -71,15 +71,12 @@ class SymmetricFamily:
             raise BraidInputError("dimension must be even (2n)")
 
     def __call__(self, t: float) -> np.ndarray:
-        k = self.matrix(t)
-        checked = getattr(self, "_checked", 0)
-        if checked < 16:  # validate early calls, then trust the callable
-            object.__setattr__(self, "_checked", checked + 1)
-            k = np.asarray(k, dtype=float)
-            if k.shape != (self.dimension, self.dimension):
-                raise BraidInputError(f"K(t) must be {self.dimension}x{self.dimension}")
-            if np.max(np.abs(k - k.T)) >= SYMMETRY_TOL:
-                raise BraidInputError("K(t) is not symmetric")
+        """K(t); every value is checked for shape and symmetry."""
+        k = np.asarray(self.matrix(t), dtype=float)
+        if k.shape != (self.dimension, self.dimension):
+            raise BraidInputError(f"K(t) must be {self.dimension}x{self.dimension}")
+        if np.abs(k - k.T).max() >= SYMMETRY_TOL:
+            raise BraidInputError("K(t) is not symmetric")
         return k
 
     @property
@@ -118,6 +115,9 @@ def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamil
     _check_finite(ts, "times")
     for i, m in enumerate(mats):
         _check_finite(m, f"matrices[{i}]")
+        if m.shape != mats[0].shape:
+            raise BraidInputError(f"matrices[{i}] has shape {m.shape}, matrices[0] has shape "
+                                  f"{mats[0].shape}")
 
     def mat(t):
         i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
@@ -168,8 +168,9 @@ def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps:
     t = t0
     for _ in range(steps):
         k1 = j @ family(t) @ psi
-        k2 = j @ family(t + h / 2) @ (psi + h / 2 * k1)
-        k3 = j @ family(t + h / 2) @ (psi + h / 2 * k2)
+        mid = j @ family(t + h / 2)
+        k2 = mid @ (psi + h / 2 * k1)
+        k3 = mid @ (psi + h / 2 * k2)
         k4 = j @ family(t + h) @ (psi + h * k3)
         psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
@@ -259,7 +260,6 @@ def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> Sym
 class CrossingRecord:
     time: float
     kernel_dimension: int
-    form_eigenvalues: tuple[float, ...]
     signature: int
     endpoint: bool
 
@@ -287,7 +287,7 @@ def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, t0: float) -> C
     if np.any(np.abs(eigs) < EIGEN_TOL):
         raise DegenerateCrossingError(f"degenerate crossing form at t={t0}")
     sig = int(np.sum(eigs > 0) - np.sum(eigs < 0))
-    return CrossingRecord(t0, kernel.shape[1], tuple(float(e) for e in eigs), sig, False)
+    return CrossingRecord(t0, kernel.shape[1], sig, False)
 
 
 def _smin(path: SymplecticPathSample, sbar: np.ndarray, ts) -> np.ndarray:
@@ -461,11 +461,6 @@ class AnnulusModel:
     two critical points sit at I = 1/8, theta = 0 and pi.
     """
 
-    r1: float
-    r2: float
-    delta: float
-    eps: float
-    outward: bool
     critical_points: tuple[AnnulusCriticalPoint, ...]
     degenerate: bool
 
@@ -479,27 +474,19 @@ class AnnulusModel:
         return out
 
 
-def annulus_hamiltonian(
-    r1: float = 0.1,
-    r2: float = 0.9,
-    delta: float = 0.1,
-    eps: float = 0.1,
-    outward: bool = True,
-) -> AnnulusModel:
+def annulus_hamiltonian(delta: float = 0.1, eps: float = 0.1, outward: bool = True) -> AnnulusModel:
     """The model Hamiltonian of the annulus computation.
 
     `outward` selects the sign of the radial well (flow exiting or entering
     the annulus boundary); eps = 0 restores rotational symmetry and is
     reported as a degenerate circle of equilibria.
     """
-    if not 0 < r1 < r2 <= 1:
-        raise BraidInputError("need 0 < r1 < r2 <= 1")
     if delta <= 0 or delta >= 0.25:
         raise BraidInputError("need 0 < delta < 1/4")
     if eps < 0 or (eps and eps >= 1 / (4 * delta) - 1):
         raise BraidInputError("need 0 <= eps < 1/(4 delta) - 1")
     if eps == 0:
-        return AnnulusModel(r1, r2, delta, eps, outward, (), True)
+        return AnnulusModel((), True)
     # radial Hessian d/dI of +-(2I - sqrt(2I)/2) at I = 1/8 is +-1;
     # angular Hessian of eps cos(theta) in the metric is -4 eps cos(theta)
     if outward:
@@ -512,4 +499,4 @@ def annulus_hamiltonian(
             AnnulusCriticalPoint(0.125, 0.0, np.diag([-1.0, -4 * eps]), 2),  # maximum
             AnnulusCriticalPoint(0.125, np.pi, np.diag([-1.0, 4 * eps]), 1),
         )
-    return AnnulusModel(r1, r2, delta, eps, outward, pts, False)
+    return AnnulusModel(pts, False)

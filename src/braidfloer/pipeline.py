@@ -30,7 +30,6 @@ from .discrete import (
     discrete_to_word,
     insert_duplicate_slot,
     snapped,
-    total_crossing_number,
     word_to_discrete_packed,
 )
 from .errors import (
@@ -245,13 +244,13 @@ def _faithful_sample(components, d_start: int = 4, d_cap: int = 16):
         except SAMPLING_ERRORS as exc:  # tangential snap collisions at unlucky periods
             last_error = exc
             continue
-        if total_crossing_number(b) != expected:
+        if b.crossings != expected:
             continue
         if fine_nf is None:
             fine = _sample_components(
                 components, min(8 * max(expected, 1) + 3, FINE_SAMPLE_CAP)
             )
-            if total_crossing_number(fine) != expected:
+            if fine.crossings != expected:
                 raise BraidInputError(
                     "fine sampling disagrees with winding counts; "
                     "the configuration is too degenerate to discretize"

@@ -24,12 +24,10 @@ from braidfloer.discrete import (
     DiscreteBraid,
     DiscreteRelativeBraid,
     _layers_to_discrete,
-    total_crossing_number,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import (
     GarsideNormalForm,
-    PermutationBraid,
     _delta_perm,
     _finishing_set,
     _identity,
@@ -37,6 +35,7 @@ from braidfloer.garside import (
     _starting_set,
     _swap,
     _tau,
+    factor_letters,
 )
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
@@ -258,7 +257,7 @@ def reference_component(geo) -> tuple[set[tuple[int, ...]], int]:
     def crossing_number(cube):
         free = fraction_braid(1, d, (tuple(mid(i, g) for i, g in enumerate(cube)),),
                               StrandPermutation((0,)))
-        return total_crossing_number(DiscreteRelativeBraid(free, sk).combined())
+        return DiscreteRelativeBraid(free, sk).combined().crossings
 
     def below_owner(cube, i, f, j):
         """Whether the free strand of `cube` lies below pin f's owner at slot i+j."""
@@ -321,7 +320,7 @@ def nf_to_word(nf: GarsideNormalForm) -> BraidWord:
         inv_delta = [-i for i in reversed(delta)]
         letters.extend(inv_delta * (-nf.infimum))
     for f in nf.factors:
-        letters.extend(f.letters())
+        letters.extend(factor_letters(f))
     return word(nf.strands, letters)
 
 
@@ -395,11 +394,7 @@ def reference_left_normal_form(w: BraidWord) -> GarsideNormalForm:
             factors[j] = _tau(factors[j], n)
         total += delta_pows[j]
     shift, normalized = _normalize_factors(factors, n)
-    return GarsideNormalForm(
-        n,
-        total + shift,
-        tuple(PermutationBraid(n, StrandPermutation(p)) for p in normalized),
-    )
+    return GarsideNormalForm(n, total + shift, tuple(map(StrandPermutation, normalized)))
 
 
 # Round-then-queue coreduction as it stood before the rounds ran on the live
@@ -550,7 +545,7 @@ def crossing_count_float(u, skeleton: DiscreteBraid) -> int:
     """Crossings of the float free strand with the skeleton plus the
     skeleton's internal crossings."""
     paths = (skeleton.lattice / skeleton.den).tolist()  # as in flow.evolve
-    return total_crossing_number(skeleton) + reference_free_crossings(u, paths)
+    return skeleton.crossings + reference_free_crossings(u, paths)
 
 
 def cycles(p: StrandPermutation) -> list[tuple[int, ...]]:

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from braidfloer import pipeline
 from braidfloer.cli import (
     JobSpec,
     format_braid_text,
@@ -268,3 +270,86 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# a symmetric table whose last sample is not: every K(t) is checked, so RK4
+# meets the asymmetric half at once instead of halving its step 22 times
+TABLE_ASYMMETRIC_LAST = {"kind": "table", "times": [0, 0.5, 1],
+                         "matrices": [[[1, 0], [0, 0.4]], [[1, 0], [0, 0.4]], [[1, 0.3], [0, 0.4]]]}
+TABLE_RAGGED = {"kind": "table", "times": [0, 0.5, 1],
+                "matrices": [[[1, 0], [0, 0.4]], [[1, 0], [0, 0.4]], [[1, 0, 0], [0, 0.4, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (TABLE_ASYMMETRIC_LAST, "error: K(t) is not symmetric"),
+        (TABLE_RAGGED, "error: matrices[2] has shape (2, 3), matrices[0] has shape (2, 2)"),
+    ],
+    ids=["asymmetric-last-sample", "ragged"],
+)
+def test_maslov_malformed_table_refused_quickly(capsys, monkeypatch, family, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"maslov": {"family": family}})))
+    start = time.perf_counter()
+    code = main(["maslov", "--input", "-"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_maslov_annulus_family(capsys, monkeypatch):
+    doc = {"maslov": {"family": {"kind": "annulus", "eps": 0.1}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["maslov", "--input", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["morse_index"] for c in payload["critical_points"]] == [1, 0]
+    assert payload["cz_indices"] == [0, 1]
+
+
+def test_maslov_annulus_without_eps_is_degenerate(capsys, monkeypatch):
+    doc = {"maslov": {"family": {"kind": "annulus", "eps": 0}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["maslov", "--input", "-"]) == 3
+    assert capsys.readouterr().err.startswith("degenerate input: ")
+
+
+def test_flow_trace_csv(capsys, tmp_path):
+    out = tmp_path / "trace.csv"
+    code = main(["flow", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1",
+                 "--trace-csv", str(out)])
+    assert code == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    rows = out.read_text().splitlines()
+    assert rows == ["s,crossings"] + [f"{s},{c}" for s, c in trace]
+
+
+def test_forcing_honours_the_period_options(capsys, monkeypatch):
+    periods = []
+    homology_at = pipeline._homology_at
+
+    def counted(rb):
+        periods.append(rb.period)
+        return homology_at(rb)
+
+    monkeypatch.setattr(pipeline, "_homology_at", counted)
+    code = main(["forcing", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1",
+                 "--period", "5", "--no-period-check"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["generic_lower_bound"] == 2
+    assert periods == [5]
+
+
+@pytest.mark.parametrize("period", [5, 6])
+@pytest.mark.parametrize(
+    "relative, betti",
+    [
+        ({"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}}, {"2": 1, "3": 1}),
+        ({"word": {"text": "n=3; s2 s1 s2", "free": [1]}}, {"1": 1}),
+    ],
+    ids=["cyclic", "word"],
+)
+def test_homology_at_a_chosen_period(capsys, monkeypatch, relative, betti, period):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"relative": relative})))
+    assert main(["homology", "--input", "-", "--period", str(period)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["betti"], payload["period"]) == (betti, period)

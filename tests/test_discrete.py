@@ -13,7 +13,6 @@ from braidfloer.discrete import (
     DiscreteRelativeBraid,
     insert_duplicate_slot,
     discrete_to_word,
-    total_crossing_number,
     word_to_discrete_packed,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
@@ -43,27 +42,27 @@ def test_crossing_constant_strands():
         ((snap(-0.5), snap(-0.5)), (snap(0.5), snap(0.5))),
         StrandPermutation((0, 1)),
     )
-    assert total_crossing_number(b) == 0
+    assert b.crossings == 0
 
 
 def test_crossing_sigma1():
     b = word_to_discrete(word(2, [1]))
-    assert total_crossing_number(b) == 1
+    assert b.crossings == 1
     assert b.period == 2
 
 
 def test_crossing_full_twist():
     w = full_twist(3, 1)
     b = word_to_discrete(w)
-    assert total_crossing_number(b) == 6
+    assert b.crossings == 6
     assert exponent_sum(w) == 6
 
 
 def test_word_to_discrete_examples():
     b = word_to_discrete(word(3, []))
-    assert total_crossing_number(b) == 0 and b.period == 2
+    assert b.crossings == 0 and b.period == 2
     half = word_to_discrete(word(3, [1, 2, 1]))
-    assert total_crossing_number(half) == 3
+    assert half.crossings == 3
     assert half.closure.image == (2, 1, 0)
 
 
@@ -81,7 +80,7 @@ def test_round_trip_random_words():
         w = word(n, [rng.randrange(1, n) for _ in range(length)])
         for builder in (word_to_discrete, word_to_discrete_packed):
             b = builder(w)
-            assert total_crossing_number(b) == exponent_sum(w)
+            assert b.crossings == exponent_sum(w)
             back = discrete_to_word(b)
             assert left_normal_form(back) == left_normal_form(w)
 
@@ -97,7 +96,7 @@ def test_crossing_number_jitter_invariance():
             tuple(v + eps * rng.randrange(-3, 4) for v in row) for row in fractions_of(b)
         )
         jittered = fraction_braid(n, b.period, anchors, b.closure)
-        assert total_crossing_number(jittered) == total_crossing_number(b)
+        assert jittered.crossings == b.crossings
 
 
 def test_transversality_rejected():
@@ -128,7 +127,7 @@ def test_interior_transversal_equality_allowed():
         ((snap(-0.5), snap(0.0)), (snap(0.5), snap(-0.2))),
         StrandPermutation((0, 1)),
     )
-    assert total_crossing_number(b2) == 2
+    assert b2.crossings == 2
 
 
 def test_insert_duplicate_slot_keeps_braid():
@@ -136,14 +135,14 @@ def test_insert_duplicate_slot_keeps_braid():
     b = word_to_discrete(w)
     b2 = insert_duplicate_slot(b)
     assert b2.period == b.period + 1
-    assert total_crossing_number(b2) == total_crossing_number(b)
+    assert b2.crossings == b.crossings
     assert left_normal_form(discrete_to_word(b2)) == left_normal_form(w)
 
 
 def test_anchor_view_refuses_int64_overflow():
     near = Fraction(1, 2**61)
     b = fraction_braid(2, 2, ((near, -near), (-near, near)), StrandPermutation((0, 1)))
-    assert total_crossing_number(b) == 2 == reference_crossing_number(b)
+    assert b.crossings == 2 == reference_crossing_number(b)
     assert b.lattice.tolist() == [[1, -1, 1], [-1, 1, -1]]
     with pytest.raises(BraidInputError, match="int64"):
         fraction_braid(2, 2, ((near, Fraction(1, 3)), (-near, near)), StrandPermutation((0, 1)))
@@ -154,7 +153,7 @@ def test_denominator_outside_the_int64_view_refused_at_construction(den):
     nums = np.array([[1, -1], [-1, 1]], dtype=np.int64)
     with pytest.raises(BraidInputError, match=f"anchor denominator {den} does not fit"):
         DiscreteBraid(nums, den, StrandPermutation((0, 1)))
-    assert total_crossing_number(DiscreteBraid(nums, 2**62 - 1, StrandPermutation((0, 1)))) == 2
+    assert DiscreteBraid(nums, 2**62 - 1, StrandPermutation((0, 1))).crossings == 2
 
 
 @pytest.mark.parametrize("nums", [
@@ -219,7 +218,7 @@ def test_combined_over_mixed_denominators():
     assert both.den == 3 * SNAP
     assert fractions_of(both) == fractions_of(free) + fractions_of(skeleton)
     assert both.closure == StrandPermutation((0, 2, 1))
-    assert total_crossing_number(both) == reference_crossing_number(
+    assert both.crossings == reference_crossing_number(
         UncheckedBraid(3, 2, fractions_of(free) + fractions_of(skeleton), both.closure)
     )
 
@@ -243,7 +242,7 @@ def assert_matches_reference(b, raw: UncheckedBraid) -> None:
         return
     assert expected == ("ok", None)
     assert fractions_of(b) == raw.anchors and b.closure == raw.closure
-    assert total_crossing_number(b) == reference_crossing_number(raw)
+    assert b.crossings == reference_crossing_number(raw)
     assert _outcome(lambda: discrete_to_word(b).letters) == _outcome(
         lambda: reference_discrete_to_word(raw).letters
     )

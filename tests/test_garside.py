@@ -57,7 +57,7 @@ def test_nf_permutation_braid():
     nf = left_normal_form(word(3, [1, 2]))
     assert nf.infimum == 0
     assert len(nf.factors) == 1
-    assert nf.factors[0].perm == permutation_of(word(3, [1, 2]))
+    assert nf.factors[0] == permutation_of(word(3, [1, 2]))
 
 
 def test_nf_full_twist():
@@ -70,7 +70,7 @@ def test_nf_negative_pair():
     nf = left_normal_form(word(3, [-1, -2]))
     assert nf.infimum == -1
     assert len(nf.factors) == 1
-    assert nf.factors[0].perm == permutation_of(word(3, [1]))
+    assert nf.factors[0] == permutation_of(word(3, [1]))
     # cross-check by the exhaustive signed-word oracle
     assert signed_words_equal(word(3, [-1, -2]), compose(full_twist(3, -1), word(3, [2, 1, 2, 1])))
     assert signed_words_equal(nf_to_word(nf), word(3, [-1, -2]))

@@ -240,8 +240,6 @@ def test_annulus_model():
 def test_annulus_degenerate_and_validation():
     assert annulus_hamiltonian(eps=0.0).degenerate
     with pytest.raises(BraidInputError):
-        annulus_hamiltonian(r1=0.9, r2=0.5)
-    with pytest.raises(BraidInputError):
         annulus_hamiltonian(delta=0.1, eps=2.0)
 
 
