@@ -114,7 +114,6 @@ class ComplexGeometry:
             (gap[None, :, None, None] < pos[:, :d].T[:, None, None, :])
             != (gap[None, None, :, None] < pos[:, 1:].T[:, None, None, :])
         ).sum(axis=3)
-        self.skeleton_crossings = sk.crossings
 
     def digits(self, codes: np.ndarray) -> np.ndarray:
         """Per-slot states of the codes, one row each; the gap rows of top cells."""
@@ -124,7 +123,7 @@ class ComplexGeometry:
         """Total crossings of the representative free strand of each top cell."""
         gaps = self.digits(codes)
         d = self.period
-        return self.skeleton_crossings + sum(
+        return self.rb.skeleton.crossings + sum(
             self.cross[i][gaps[:, i], gaps[:, (i + 1) % d]] for i in range(d)
         )
 
