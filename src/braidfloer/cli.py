@@ -228,9 +228,9 @@ def _maslov_payload(doc: dict) -> dict:
             "a list of rows of numbers", lambda v: np.asarray(v, dtype=float),
         ))
     elif kind == "table":
-        fam = sampled_family(
-            _field(fam_doc, "times", "table family"), _field(fam_doc, "matrices", "table family")
-        )
+        matrices = _field(fam_doc, "matrices", "table family", lambda v: isinstance(v, list),
+                          "a list of matrices")
+        fam = sampled_family(_field(fam_doc, "times", "table family"), matrices)
     elif kind == "annulus":
         eps, delta = (_field(fam_doc, key, "annulus family", expected="a finite number",
                              convert=_finite_float, default=0.1) for key in ("eps", "delta"))

@@ -22,11 +22,7 @@ from .words import BraidWord, StrandPermutation, exponent_sum, half_twist_letter
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Composition a o b."""
-    return tuple(a[b[k]] for k in range(len(a)))
-
-
-def _identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
+    return tuple(map(a.__getitem__, b))
 
 
 def _delta_perm(n: int) -> tuple[int, ...]:
@@ -93,19 +89,22 @@ class TwistPadding:
 
 def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Conjugation by Delta (flip i -> n-i on generator indices)."""
-    d = _delta_perm(n)
-    return _mul(d, _mul(p, d))
+    return tuple(n - 1 - v for v in reversed(p))
 
 
 def _left_weight_pair(a, b, n):
-    """Slide generators that can begin b onto the end of a until (a, b) is left-weighted."""
-    slide = _starting_set(b) - _finishing_set(a)
-    while slide:
-        i = min(slide)
-        a = _mul(_swap(n, i), a)   # append sigma_i to a
-        b = _mul(b, _swap(n, i))   # strip sigma_i from b
-        slide = _starting_set(b) - _finishing_set(a)
-    return a, b
+    """Slide generators that can begin b onto the end of a until (a, b) is left-weighted.
+    A slide at the least i in S(b) - F(a) (b descends, a's inverse ascends) swaps the
+    entries i-1, i of b and of a's inverse, so the next least i is at least i-1."""
+    inv, b = list(_inverse(a)), list(b)
+    i = 1
+    while i < n:
+        if b[i - 1] > b[i] and inv[i - 1] < inv[i]:  # append sigma_i to a, strip it from b
+            inv[i - 1], inv[i], b[i - 1], b[i] = inv[i], inv[i - 1], b[i], b[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return _inverse(inv), tuple(b)
 
 
 def left_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -114,7 +113,7 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
     if n == 1:
         return GarsideNormalForm(1, 0, ())
     delta = _delta_perm(n)
-    ident = _identity(n)
+    ident = tuple(range(n))
     k = 0
     factors: list[tuple[int, ...]] = []
     for idx, sign in w.letters:

@@ -48,14 +48,8 @@ def standard_j(n: int) -> np.ndarray:
 
 def permutation_matrix(sigma: StrandPermutation) -> np.ndarray:
     """Block-diagonal pair of permutation matrices defining the permuted diagonal."""
-    n = sigma.n
-    p = np.zeros((n, n))
-    for k in range(n):
-        p[k, sigma(k)] = 1.0
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = p
-    out[n:, n:] = p
-    return out
+    p = np.eye(sigma.n)[list(sigma.image)]  # p[k, sigma(k)] = 1
+    return np.kron(np.eye(2), p)
 
 
 @dataclass
@@ -84,18 +78,24 @@ class SymmetricFamily:
         return self.dimension // 2
 
 
-def _check_finite(a: np.ndarray, name: str) -> None:
-    """Refuse a NaN or infinite entry, naming the first one."""
+def _finite_array(value, name: str, ndim: int, expected: str) -> np.ndarray:
+    """value as a float array of ndim dimensions with finite entries, else refused by name."""
+    try:
+        a = np.asarray(value, dtype=float)
+        if a.ndim != ndim:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise BraidInputError(f"{name} must be {expected}") from None
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         at = ", ".join(map(str, bad[0]))
         raise BraidInputError(f"{name}[{at}] is {a[tuple(bad[0])]}, not a finite number")
+    return a
 
 
 def constant_family(k) -> SymmetricFamily:
     """The family t -> K, checked now; its path takes the closed form."""
-    k = np.asarray(k, dtype=float)
-    _check_finite(k, "matrix")
+    k = _finite_array(k, "matrix", 2, "a 2-D array of numbers")
     family = SymmetricFamily(k.shape[0], lambda t: k, constant=k)
     family(0.0)
     return family
@@ -108,16 +108,19 @@ def rotation_family(k: int, n: int = 1, tau: float = 1.0) -> SymmetricFamily:
 
 def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamily:
     """Linear interpolation through a table of sampled symmetric matrices."""
-    ts = np.asarray(times, dtype=float)
-    mats = [np.asarray(m, dtype=float) for m in matrices]
+    ts = _finite_array(times, "times", 1, "a list of numbers")
+    square = "a square 2-D array of numbers"
+    mats = [_finite_array(m, f"matrices[{i}]", 2, square) for i, m in enumerate(matrices)]
     if len(ts) != len(mats) or len(ts) < 2:
         raise BraidInputError("need matching times and matrices, at least two samples")
-    _check_finite(ts, "times")
+    if not np.all(ts[1:] > ts[:-1]):  # else an interpolation weight is 0/0 or runs backwards
+        raise BraidInputError("times must be strictly increasing")
     for i, m in enumerate(mats):
-        _check_finite(m, f"matrices[{i}]")
         if m.shape != mats[0].shape:
             raise BraidInputError(f"matrices[{i}] has shape {m.shape}, matrices[0] has shape "
                                   f"{mats[0].shape}")
+    if mats[0].shape[0] != mats[0].shape[1]:
+        raise BraidInputError(f"matrices[0] must be {square}")
 
     def mat(t):
         i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
@@ -238,17 +241,20 @@ def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> Sym
     drift = float(np.max(np.abs(np.swapaxes(nodes, 1, 2) @ j @ nodes - j)))
     if not drift < DRIFT_BOUND:
         raise StiffnessError(f"closed form drifts by {drift:.3g} at {steps} steps")
+    terms = [eye]  # A^d / d!, d = 0..TAYLOR_DEGREE
+    for d in range(1, TAYLOR_DEGREE + 1):
+        terms.append(terms[-1] @ a / d)
+    taylor = np.reshape(terms, (TAYLOR_DEGREE + 1, -1))  # one flattened term per row
+    degrees = np.arange(TAYLOR_DEGREE + 1)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        """nodes[i] @ P(s A) with s = t - t_i; squarings cover s beyond one step."""
-        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, steps)
+        """nodes[i] @ P(s A) with s = t - t_i, P(x A) = sum x^d A^d / d! as one product
+        over the stack; squarings cover s beyond one step (t < 0, t > tau)."""
+        i = np.searchsorted(times[1:], ts, side="right")  # last node <= t; 0 for t < 0
         s = ts - times[i]
         reach = np.max(np.abs(s)) * norm / NODE_SPACING
         squarings = int(np.ceil(np.log2(reach))) if reach > 1 else 0
-        x = (s / 2.0 ** squarings)[:, None, None] * a
-        p = eye + x / TAYLOR_DEGREE
-        for d in range(TAYLOR_DEGREE - 1, 0, -1):  # Horner: I + x/1 (I + x/2 (I + ...))
-            p = eye + (x / d) @ p
+        p = ((s / 2.0 ** squarings)[:, None] ** degrees @ taylor).reshape(len(ts), *a.shape)
         for _ in range(squarings):
             p = p @ p
         return nodes[i] @ p
@@ -297,7 +303,9 @@ def _smin(path: SymplecticPathSample, sbar: np.ndarray, ts) -> np.ndarray:
 
 def _runs(pts: np.ndarray, keep: np.ndarray):
     """(lo, hi, row) of each run of kept cells; cell c of row r spans pts[r, c:c + 2]."""
-    edges = np.diff(keep.astype(np.int8), axis=1, prepend=0, append=0)
+    edges = np.zeros((len(keep), keep.shape[1] + 1), dtype=np.int8)  # keep[c] - keep[c - 1]
+    edges[:, :-1] = keep
+    edges[:, 1:] -= keep
     rows, starts = np.nonzero(edges == 1)
     ends = np.nonzero(edges == -1)[1]
     return pts[rows, starts], pts[rows, ends], rows
@@ -315,10 +323,10 @@ def _isolate_zeros(path, sbar, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     done = []
     while len(lo):
-        pts = np.linspace(lo, hi, ZOOM_POINTS, axis=1)
+        pts = np.linspace(lo, hi, ZOOM_POINTS).T
         f = _smin(path, sbar, pts.ravel()).reshape(pts.shape)
-        cell = np.diff(pts, axis=1)
-        slope = np.max(np.abs(np.diff(f, axis=1)) / cell, axis=1, keepdims=True)
+        cell = pts[:, 1:] - pts[:, :-1]
+        slope = np.max(np.abs(f[:, 1:] - f[:, :-1]) / cell, axis=1, keepdims=True)
         new_lo, new_hi, row = _runs(pts, f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
         final = (new_hi - new_lo <= BISECTION_TOL) | (new_hi - new_lo >= (hi - lo)[row])
         done.append((new_lo + new_hi)[final] / 2)
@@ -418,15 +426,16 @@ def permuted_cz_index(
 def rotated_path(path: SymplecticPathSample, k: int) -> SymplecticPathSample:
     """The path t -> e^{2 pi k J0 t / tau} Psi(t), built in closed form."""
     j = standard_j(path.family.strands)
+    eye = np.eye(len(j))
     rate = 2 * np.pi * k / path.tau
 
     def rotation(t) -> np.ndarray:
         theta = (rate * np.asarray(t))[..., None, None]
-        return np.cos(theta) * np.eye(len(j)) + np.sin(theta) * j
+        return np.cos(theta) * eye + np.sin(theta) * j
 
     def generator(t):  # of the rotated path: rate I + phi K phi^T
         phi = rotation(t)
-        return rate * np.eye(len(j)) + phi @ path.family(t) @ phi.T
+        return rate * eye + phi @ path.family(t) @ phi.T
 
     return SymplecticPathSample(
         SymmetricFamily(path.family.dimension, generator), path.tau, path.times,

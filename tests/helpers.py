@@ -26,17 +26,7 @@ from braidfloer.discrete import (
     _layers_to_discrete,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
-from braidfloer.garside import (
-    GarsideNormalForm,
-    _delta_perm,
-    _finishing_set,
-    _identity,
-    _mul,
-    _starting_set,
-    _swap,
-    _tau,
-    factor_letters,
-)
+from braidfloer.garside import GarsideNormalForm, factor_letters
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
@@ -326,10 +316,56 @@ def nf_to_word(nf: GarsideNormalForm) -> BraidWord:
 
 # Reference left normal form: every adjacent pair is left-weighted again and
 # the Deltas are re-collected until nothing changes.  The incremental sweep in
-# `garside.left_normal_form` must agree with it on every word.
+# `garside.left_normal_form` must agree with it on every word.  Its permutation
+# helpers are set-based and its own, so the reference shares no code with the
+# module it checks.
 
 
-def _left_weight_pair(a, b, n):
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition a o b."""
+    return tuple(a[b[k]] for k in range(len(a)))
+
+
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def _delta_perm(n: int) -> tuple[int, ...]:
+    return tuple(n - 1 - k for k in range(n))
+
+
+def _swap(n: int, i: int) -> tuple[int, ...]:
+    """Transposition of positions i-1, i for the 1-based generator index i."""
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for k, v in enumerate(p):
+        inv[v] = k
+    return tuple(inv)
+
+
+def _starting_set(p: tuple[int, ...]) -> set[int]:
+    """Generators sigma_i that can begin a positive word for p."""
+    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+
+
+def _finishing_set(p: tuple[int, ...]) -> set[int]:
+    """Generators sigma_i that can end a positive word for p."""
+    inv = _inverse(p)
+    return {i for i in range(1, len(p)) if inv[i - 1] > inv[i]}
+
+
+def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Conjugation by Delta (flip i -> n-i on generator indices)."""
+    d = _delta_perm(n)
+    return _mul(d, _mul(p, d))
+
+
+def reference_left_weight_pair(a, b, n):
     """Slide the largest left-divisible prefix of b into a; returns (a', b')."""
     changed = True
     while changed:
@@ -352,7 +388,7 @@ def _normalize_factors(factors: list[tuple[int, ...]], n: int) -> tuple[int, lis
     while not stable:
         stable = True
         for j in range(len(factors) - 1):
-            a, b = _left_weight_pair(factors[j], factors[j + 1], n)
+            a, b = reference_left_weight_pair(factors[j], factors[j + 1], n)
             if (a, b) != (factors[j], factors[j + 1]):
                 factors[j], factors[j + 1] = a, b
                 stable = False

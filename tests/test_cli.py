@@ -285,8 +285,19 @@ TABLE_RAGGED = {"kind": "table", "times": [0, 0.5, 1],
     [
         (TABLE_ASYMMETRIC_LAST, "error: K(t) is not symmetric"),
         (TABLE_RAGGED, "error: matrices[2] has shape (2, 3), matrices[0] has shape (2, 2)"),
+        ({"kind": "table", "times": [0, 1], "matrices": [1, 2]},
+         "error: matrices[0] must be a square 2-D array of numbers"),
+        ({"kind": "table", "times": [0, 1], "matrices": [[[1, 0], [0, 1]], [[1, 0], [0]]]},
+         "error: matrices[1] must be a square 2-D array of numbers"),
+        ({"kind": "table", "times": [0, 1], "matrices": [[[1, 0, 0], [0, 1, 0]]] * 2},
+         "error: matrices[0] must be a square 2-D array of numbers"),
+        ({"kind": "table", "times": [[0], [1]], "matrices": [[[1, 0], [0, 1]]] * 2},
+         "error: times must be a list of numbers"),
+        ({"kind": "table", "times": [0, 1], "matrices": 5},
+         "error: table family field 'matrices' must be a list of matrices"),
     ],
-    ids=["asymmetric-last-sample", "ragged"],
+    ids=["asymmetric-last-sample", "ragged", "scalar-samples", "ragged-sample", "nonsquare",
+         "nested-times", "matrices-not-a-list"],
 )
 def test_maslov_malformed_table_refused_quickly(capsys, monkeypatch, family, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"maslov": {"family": family}})))
@@ -295,6 +306,22 @@ def test_maslov_malformed_table_refused_quickly(capsys, monkeypatch, family, mes
     assert time.perf_counter() - start < 5.0
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("times", [[0, 0, 1], [1, 0.5, 0]], ids=["repeated", "decreasing"])
+def test_maslov_table_times_not_increasing(times):
+    # a repeated time gives a 0/0 interpolation weight whose NaN passes every
+    # tolerance test, so an unrefused table refines forever; the subprocess
+    # timeout turns such a hang into a failure instead of a stalled suite
+    doc = {"maslov": {"family": {"kind": "table", "times": times,
+                                 "matrices": [[[1, 0], [0, 0.4]]] * 3}}}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "braidfloer.cli", "maslov", "--input", "-"],
+                         input=json.dumps(doc), env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == ["error: times must be strictly increasing"]
 
 
 def test_maslov_annulus_family(capsys, monkeypatch):

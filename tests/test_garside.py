@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfloer.garside import (
+    _left_weight_pair,
     is_left_weighted,
     left_normal_form,
     twist_padding,
@@ -24,6 +26,7 @@ from helpers import (
     positive_words_equal,
     random_word,
     reference_left_normal_form,
+    reference_left_weight_pair,
     signed_words_equal,
 )
 
@@ -164,6 +167,14 @@ def test_nf_matches_positive_oracle_small():
         nfw = nf_to_word(left_normal_form(w))
         assert nfw.is_positive()
         assert positive_words_equal(nfw, w)
+
+
+def test_left_weight_pair_matches_reference_on_every_pair():
+    # the pair step against the set-based one, on all of S_n x S_n
+    for n in range(2, 6):
+        perms = list(itertools.permutations(range(n)))
+        for a, b in itertools.product(perms, perms):
+            assert _left_weight_pair(a, b, n) == reference_left_weight_pair(a, b, n), (a, b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

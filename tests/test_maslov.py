@@ -67,6 +67,24 @@ def test_closed_form_matches_rk4_reference():
                 == permuted_cz_index(reference, closed=True).twice_value == 4 * kk)
 
 
+def test_closed_form_evaluation_on_every_branch():
+    # one stack of node times, interior times and times outside [0, tau]; the
+    # last take the squarings branch for the whole stack
+    rng = random.Random(5)
+    for n in (1, 2):
+        k = random_nondegenerate_constant(rng, n)
+        path = integrate_path(constant_family(k), 1.0)
+        nodes = path.times[::7]
+        inside = [rng.uniform(0.0, 1.0) for _ in range(4)]
+        ts = np.concatenate((nodes, inside, [-0.6, -1e-3, 1.0 + 1e-3, 1.7]))
+        got = path.psi(ts)
+        assert np.max(np.abs(got[:len(nodes)] - path.matrices[::7])) < 1e-14
+        exact = np.stack([expm(t * standard_j(n) @ k) for t in ts])
+        assert np.max(np.abs(got - exact)) < 1e-10
+        for t in (-0.6, 0.5, 1.7):  # scalar times, each with its own squarings
+            assert np.max(np.abs(path.psi(t) - expm(t * standard_j(n) @ k))) < 1e-10
+
+
 def test_twin_crossings_inside_one_grid_cell():
     # the rotated saddle crosses where cos(4 pi t) cosh(lam t) = 1: twice
     # near t = 1/2, about lam / (4 pi) apart, far inside one grid cell
