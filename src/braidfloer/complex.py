@@ -50,6 +50,7 @@ BARRIER_HIGH = -2
 
 COMPONENT_CUBE_CAP = 500_000
 INDEX_CELL_CAP = 1_500_000
+MIN_PERIOD = 2  # the least period of a braid complex
 
 
 class ComplexGeometry:
@@ -71,8 +72,8 @@ class ComplexGeometry:
                 "index pairs are implemented for one free strand; the cell "
                 "model extends to several but this version does not build it"
             )
-        if rb.period < 2:
-            raise BraidInputError("braid complexes need period >= 2")
+        if rb.period < MIN_PERIOD:
+            raise BraidInputError(f"braid complexes need period >= {MIN_PERIOD}")
         self.rb = rb
         self.period = d = rb.period
         sk = rb.skeleton

@@ -5,7 +5,7 @@ one denominator: nums[k, i] / den is the value of strand k at slot i.
 Strands are linear in between and close up through a strand permutation.
 All crossings of such a diagram count as positive (Legendrian convention);
 signed counting lives in word exponent sums.  Anchor arithmetic is exact:
-float input is snapped to the 1/SNAP grid, word heights lie over n+1.
+float input is snapped to the 1/SNAP grid, word heights lie over 2^(n-1) + 1.
 
 The exact tests run on `DiscreteBraid.lattice`: the numerators at slots
 0..d, unrolled through the closure.  One positive scale keeps every
@@ -137,31 +137,18 @@ class DiscreteRelativeBraid:
         return DiscreteBraid(nums, den, StrandPermutation(image))
 
 
-def word_to_discrete_packed(w: BraidWord) -> DiscreteBraid:
-    """Compact Legendrian representative: commuting letters share a slot interval.
-
-    Greedy layering only reorders letters by far commutation, so the braid is
-    unchanged; the period is the number of layers (at least 2).
-    """
-    if not w.is_positive():
-        raise BraidInputError("word_to_discrete_packed needs a positive word")
-    layers: list[list[int]] = []
-    depth = {}  # generator index -> index of last layer touching it
-    for i, _ in w.letters:
-        lo = max((depth.get(j, -1) for j in (i - 1, i, i + 1)), default=-1)
-        layer = lo + 1
-        if layer == len(layers):
-            layers.append([])
-        layers[layer].append(i)
-        depth[i] = layer
-    d = max(len(layers), 2)
-    return _layers_to_discrete(w.strands, layers, d)
-
-
-def _layers_to_discrete(n: int, layers: list[list[int]], d: int) -> DiscreteBraid:
-    """Layer t swaps, between slots t-1 and t, the height levels its letters
-    involve; slots past the layers copy values forward.  Level j sits at
-    (2j + 1 - n) / (n + 1), n evenly spaced heights in (-1, 1)."""
+def layers_to_discrete(n: int, layers, d: int) -> DiscreteBraid:
+    """Layer t is a positive word of a permutation braid; between slots t-1
+    and t its letters swap the height levels they act on, and slots past the
+    layers copy values forward.  Level j sits at (2^(j+1) - 1 - 2^(n-1)) /
+    (2^(n-1) + 1).  These heights double, up to one affine map, so the three
+    crossings of strands that pairwise cross in one interval never meet in
+    a point (from levels a < b < c to x > y > z, the slope
+    (h_x - h_y)/(h_b - h_a) exceeds (h_y - h_z)/(h_c - h_b)), and
+    `discrete_to_word` reads each layer back."""
+    den = 2 ** (n - 1) + 1
+    if den >= MAX_DENOMINATOR:
+        raise BraidInputError(f"{n} strands do not fit the int64 anchor heights")
     level_of = list(range(n))  # strand k -> current height level
     levels = [level_of[:]]  # per slot
     for t in range(1, d + 1):
@@ -175,8 +162,8 @@ def _layers_to_discrete(n: int, layers: list[list[int]], d: int) -> DiscreteBrai
             occupant[i - 1], occupant[i] = b, a
         if t < d:
             levels.append(level_of[:])
-    nums = 2 * np.array(levels, dtype=np.int64).reshape(d, n).T + 1 - n
-    return DiscreteBraid(nums, n + 1, StrandPermutation(tuple(level_of)))
+    nums = 2 ** (np.array(levels, dtype=np.int64).reshape(d, n).T + 1) - den
+    return DiscreteBraid(nums, den, StrandPermutation(tuple(level_of)))
 
 
 def discrete_to_word(b: DiscreteBraid) -> BraidWord:

@@ -80,11 +80,16 @@ class GarsideNormalForm:
 
 @dataclass(frozen=True)
 class TwistPadding:
-    """Minimal g with original * Delta^{2g} positive, plus that positive word."""
+    """Minimal g with original * Delta^{2g} positive, plus that positive braid
+    as one letter list per normal-form factor, the Deltas first."""
 
     strands: int
     g: int
-    positive_word: BraidWord
+    layers: tuple[tuple[int, ...], ...]
+
+    @property
+    def positive_word(self) -> BraidWord:
+        return word(self.strands, [i for layer in self.layers for i in layer])
 
 
 def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -95,16 +100,19 @@ def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _left_weight_pair(a, b, n):
     """Slide generators that can begin b onto the end of a until (a, b) is left-weighted.
     A slide at the least i in S(b) - F(a) (b descends, a's inverse ascends) swaps the
-    entries i-1, i of b and of a's inverse, so the next least i is at least i-1."""
-    inv, b = list(_inverse(a)), list(b)
+    entries i-1, i of b and of a's inverse, so the next least i is at least i-1.
+    Returns a and b themselves when nothing slides."""
+    inv, out = list(_inverse(a)), None
     i = 1
     while i < n:
         if b[i - 1] > b[i] and inv[i - 1] < inv[i]:  # append sigma_i to a, strip it from b
+            if out is None:
+                b = out = list(b)
             inv[i - 1], inv[i], b[i - 1], b[i] = inv[i], inv[i - 1], b[i], b[i - 1]
             i = max(i - 1, 1)
         else:
             i += 1
-    return _inverse(inv), tuple(b)
+    return (a, b) if out is None else (_inverse(inv), tuple(b))
 
 
 def left_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -115,21 +123,24 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
     delta = _delta_perm(n)
     ident = tuple(range(n))
     k = 0
+    # factors are kept as tau^flip of the true ones; tau fixes Delta and the
+    # identity and commutes with the slides, so it is applied once at the end
+    flip = 0
     factors: list[tuple[int, ...]] = []
     for idx, sign in w.letters:
-        if sign == 1:
-            factors.append(_swap(n, idx))
-        else:
+        if sign == -1:
             # F sigma_i^{-1} = Delta^{-1} tau(F) (Delta sigma_i^{-1}), the last a permutation braid
             k -= 1
-            factors = [_tau(f, n) for f in factors]
-            factors.append(_mul(_swap(n, idx), delta))
+            flip ^= 1
+        # tau(sigma_i) = sigma_{n-i} and tau(sigma_i Delta) = sigma_{n-i} Delta
+        f = _swap(n, n - idx if flip else idx)
+        factors.append(f if sign == 1 else _mul(f, delta))
         # the factors before the new one are left-weighted, so the sweep stops
         # at the first pair it leaves unchanged
         j = len(factors) - 1
         while j > 0:
             a, b = _left_weight_pair(factors[j - 1], factors[j], n)
-            if a == factors[j - 1]:
+            if a is factors[j - 1]:
                 break
             factors[j - 1], factors[j] = a, b
             j -= 1
@@ -138,6 +149,8 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
         if factors and factors[0] == delta:
             factors.pop(0)
             k += 1
+    if flip:
+        factors = [_tau(f, n) for f in factors]
     return GarsideNormalForm(n, k, tuple(map(StrandPermutation, factors)))
 
 
@@ -164,13 +177,9 @@ def twist_padding(w: BraidWord) -> TwistPadding:
         g = 0
     else:
         g = (-nf.infimum + 1) // 2
-    if n == 1:
-        return TwistPadding(1, 0, BraidWord(1, ()))
-    letters = half_twist_letters(n) * (nf.infimum + 2 * g)
-    for f in nf.factors:
-        letters.extend(factor_letters(f))
-    positive = word(n, letters)
+    layers = (tuple(half_twist_letters(n)),) * (nf.infimum + 2 * g)
+    pad = TwistPadding(n, g, layers + tuple(tuple(factor_letters(f)) for f in nf.factors))
     expected = exponent_sum(w) + g * n * (n - 1)
-    if exponent_sum(positive) != expected:
+    if exponent_sum(pad.positive_word) != expected:
         raise AssertionError("twist padding lost crossings; normal form is broken")
-    return TwistPadding(n, g, positive)
+    return pad

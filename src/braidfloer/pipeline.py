@@ -5,13 +5,15 @@ representative -> braid-class component -> Conley index pair -> Z2 relative
 homology at two consecutive periods -> degree shift back by the applied
 twist.  The identification of the discrete index with the Floer invariant
 rides on a conjecture, so every result carries provenance
-'conjecture-shifted'.
+'conjecture-shifted'.  A word class is laid out one normal-form factor of
+its padded word per slot interval; the period is its supremum, at least 2.
 
 Cyclic skeletons (rigid rotations at fixed radii) are realized geometrically:
 the configuration twisted by K full turns has an honestly positive diagram
 once K beats the radius-weighted rotation differences, and sampling it at a
 small period is checked faithful against the crossing counts implied by the
-rotation numbers and the Garside normal form of a fine reference sampling.
+rotation numbers and the Garside normal form of a fine reference sampling;
+the search starts at period 2, the least a braid complex takes.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complex import enumerate_component, index_pair
+from .complex import MIN_PERIOD, enumerate_component, index_pair
 from .discrete import (
     SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
     discrete_to_word,
     insert_duplicate_slot,
+    layers_to_discrete,
     snapped,
-    word_to_discrete_packed,
 )
 from .errors import (
     AmbiguousDiagramError,
@@ -43,8 +45,8 @@ from .garside import left_normal_form, twist_padding
 from .homology import GradedBetti, poincare_polynomial, relative_homology
 from .words import BraidWord, StrandPermutation, compose, full_twist, permutation_of
 
-TOOL_VERSION = "0.1.0"
-MAX_PACKED_PERIOD = 13
+TOOL_VERSION = "0.2.0"
+MAX_WORD_PERIOD = 13
 FINE_SAMPLE_CAP = 512
 
 DEFAULT_RADII = (Fraction(1, 5), Fraction(2, 5), Fraction(9, 10))
@@ -233,7 +235,7 @@ def _positivity_twist(components) -> int:
     return max(k, 0)
 
 
-def _faithful_sample(components, d_start: int = 4, d_cap: int = 16):
+def _faithful_sample(components, d_start: int = MIN_PERIOD, d_cap: int = 16):
     """Smallest period whose sampling carries the exact combined braid."""
     expected = _expected_crossings(components)
     fine_nf = None
@@ -256,8 +258,11 @@ def _faithful_sample(components, d_start: int = 4, d_cap: int = 16):
                     "the configuration is too degenerate to discretize"
                 )
             fine_nf = left_normal_form(discrete_to_word(fine))
-        if left_normal_form(discrete_to_word(b)) == fine_nf:
-            return b, d
+        try:
+            if left_normal_form(discrete_to_word(b)) == fine_nf:
+                return b, d
+        except AmbiguousDiagramError:  # a multiple point: unfaithful like any other miss
+            continue
     raise BraidInputError(
         f"no faithful sampling period up to {d_cap}"
         + (f" (last rejection: {last_error})" if last_error else "")
@@ -317,16 +322,13 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
 
 def _realize_word(spec: RelativeBraidSpec, period: int | None):
     pad = twist_padding(spec.word)
-    positive = pad.positive_word
-    combined = word_to_discrete_packed(positive)
-    if combined.period > MAX_PACKED_PERIOD:
+    d = max(len(pad.layers), MIN_PERIOD)  # one slot interval per normal-form factor
+    if d > MAX_WORD_PERIOD:
         raise BraidInputError(
-            f"padded word needs period {combined.period} > {MAX_PACKED_PERIOD}; "
+            f"padded word needs period {d} > {MAX_WORD_PERIOD}; "
             "this desk-scale build handles shorter inputs"
         )
-    if period is not None:
-        while combined.period < period:
-            combined = insert_duplicate_slot(combined)
+    combined = layers_to_discrete(pad.strands, pad.layers, d if period is None else max(d, period))
     marks = set(spec.free_marks)
     order = sorted(range(combined.strands), key=lambda s: (s not in marks, s))
     pos_of = {s: i for i, s in enumerate(order)}

@@ -15,6 +15,7 @@ from braidfloer.complex import (
     BARRIER_HIGH,
     BARRIER_LOW,
     INDEX_CELL_CAP,
+    MIN_PERIOD,
     IndexPair,
     _lookup,
     _unique,
@@ -23,10 +24,10 @@ from braidfloer.discrete import (
     SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
-    _layers_to_discrete,
+    layers_to_discrete,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
-from braidfloer.garside import GarsideNormalForm, factor_letters
+from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
@@ -65,13 +66,22 @@ def word_to_discrete(w: BraidWord, period: int | None = None) -> DiscreteBraid:
     d = max(len(w), 2) if period is None else period
     if d < max(len(w), 2):
         raise BraidInputError("period too small for the word")
-    return _layers_to_discrete(w.strands, [[i] for i, _ in w.letters], d)
+    return layers_to_discrete(w.strands, [[i] for i, _ in w.letters], d)
+
+
+def word_to_discrete_factored(w: BraidWord) -> DiscreteBraid:
+    """The word-class layout of `pipeline.realize`: one normal-form factor of
+    the padded word per slot interval, period at least 2."""
+    pad = twist_padding(w)
+    return layers_to_discrete(w.strands, pad.layers, max(len(pad.layers), MIN_PERIOD))
 
 
 def reference_layers_to_discrete(n: int, layers: list[list[int]], d: int):
-    """Anchors and closure of `discrete._layers_to_discrete`, with Fraction
-    heights -1 + 2j/(n+1), j = 1..n, one strand and slot at a time."""
-    heights = [Fraction(-1) + Fraction(2 * j, n + 1) for j in range(1, n + 1)]
+    """Anchors and closure of `discrete.layers_to_discrete`, with Fraction
+    heights 2^(j+1) / (2^(n-1) + 1) - 1, j = 0..n-1, one strand and slot at
+    a time."""
+    den = 2 ** (n - 1) + 1
+    heights = [Fraction(2 ** (j + 1), den) - 1 for j in range(n)]
     level_of = list(range(n))  # strand k -> current height level
     anchors = [[heights[k]] for k in range(n)]
     for t in range(1, d + 1):

@@ -247,9 +247,9 @@ def test_free_mark_outside_the_strands_exit_code(capsys, monkeypatch, mark):
 
 
 def test_word_class_refused_at_the_cell_cap(capsys, monkeypatch):
-    # the period-d homology coreduces 909,792 cells before the d+1 pair passes
-    # the cap; its first round frees under 1/64 of them and later rounds ramp up
-    doc = {"relative": {"word": {"text": "n=3; s2' s1 s2' s2 s1 s2", "free": [1]}}}
+    # one Garside factor per slot interval still needs period 7 here: its
+    # pair has 178,972 cells, and the period-8 pair passes the cap
+    doc = {"relative": {"word": {"text": "n=3; s2 s2 s2 s2 s1 s2' s1", "free": [1]}}}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code = main(["homology", "--input", "-"])
     assert code == 1

@@ -13,11 +13,10 @@ from braidfloer.discrete import (
     DiscreteRelativeBraid,
     insert_duplicate_slot,
     discrete_to_word,
-    word_to_discrete_packed,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
-from braidfloer.garside import left_normal_form
-from braidfloer.words import StrandPermutation, exponent_sum, full_twist, word
+from braidfloer.garside import left_normal_form, twist_padding
+from braidfloer.words import StrandPermutation, exponent_sum, full_twist, half_twist_letters, word
 
 import helpers
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     reference_sample,
     snap,
     word_to_discrete,
+    word_to_discrete_factored,
 )
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -78,11 +78,39 @@ def test_round_trip_random_words():
         n = rng.randrange(2, 5)
         length = rng.randrange(0, 13)
         w = word(n, [rng.randrange(1, n) for _ in range(length)])
-        for builder in (word_to_discrete, word_to_discrete_packed):
+        for builder in (word_to_discrete, word_to_discrete_factored):
             b = builder(w)
             assert b.crossings == exponent_sum(w)
             back = discrete_to_word(b)
             assert left_normal_form(back) == left_normal_form(w)
+
+
+def test_factor_layers_read_back_slot_by_slot():
+    """Each slot interval of the factor layout reads back as its own factor:
+    the doubling heights leave no multiple point, not even under Delta."""
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randrange(2, 8)
+        w = word(n, [rng.randrange(1, n) for _ in range(rng.randrange(0, 16))])
+        layers = twist_padding(w).layers
+        b = word_to_discrete_factored(w)
+        assert b.period == max(len(layers), 2)
+        for t, layer in enumerate(layers):
+            # slot t, then slot t+1 held through the closure
+            start, end = b.lattice[:, t].tolist(), b.lattice[:, t + 1].tolist()
+            hold = StrandPermutation(tuple(start.index(v) for v in end))
+            one = DiscreteBraid(b.lattice[:, t:t + 2].copy(), b.den, hold)
+            assert left_normal_form(discrete_to_word(one)) == left_normal_form(word(n, layer))
+
+
+def test_word_heights_reach_62_strands():
+    """Delta on 62 strands, the most the int64 heights hold, reads back as
+    Delta; 63 strands are refused by name."""
+    b = discrete.layers_to_discrete(62, [half_twist_letters(62)], 2)
+    nf = left_normal_form(discrete_to_word(b))
+    assert (nf.infimum, nf.factors) == (1, ())
+    with pytest.raises(BraidInputError, match="63 strands do not fit the int64 anchor heights"):
+        discrete.layers_to_discrete(63, [[1]], 2)
 
 
 def test_crossing_number_jitter_invariance():
@@ -183,29 +211,29 @@ def test_combined_denominator_outside_the_int64_view_refused():
 
 
 def test_word_braids_match_the_fraction_height_reference(monkeypatch):
-    """Packed and unpacked word braids hold the anchors and closure of the
-    Fraction-height construction on the same layers."""
+    """Factor-layered and one-letter-per-slot word braids hold the anchors
+    and closure of the Fraction-height construction on the same layers."""
     layered = []
-    build = discrete._layers_to_discrete
+    build = discrete.layers_to_discrete
 
     def spy(n, layers, d):
         layered.append((build(n, layers, d), (n, layers, d)))
         return layered[-1][0]
 
-    monkeypatch.setattr(discrete, "_layers_to_discrete", spy)
-    monkeypatch.setattr(helpers, "_layers_to_discrete", spy)
+    monkeypatch.setattr(discrete, "layers_to_discrete", spy)
+    monkeypatch.setattr(helpers, "layers_to_discrete", spy)
     rng = random.Random(23)
     for _ in range(80):
         n = rng.randrange(1, 6)
         w = word(n, [rng.randrange(1, n) for _ in range(rng.randrange(0, 12))] if n > 1 else [])
         word_to_discrete(w)
         word_to_discrete(w, max(len(w), 2) + rng.randrange(0, 3))
-        word_to_discrete_packed(w)
+        word_to_discrete_factored(w)
     assert len(layered) == 240
     for b, args in layered:
         anchors, closure = reference_layers_to_discrete(*args)
         assert fractions_of(b) == anchors and b.closure == closure
-        assert b.den == args[0] + 1
+        assert b.den == 2 ** (args[0] - 1) + 1
 
 
 def test_combined_over_mixed_denominators():
@@ -265,13 +293,13 @@ POSITIVE_WORDS = st.integers(2, 6).flatmap(
 
 
 @DIFFERENTIAL
-@given(POSITIVE_WORDS, st.sampled_from(["exact", "longer", "packed"]), st.integers(0, 3),
+@given(POSITIVE_WORDS, st.sampled_from(["exact", "longer", "factored"]), st.integers(0, 3),
        st.data())
 def test_anchor_view_matches_reference_on_words(nw, layout, duplicates, data):
     n, letters = nw
     w = word(n, letters)
-    if layout == "packed":
-        b = word_to_discrete_packed(w)
+    if layout == "factored":
+        b = word_to_discrete_factored(w)
     else:
         b = word_to_discrete(w, None if layout == "exact" else max(len(w), 2) + 3)
     assert_matches_reference(b, _raw(n, fractions_of(b), b.closure))

@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from braidfloer import pipeline
-from braidfloer.cli import JobSpec, format_braid_text, run
+from braidfloer.cli import JobSpec, format_braid_text, main, parse_braid_text, run
 from braidfloer.discrete import DiscreteRelativeBraid, discrete_to_word
 from braidfloer.errors import BraidInputError, ImproperClassError
+from braidfloer.garside import left_normal_form, twist_padding
 from braidfloer.pipeline import (
     CyclicComponent,
     braid_floer_homology,
@@ -205,3 +207,104 @@ def test_cell_cap_refusal():
     spec = twisted(cyclic_spec((1, 3), (2, 1), ell=1), 1)
     with pytest.raises(BraidInputError, match="^index pair exceeds 1500000 cells"):
         braid_floer_homology(spec)
+
+
+# -- the smallest periods: cyclic search from period 2, one factor per slot --
+
+
+@pytest.mark.parametrize("inner, outer, ell, betti", [
+    ((-3, 2), (-1, 2), -1, {-2: 1, -1: 1}),
+    ((3, 2), (1, 2), 1, {1: 1, 2: 1}),
+    ((1, 2), (-1, 2), 0, {-1: 1, 0: 1}),
+    ((-2, 3), (1, 2), 0, {0: 1, 1: 1}),
+])
+def test_desk_classes_sample_at_period_3(inner, outer, ell, betti):
+    res = braid_floer_homology(cyclic_spec(inner, outer, ell))
+    assert res.period == 3 and res.stabilization_ok is True
+    assert res.betti.as_dict() == betti
+
+
+@pytest.mark.parametrize("inner, outer, ell", [((0, 1), (0, 1), 0), ((1, 1), (1, 1), 1),
+                                               ((-1, 1), (-1, 1), -1)])
+def test_same_rotation_specs_stay_improper(capsys, inner, outer, ell):
+    # their period-2 samplings have multiple points, which the search skips
+    code = main(["homology", "--inner", *map(str, inner), "--outer", *map(str, outer),
+                 "--ell", str(ell)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("improper class:")
+
+
+@pytest.mark.parametrize("inner, outer, ell", [((3, 2), (3, 1), 2), ((4, 3), (3, 1), 2)])
+def test_large_classes_sample_at_period_6(inner, outer, ell):
+    rb, _, _ = pipeline.realize(cyclic_spec(inner, outer, ell), None)
+    assert rb.period == 6
+
+
+def _rotation(rng):
+    m = rng.randrange(1, 4)
+    return rng.choice([(v, m) for v in range(-4, 5) if math.gcd(v, m) == 1])
+
+
+def _outcome(spec):
+    try:
+        res = braid_floer_homology(spec)
+        return ("ok", res.betti.as_dict(), res.stabilization_ok)
+    except (BraidInputError, ImproperClassError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _realized(spec):
+    try:
+        rb, k_twist, _ = pipeline.realize(spec, None)
+        combined = rb.combined()
+        return (combined.nums.tolist(), combined.den, combined.closure, k_twist)
+    except BraidInputError as exc:
+        return (str(exc),)
+
+
+def test_search_from_period_2_keeps_outcomes(monkeypatch):
+    """Seeded cyclic specs get the outcome of the search from period 4.  Where
+    both searches realize the same braid the outcome is the same by
+    construction; the others run the whole route both ways."""
+    from_2 = pipeline._faithful_sample
+
+    def from_4(components, d_start=4, d_cap=16):
+        return from_2(components, d_start, d_cap)
+
+    rng = random.Random(41)
+    lowered = 0
+    for _ in range(120):
+        spec = cyclic_spec(_rotation(rng), _rotation(rng), rng.randrange(-2, 3))
+        new = _realized(spec)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_faithful_sample", from_4)
+            if _realized(spec) == new:
+                continue
+            old = _outcome(spec)
+        assert _outcome(spec) == old, spec.label
+        lowered += 1
+    assert lowered >= 3
+
+
+def test_word_periods_are_the_padded_supremum():
+    """A word class takes one slot interval per normal-form factor of its
+    padded word (at least 2), and its diagram reads back that braid."""
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        w = word(n, [rng.randrange(1, n) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 9))])
+        fixed = [k for k in range(n) if permutation_of(w)(k) == k]
+        if not fixed:
+            continue
+        pad = twist_padding(w)
+        rb, g, _ = pipeline.realize(word_spec(w, fixed[:1]), None)
+        assert g == pad.g and rb.period == max(2, len(pad.layers))
+        back = discrete_to_word(rb.combined())
+        assert left_normal_form(back).factors == left_normal_form(pad.positive_word).factors
+
+
+@pytest.mark.parametrize("text, free, betti", [("n=3; s1 s2 s2 s1", [0], {}),
+                                               ("n=3; s2 s1 s2", [1], {1: 1})])
+def test_desk_words_run_at_period_2(text, free, betti):
+    res = braid_floer_homology(word_spec(parse_braid_text(text), free))
+    assert res.period == 2 and res.betti.as_dict() == betti
