@@ -65,9 +65,7 @@ def parse_braid_text(text: str) -> BraidWord:
             raise BraidInputError(f"unknown token {tok!r} at position {pos}")
         idx = int(m.group(1))
         if not 1 <= idx <= strands - 1:
-            raise BraidInputError(
-                f"generator index {idx} out of range at position {pos}"
-            )
+            raise BraidInputError(f"generator index {idx} out of range at position {pos}")
         letters.append((idx, -1 if m.group(2) else 1))
     return BraidWord(strands, tuple(letters))
 

@@ -22,15 +22,15 @@ index pair checks that rule against the crossing tables: across each
 skeleton tangency of a top cell the crossing number is c-2 exactly behind an
 exit face and c+2 otherwise, and no tangency on a +-1 marker is an exit face.
 
-A cell is a mixed-radix int64 code over the per-slot states (gaps 0..ngaps-1,
-pins ngaps+f).  The component's top cells, N, N^- and the relative cells are
-all sorted code arrays.  The component is flood-filled by frontier: each slot
-and direction applies the straddle test to the whole frontier at once.  N and
-N^- come from one down-closure, one slot at a time, with an exit bit on each
-code; N^- is a mask on N, checked closed by sorted merges.  Which side of a
-fixed value a gap lies on is exact integer data, so the straddle/tangency
-signs and the crossings of a representative strand come from per-slot tables
-built once per geometry.
+A cell is a mixed-radix code over the per-slot states (gaps 0..ngaps-1, pins
+ngaps+f), int32 below 2^30 states and int64 above.  Top cells, N, N^- and the
+relative cells are sorted code arrays.  The component is flood-filled by
+frontier: each slot and direction applies the straddle test to the whole
+frontier at once.  N and N^- come from one down-closure, one slot at a time,
+with an exit bit on each code; N^- is a mask on N, checked closed by sorted
+merges.  Which side of a fixed value a gap lies on is exact integer data, so
+the straddle/tangency signs and the crossings of a representative strand
+come from per-slot tables built once per geometry.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ class ComplexGeometry:
                 f"{states} cell states overflow the int64 cell codes; "
                 "the class is beyond this build's desk scale"
             )
+        self.dtype, self.key_dtype = (np.int32, np.uint32) if states < 2**30 else (np.int64, np.uint64)
 
         # pos[l, i]: index of strand l's value among the fixed values of slot
         # i, at slots 0..d through the closure; before[l, i] is pos at i-1
@@ -169,8 +170,8 @@ class ComplexGeometry:
         are distinct cells of N, so checking the cap against either refuses
         exactly the closures larger than the cap, and early, before the merge.
         """
-        keys = _unique(np.concatenate((np.asarray(seeds, np.uint64) << 1,
-                                       np.asarray(tops, np.uint64) << 1 | 1)), flagged=True)
+        keys = _unique(np.concatenate((np.asarray(seeds, self.key_dtype) << 1,
+                                       np.asarray(tops, self.key_dtype) << 1 | 1)), flagged=True)
         for i in range(self.period):
             low = keys[self.gap_mask(keys, i, 2)]
             if 2 * len(low) <= INDEX_CELL_CAP:
@@ -181,7 +182,7 @@ class ComplexGeometry:
                     f"index pair exceeds {INDEX_CELL_CAP} cells; "
                     "the class is beyond this build's desk scale"
                 )
-        return (keys >> 1).view(np.int64), (keys & 1) == 0
+        return (keys >> 1).view(self.dtype), (keys & 1) == 0
 
 
 def _unique(codes: np.ndarray, flagged: bool = False) -> np.ndarray:
@@ -288,7 +289,7 @@ def _initial_code(geo: ComplexGeometry) -> int:
 def enumerate_component(rb: DiscreteRelativeBraid) -> BraidClassComponent:
     """Flood-fill the discretized braid class across its interior faces."""
     geo = ComplexGeometry(rb)
-    seen = np.array([_initial_code(geo)], dtype=np.int64)
+    seen = np.array([_initial_code(geo)], dtype=geo.dtype)
     cross = int(geo.crossing_numbers(seen)[0])
     frontier = seen
     while len(frontier):

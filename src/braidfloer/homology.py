@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from .errors import BraidInputError
 
 GAUSS_CAP = 400_000
+SQUARE_ROWS = 1 << 16  # rows of B per block of the d^2 product
 # a coreduction round costs about what the queue takes for (live + TAIL) / 64
 # pairs, and cutting the matrices to the live cells pays from TAIL rows up;
 # sweeping each role from 256 to 65536 puts the fastest _coreduce on the desk
@@ -218,10 +219,11 @@ def _gauss_ranks(core: array, dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int,
 
 
 def _check_boundary_squared(bnd: sp.csr_matrix) -> None:
-    """Exact d^2 = 0 over Z2: every entry of B @ B counts an even number of
-    paths.  int8 products wrap modulo 256, which keeps their parity."""
-    if ((bnd @ bnd).data & 1).any():
-        raise AssertionError("boundary of boundary is nonzero")
+    """Exact d^2 = 0 over Z2: every entry of B @ B, formed by row blocks so that
+    it stays small, counts an even number of paths (int8 wraps keep parity)."""
+    for lo in range(0, bnd.shape[0], SQUARE_ROWS):
+        if ((bnd[lo:lo + SQUARE_ROWS] @ bnd).data & 1).any():
+            raise AssertionError("boundary of boundary is nonzero")
     IDENTITY_CHECKS["boundary_squared"] += 1
 
 

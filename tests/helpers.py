@@ -807,7 +807,7 @@ def reference_geometry_tables(geo):
 
 
 def _reference_closure(geo, seeds: np.ndarray) -> np.ndarray:
-    cells = _unique(np.array(seeds, dtype=np.int64))
+    cells = _unique(np.array(seeds, dtype=geo.dtype))
     for i in range(geo.period):
         gaps = cells[geo.gap_mask(cells, i)]
         if 2 * len(gaps) <= INDEX_CELL_CAP:

@@ -210,6 +210,39 @@ def test_cell_codes_refuse_int64_overflow():
         ComplexGeometry(rb)
 
 
+@pytest.mark.parametrize("period, dtype", [(6, np.int32), (7, np.int64)])
+def test_cell_codes_are_int32_below_2_30_states(period, dtype):
+    # ten parallel skeleton strands: 23**6 < 2**30 <= 23**7 cell states
+    skeleton = fraction_braid(
+        10,
+        period,
+        tuple(constant_strand(-0.9 + 0.18 * k, period) for k in range(10)),
+        StrandPermutation(tuple(range(10))),
+    )
+    assert ComplexGeometry(make_relative([0.95] * period, skeleton)).dtype == dtype
+
+
+def test_int32_codes_give_the_int64_index_pair(monkeypatch):
+    """The large benchmark's completed class at period 6 has the same N, N^-
+    and homology whether its codes are int32, as chosen, or forced to int64."""
+    rb = cyclic_relative(*LARGE_CYCLIC[0])
+    pair = index_pair(enumerate_component(rb))
+    assert pair.cells.dtype == np.int32
+
+    narrow_init = ComplexGeometry.__init__
+
+    def wide_init(self, rb):
+        narrow_init(self, rb)
+        self.dtype, self.key_dtype = np.int64, np.uint64
+
+    monkeypatch.setattr(ComplexGeometry, "__init__", wide_init)
+    wide = index_pair(enumerate_component(rb))
+    assert wide.cells.dtype == np.int64
+    assert np.array_equal(wide.cells, pair.cells)
+    assert np.array_equal(wide.in_exit, pair.in_exit)
+    assert relative_homology(wide) == relative_homology(pair)
+
+
 def cyclic_relative(inner, outer, ell):
     return _realize_cyclic(cyclic_spec(inner, outer, ell), None)[0]
 

@@ -51,6 +51,17 @@ def test_boundary_squared_guard():
         homology_of_chain(cells, lambda c: bnd.get(c, []))
 
 
+def test_boundary_squared_by_single_rows(monkeypatch):
+    # one row of B per block of the d^2 product
+    monkeypatch.setattr(homology, "SQUARE_ROWS", 1)
+    cells = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
+    bnd = {3: [1, 2], 4: [1, 2], 5: [3, 4], 6: [3, 4]}
+    assert homology_of_chain(cells, lambda c: bnd.get(c, [])) == {0: 1, 2: 1}
+    bnd[6] = [3]  # d(d(6)) = 1 + 2
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        homology_of_chain(cells, lambda c: bnd.get(c, []))
+
+
 def test_large_cycle_reduces():
     # a long circle: coreduction plus elimination handle it quickly
     n = 50_000
