@@ -31,7 +31,7 @@ from .errors import (
     StationaryDegenerateError,
 )
 from .flow import evolve, find_stationary, fitted_recurrence
-from .garside import factor_letters, left_normal_form, twist_padding
+from .garside import factor_letters, left_normal_form, pad_normal_form
 from .maslov import (
     annulus_hamiltonian,
     constant_family,
@@ -177,15 +177,13 @@ def _relative_spec(doc: dict) -> pipeline.RelativeBraidSpec:
             for key in ("inner", "outer")
         )
         ell = _field(c, "ell", "cyclic block", expected="an integer", convert=_integer)
-        kwargs = {}
-        if "radii" in c:
-            kwargs["radii"] = _field(c, "radii", "cyclic block",
-                                     expected="a list of fractions strictly between 0 and 1",
-                                     convert=lambda rs: tuple(_radius(r) for r in rs))
-        if "phases" in c:
-            kwargs["phases"] = _field(c, "phases", "cyclic block",
-                                      expected="a list of finite numbers",
-                                      convert=lambda ps: tuple(_finite_float(p) for p in ps))
+        kwargs = {
+            key: _field(c, key, "cyclic block", lambda v: isinstance(v, list) and len(v) == 3,
+                        f"a list of three {what}", lambda vs: tuple(map(convert, vs)))
+            for key, what, convert in (("radii", "fractions strictly between 0 and 1", _radius),
+                                       ("phases", "finite numbers", _finite_float))
+            if key in c
+        }
         return pipeline.cyclic_spec(inner, outer, ell, label=c.get("label", ""), **kwargs)
     if "word" in rel:
         w = rel["word"]
@@ -249,9 +247,9 @@ def _maslov_payload(doc: dict) -> dict:
         }
     else:
         raise BraidInputError(f"unknown family kind {kind!r}")
-    sigma = m.get("sigma")
-    if sigma is not None and not isinstance(sigma, list):
-        raise BraidInputError("maslov block field 'sigma' must be a list of strand indices")
+    sigma = _field(m, "sigma", "maslov block",
+                   lambda v: v is None or isinstance(v, list) and all(type(k) is int for k in v),
+                   "a list of strand indices", default=None)
     perm = StrandPermutation(tuple(sigma)) if sigma else None
     path = integrate_path(fam, tau)
     b = _field(m, "b", "maslov block", expected="a finite number", convert=_finite_float,
@@ -291,7 +289,7 @@ def run(job: JobSpec) -> ResultEnvelope:
         where = "braid block" if block is not doc else "normalform document"
         w = parse_braid_text(_field(block, "text", where, lambda v: isinstance(v, str), "a string"))
         nf = left_normal_form(w)
-        pad = twist_padding(w)
+        pad = pad_normal_form(nf, exponent_sum(w))
         payload = {
             "input": format_braid_text(w),
             "strands": w.strands,

@@ -200,17 +200,8 @@ def discrete_to_word(b: DiscreteBraid) -> BraidWord:
     return word(b.strands, letters)
 
 
-def insert_duplicate_slot(b: DiscreteBraid, at: int | None = None) -> DiscreteBraid:
-    """Stabilize the period by repeating one slot; the braid class is unchanged.
-
-    Slots holding an anchor equality cannot be duplicated (it would create a
-    tangential contact), so by default the first admissible slot is used.
-    """
-    err = None
-    for a in range(b.period - 1, -1, -1) if at is None else [at]:
-        try:
-            return DiscreteBraid(np.insert(b.nums, a + 1, b.nums[:, a], axis=1), b.den, b.closure)
-        except TransversalityError as exc:
-            err = exc
-    raise err
-
+def insert_duplicate_slot(b: DiscreteBraid) -> DiscreteBraid:
+    """Stabilize the period by repeating the last slot; the braid class is
+    unchanged.  A strand contact at that slot becomes a tangential contact,
+    which the constructor refuses."""
+    return DiscreteBraid(np.concatenate((b.nums, b.nums[:, -1:]), axis=1), b.den, b.closure)

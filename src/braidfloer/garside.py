@@ -166,20 +166,20 @@ def is_left_weighted(nf: GarsideNormalForm) -> bool:
 
 
 def twist_padding(w: BraidWord) -> TwistPadding:
-    """Minimal g >= 0 such that w * Delta^{2g} is a positive braid.
+    """Minimal g >= 0 such that w * Delta^{2g} is a positive braid."""
+    return pad_normal_form(left_normal_form(w), exponent_sum(w))
+
+
+def pad_normal_form(nf: GarsideNormalForm, crossings: int) -> TwistPadding:
+    """Twist padding of the braid with normal form nf and exponent sum `crossings`.
 
     When the infimum is odd, one factor of Delta stays inside the positive
     word; only even twist powers are licensed by the degree-shift theorem.
     """
-    nf = left_normal_form(w)
-    n = w.strands
-    if nf.infimum >= 0:
-        g = 0
-    else:
-        g = (-nf.infimum + 1) // 2
+    n = nf.strands
+    g = max(-nf.infimum + 1, 0) // 2
     layers = (tuple(half_twist_letters(n)),) * (nf.infimum + 2 * g)
     pad = TwistPadding(n, g, layers + tuple(tuple(factor_letters(f)) for f in nf.factors))
-    expected = exponent_sum(w) + g * n * (n - 1)
-    if exponent_sum(pad.positive_word) != expected:
+    if exponent_sum(pad.positive_word) != crossings + g * n * (n - 1):
         raise AssertionError("twist padding lost crossings; normal form is broken")
     return pad

@@ -185,7 +185,8 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
 
     A constant family takes the closed form Psi(t) = expm(t J0 K): the step
     count doubles until h ||J0 K||_2 <= NODE_SPACING, the nodes are powers of
-    one expm(h J0 K), and their symplectic drift must stay below 1e-8.  Any
+    one expm(h J0 K), the degree-TAYLOR_DEGREE Taylor polynomial by Horner's
+    rule, and their symplectic drift must stay below 1e-8.  Any
     other family is integrated by classical 4th-order steps that halve until
     the drift stays below 1e-8 at every node and the endpoint agrees with the
     next refinement to 1e-10.
@@ -223,16 +224,16 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
 
 
 def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> SymplecticPathSample:
-    from scipy.linalg import expm  # loaded only by the commands that take Maslov paths
     a = j @ family.constant
     norm = float(np.linalg.norm(a, 2))
-    while tau / steps * norm > NODE_SPACING:
+    while abs(tau) / steps * norm > NODE_SPACING:
         steps *= 2
     times = np.linspace(0.0, tau, steps + 1)
     eye = np.eye(len(a))
     nodes = np.empty((steps + 1,) + a.shape)
-    nodes[0] = eye
-    nodes[1] = expm((tau / steps) * a)
+    nodes[0] = nodes[1] = eye
+    for d in range(TAYLOR_DEGREE, 0, -1):  # expm(h A), its Taylor polynomial by Horner's rule
+        nodes[1] = eye + (tau / steps / d) * (a @ nodes[1])
     m = 1
     while m < steps:  # nodes[m + i] = nodes[i] @ nodes[m]
         k = min(m, steps - m)

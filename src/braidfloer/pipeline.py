@@ -13,7 +13,9 @@ the configuration twisted by K full turns has an honestly positive diagram
 once K beats the radius-weighted rotation differences, and sampling it at a
 small period is checked faithful against the crossing counts implied by the
 rotation numbers and the Garside normal form of a fine reference sampling;
-the search starts at period 2, the least a braid complex takes.
+the search starts at period 2, the least a braid complex takes.  The least
+twist g that makes the class positive is read off that normal form: Delta^2
+is central, so the untwisted class has the same factors and 2K fewer Deltas.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .errors import (
     StabilizationError,
     TransversalityError,
 )
-from .garside import left_normal_form, twist_padding
+from .garside import GarsideNormalForm, left_normal_form, pad_normal_form, twist_padding
 from .homology import GradedBetti, poincare_polynomial, relative_homology
-from .words import BraidWord, StrandPermutation, compose, full_twist, permutation_of
+from .words import BraidWord, StrandPermutation, permutation_of
 
 TOOL_VERSION = "0.2.0"
 MAX_WORD_PERIOD = 13
@@ -236,7 +238,8 @@ def _positivity_twist(components) -> int:
 
 
 def _faithful_sample(components, d_start: int = MIN_PERIOD, d_cap: int = 16):
-    """Smallest period whose sampling carries the exact combined braid."""
+    """The sampling at the smallest period that carries the exact combined
+    braid, and that braid's Garside normal form."""
     expected = _expected_crossings(components)
     fine_nf = None
     last_error = None
@@ -260,7 +263,7 @@ def _faithful_sample(components, d_start: int = MIN_PERIOD, d_cap: int = 16):
             fine_nf = left_normal_form(discrete_to_word(fine))
         try:
             if left_normal_form(discrete_to_word(b)) == fine_nf:
-                return b, d
+                return b, fine_nf
         except AmbiguousDiagramError:  # a multiple point: unfaithful like any other miss
             continue
     raise BraidInputError(
@@ -283,7 +286,7 @@ def _split_first_free(combined: DiscreteBraid, n_free: int) -> DiscreteRelativeB
 
 
 def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
-    """Positive discrete representative of the class twisted by K, plus data."""
+    """Positive discrete representative of the class twisted by K, K and g."""
     components = (spec.cyclic_free,) + spec.cyclic_skeleton
     k_twist = _positivity_twist(components)
     twisted = tuple(
@@ -305,9 +308,9 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
         )
         try:
             if period is None:
-                combined, d = _faithful_sample(shifted)
+                combined, nf = _faithful_sample(shifted)
             else:
-                combined, d = _faithful_sample(shifted, d_start=period, d_cap=period)
+                combined, nf = _faithful_sample(shifted, d_start=period, d_cap=period)
             break
         except SAMPLING_ERRORS as exc:
             last = exc
@@ -315,9 +318,9 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
     if combined is None:
         raise BraidInputError(f"could not discretize the cyclic spec: {last}")
     rb = _split_first_free(combined, spec.cyclic_free.strands)
-    pos_word = discrete_to_word(combined)
-    base_word = compose(pos_word, full_twist(combined.strands, -k_twist)) if k_twist else pos_word
-    return rb, k_twist, base_word
+    n = combined.strands
+    base = GarsideNormalForm(n, nf.infimum - 2 * k_twist, nf.factors)
+    return rb, k_twist, pad_normal_form(base, expected - k_twist * n * (n - 1)).g
 
 
 def _realize_word(spec: RelativeBraidSpec, period: int | None):
@@ -335,11 +338,12 @@ def _realize_word(spec: RelativeBraidSpec, period: int | None):
     closure = StrandPermutation(tuple(pos_of[combined.closure(s)] for s in order))
     reordered = DiscreteBraid(combined.nums[order], combined.den, closure)
     rb = _split_first_free(reordered, len(marks))
-    return rb, pad.g, spec.word
+    return rb, pad.g, pad.g
 
 
 def realize(spec: RelativeBraidSpec, period: int | None):
-    """Positive discrete representative, applied twist and base word of a spec."""
+    """Positive discrete representative of a spec, the applied twist K and the
+    least g making the class times Delta^{2g} positive."""
     if spec.presentation == "cyclic":
         return _realize_cyclic(spec, period)
     if spec.presentation == "word":
@@ -370,9 +374,8 @@ def braid_floer_homology(
     applied twist per free strand.  The final identification is
     conjecture-mediated and flagged as such.
     """
-    rb, k_twist, base_word = realize(spec, period)
+    rb, k_twist, g = realize(spec, period)
     n = spec.free_strands()
-    g = twist_padding(base_word).g
     if g > k_twist:
         raise AssertionError("padding exceeds the applied twist; Garside is broken")
 

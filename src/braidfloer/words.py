@@ -79,13 +79,6 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(s for _, s in w.letters)
 
 
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Concatenation a then b."""
-    if a.strands != b.strands:
-        raise BraidInputError(f"strand counts differ: {a.strands} vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
-
-
 def permutation_of(w: BraidWord) -> StrandPermutation:
     """Underlying permutation: start position -> end position, signs ignored."""
     pos = list(range(w.strands))  # pos[p] = strand currently at position p
@@ -104,21 +97,6 @@ def half_twist_letters(n: int) -> list[int]:
     for k in range(1, n):
         out.extend(range(k, 0, -1))
     return out
-
-
-def full_twist(n: int, k: int) -> BraidWord:
-    """The central element Delta^{2k} as a word; exponent sum k*n*(n-1)."""
-    if n < 2:
-        raise BraidInputError(f"full twist needs n >= 2, got {n}")
-    delta = half_twist_letters(n)
-    sign = 1 if k >= 0 else -1
-    letters = []
-    for _ in range(2 * abs(k)):
-        if sign == 1:
-            letters.extend(delta)
-        else:
-            letters.extend(-i for i in reversed(delta))
-    return word(n, letters)
 
 
 def random_rewrite(w: BraidWord, rng, moves: int = 1) -> BraidWord:

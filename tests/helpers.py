@@ -24,6 +24,7 @@ from braidfloer.discrete import (
     SNAP,
     DiscreteBraid,
     DiscreteRelativeBraid,
+    discrete_to_word,
     layers_to_discrete,
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
@@ -31,7 +32,39 @@ from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
 from braidfloer.maslov import SymmetricFamily, constant_family
 from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
-from braidfloer.words import BraidWord, StrandPermutation, compose, full_twist, half_twist_letters, word
+from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
+
+
+# -- braid words the package does not build ----------------------------------
+
+
+def compose(a: BraidWord, b: BraidWord) -> BraidWord:
+    """Concatenation a then b."""
+    if a.strands != b.strands:
+        raise BraidInputError(f"strand counts differ: {a.strands} vs {b.strands}")
+    return BraidWord(a.strands, a.letters + b.letters)
+
+
+def full_twist(n: int, k: int) -> BraidWord:
+    """The central element Delta^{2k} as a word; exponent sum k*n*(n-1)."""
+    if n < 2:
+        raise BraidInputError(f"full twist needs n >= 2, got {n}")
+    delta = half_twist_letters(n)
+    sign = 1 if k >= 0 else -1
+    letters = []
+    for _ in range(2 * abs(k)):
+        if sign == 1:
+            letters.extend(delta)
+        else:
+            letters.extend(-i for i in reversed(delta))
+    return word(n, letters)
+
+
+def base_word(rb: DiscreteRelativeBraid, k_twist: int) -> BraidWord:
+    """The class of a realized cyclic spec before its K full twists: the
+    positive word of the combined diagram, then Delta^{-2K}."""
+    combined = rb.combined()
+    return compose(discrete_to_word(combined), full_twist(combined.strands, -k_twist))
 
 
 # -- Fraction views and builders the package does not need -------------------

@@ -35,7 +35,7 @@ from braidfloer.pipeline import (
     forcing_report,
     word_spec,
 )
-from braidfloer.words import StrandPermutation, compose, exponent_sum, full_twist, random_rewrite, word
+from braidfloer.words import StrandPermutation, exponent_sum, random_rewrite, word
 
 from helpers import (
     chain_counts,

@@ -261,15 +261,19 @@ def test_word_class_refused_at_the_cell_cap(capsys, monkeypatch):
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     """A fresh `import braidfloer.cli` loads scipy.sparse, but not the scipy
     modules that only the flow fit (interpolate, and through it optimize and
-    special) or the Maslov paths (linalg) once needed."""
+    special) or the Maslov paths (linalg) once needed; nor does a fresh
+    process that runs a constant-family Maslov job."""
     heavy = ["scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.linalg"]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys, braidfloer.cli; print([m for m in {heavy!r} if m in sys.modules])"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    maslov = {"maslov": {"family": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, -0.4]]}}}
+    for job in ("", f"cli.run(cli.JobSpec('maslov', {maslov!r})); "):
+        code = (f"import sys, braidfloer.cli as cli; {job}"
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]", job
 
 
 # a symmetric table whose last sample is not: every K(t) is checked, so RK4

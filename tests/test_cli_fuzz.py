@@ -138,18 +138,25 @@ BROKEN_FIELDS = st.one_of(
               st.one_of(st.just(MISSING), NOT_A_PAIR)),
     st.tuples(st.just("cyclic"), st.just("ell"), st.one_of(st.just(MISSING), NOT_AN_INTEGER)),
     st.tuples(st.just("cyclic"), st.just("phases"),
-              st.lists(st.one_of(NOT_FINITE, st.floats(0, 1)), min_size=1).filter(
-                  lambda ps: any(p != p or abs(p) == float("inf") for p in ps))),
+              st.one_of(st.lists(st.one_of(NOT_FINITE, st.floats(0, 1)), min_size=1).filter(
+                  lambda ps: any(p != p or abs(p) == float("inf") for p in ps)),
+                        st.lists(st.floats(0, 1), max_size=5).filter(lambda ps: len(ps) != 3))),
     st.tuples(st.just("cyclic"), st.just("radii"),
               st.one_of(st.none(), st.integers(), st.lists(st.text(alphabet="abc"), min_size=1),
                         st.lists(RADIUS, max_size=2).flatmap(lambda ok: st.lists(
-                            OUT_OF_RANGE, min_size=1, max_size=2).map(lambda bad: ok + bad)))),
+                            OUT_OF_RANGE, min_size=1, max_size=2).map(lambda bad: ok + bad)),
+                        st.lists(RADIUS, max_size=5).filter(lambda rs: len(rs) != 3))),
     st.tuples(st.just("constant"), st.just("matrix"),
               st.one_of(st.just(MISSING), NOT_A_NUMBER, st.just([["a"]]))),
     st.tuples(st.just("rotation"), st.sampled_from(["k", "n"]), NOT_AN_INTEGER),
     st.tuples(st.just("annulus"), st.sampled_from(["eps", "delta"]),
               st.one_of(NOT_A_NUMBER, NOT_FINITE)),
     st.tuples(st.just("maslov"), st.sampled_from(["tau", "b"]), NOT_A_NUMBER),
+    st.tuples(st.just("maslov"), st.just("sigma"),
+              st.one_of(st.integers(), st.text(max_size=3),
+                        st.lists(st.one_of(st.integers(0, 1), st.booleans(), st.floats(0, 1)),
+                                 min_size=1, max_size=3).filter(
+                            lambda ks: any(type(k) is not int for k in ks)))),
     st.tuples(st.just("forcing"), st.just("period_cap"), NOT_AN_INTEGER),
     st.tuples(st.just("flow"), st.just("horizon"), st.one_of(NOT_A_NUMBER, NOT_FINITE)),
     st.tuples(st.just("normalform"), st.just("text"),
@@ -191,6 +198,11 @@ def _break(block, field, value):
 @example(("cyclic", "radii", ["a"]))
 @example(("cyclic", "radii", ["-1/5", "2/5", "9/10"]))  # ran as if -1/5 were a radius
 @example(("cyclic", "radii", ["1/5", "2/5", "3/2"]))  # refused only after every sampling
+@example(("cyclic", "radii", ["1/5", "2/5"]))  # was "not enough values to unpack"
+@example(("cyclic", "radii", ["1/5", "2/5", "1/2", "9/10"]))  # was "too many values to unpack"
+@example(("cyclic", "phases", [0.1]))  # was "tuple index out of range"
+@example(("maslov", "sigma", [0, 1.0]))  # died in numpy indexing
+@example(("maslov", "sigma", [True, False]))  # passed as a permutation of 0..1
 @example(("rotation", "k", "x"))
 @example(("maslov", "tau", "x"))
 @example(("maslov", "b", "x"))

@@ -16,13 +16,14 @@ from braidfloer.discrete import (
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import left_normal_form, twist_padding
-from braidfloer.words import StrandPermutation, exponent_sum, full_twist, half_twist_letters, word
+from braidfloer.words import StrandPermutation, exponent_sum, half_twist_letters, word
 
 import helpers
 from helpers import (
     UncheckedBraid,
     fraction_braid,
     fractions_of,
+    full_twist,
     reference_check_transversality,
     reference_crossing_number,
     reference_discrete_to_word,
@@ -293,9 +294,8 @@ POSITIVE_WORDS = st.integers(2, 6).flatmap(
 
 
 @DIFFERENTIAL
-@given(POSITIVE_WORDS, st.sampled_from(["exact", "longer", "factored"]), st.integers(0, 3),
-       st.data())
-def test_anchor_view_matches_reference_on_words(nw, layout, duplicates, data):
+@given(POSITIVE_WORDS, st.sampled_from(["exact", "longer", "factored"]), st.integers(0, 3))
+def test_anchor_view_matches_reference_on_words(nw, layout, duplicates):
     n, letters = nw
     w = word(n, letters)
     if layout == "factored":
@@ -304,10 +304,8 @@ def test_anchor_view_matches_reference_on_words(nw, layout, duplicates, data):
         b = word_to_discrete(w, None if layout == "exact" else max(len(w), 2) + 3)
     assert_matches_reference(b, _raw(n, fractions_of(b), b.closure))
     for _ in range(duplicates):
-        at = data.draw(st.one_of(st.none(), st.integers(0, b.period - 1)))
-        dup = _built(lambda: insert_duplicate_slot(b, at))
-        a = b.period - 1 if at is None else at
-        anchors = [row[: a + 1] + (row[a],) + row[a + 1:] for row in fractions_of(b)]
+        dup = _built(lambda: insert_duplicate_slot(b))
+        anchors = [row + row[-1:] for row in fractions_of(b)]
         assert_matches_reference(dup, _raw(n, anchors, b.closure))
         b = dup
 

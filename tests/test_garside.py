@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidfloer import pipeline
 from braidfloer.garside import (
     _left_weight_pair,
     is_left_weighted,
     left_normal_form,
+    pad_normal_form,
     twist_padding,
 )
 from braidfloer.pipeline import cyclic_spec, realize
 from braidfloer.words import (
-    compose,
     exponent_sum,
-    full_twist,
     permutation_of,
     random_rewrite,
     word,
 )
 
 from helpers import (
+    base_word,
+    compose,
+    full_twist,
     nf_to_word,
     positive_words_equal,
     random_word,
@@ -184,6 +187,15 @@ def test_nf_matches_reference(w):
 
 
 @pytest.mark.parametrize("spec", DESK_CYCLIC, ids=str)
-def test_nf_matches_reference_on_desk_base_words(spec):
-    w = realize(cyclic_spec(*spec), None)[2]
-    assert left_normal_form(w) == reference_left_normal_form(w)
+def test_nf_matches_reference_on_desk_base_words(monkeypatch, spec):
+    """The route pads the sample's normal form with 2K fewer Deltas; that is
+    the reference normal form of the sample's word times Delta^{-2K}."""
+    padded = []
+
+    def spy(nf, crossings):
+        padded.append(nf)
+        return pad_normal_form(nf, crossings)
+
+    monkeypatch.setattr(pipeline, "pad_normal_form", spy)
+    rb, k_twist, _ = realize(cyclic_spec(*spec), None)
+    assert padded == [reference_left_normal_form(base_word(rb, k_twist))]

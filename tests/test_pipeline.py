@@ -20,7 +20,7 @@ from braidfloer.pipeline import (
 )
 from braidfloer.words import StrandPermutation, permutation_of, word
 
-from helpers import fraction_braid, snap, twisted, word_to_discrete
+from helpers import base_word, fraction_braid, snap, twisted, word_to_discrete
 
 
 def test_braids_unlinked_interval_case():
@@ -284,6 +284,24 @@ def test_search_from_period_2_keeps_outcomes(monkeypatch):
         assert _outcome(spec) == old, spec.label
         lowered += 1
     assert lowered >= 3
+
+
+def test_cyclic_g_matches_padding_of_the_base_word():
+    """Over seeded cyclic specs, the g the route reads off the sample's normal
+    form is the padding of the sample's word times Delta^{-2K}."""
+    rng = random.Random(47)
+    realized = set()
+    for _ in range(600):
+        spec = cyclic_spec(_rotation(rng), _rotation(rng), rng.randrange(-2, 3))
+        if spec.label in realized:
+            continue
+        try:
+            rb, k_twist, g = pipeline.realize(spec, None)
+        except BraidInputError:
+            continue
+        assert g == twist_padding(base_word(rb, k_twist)).g, spec.label
+        realized.add(spec.label)
+    assert len(realized) >= 200
 
 
 def test_word_periods_are_the_padded_supremum():

@@ -6,15 +6,13 @@ from braidfloer.errors import BraidInputError
 from braidfloer.words import (
     BraidWord,
     StrandPermutation,
-    compose,
     exponent_sum,
-    full_twist,
     permutation_of,
     random_rewrite,
     word,
 )
 
-from helpers import cycles, free_reduce, inverse
+from helpers import compose, cycles, free_reduce, full_twist, inverse
 
 # The five-strand example braid from the generator figure.
 FIG3 = word(5, [-4, 3, 1, 3, -2, 1, 2, -3, -4, 1, 2, 3, -4, 1, -2])
