@@ -247,9 +247,9 @@ def _maslov_payload(doc: dict) -> dict:
         }
     else:
         raise BraidInputError(f"unknown family kind {kind!r}")
-    sigma = _field(m, "sigma", "maslov block",
-                   lambda v: v is None or isinstance(v, list) and all(type(k) is int for k in v),
-                   "a list of strand indices", default=None)
+    sigma = _field(m, "sigma", "maslov block", lambda v: v is None or isinstance(v, list)
+                   and len(v) in (0, fam.strands) and all(type(k) is int for k in v),
+                   f"a list of strand indices of length {fam.strands}", default=None)
     perm = StrandPermutation(tuple(sigma)) if sigma else None
     path = integrate_path(fam, tau)
     b = _field(m, "b", "maslov block", expected="a finite number", convert=_finite_float,

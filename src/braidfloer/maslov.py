@@ -1,16 +1,14 @@
 """Permuted Conley-Zehnder indices of symplectic paths Psi' = J0 K(t) Psi.
 
-Coordinates are ordered (p^1..p^n, q^1..q^n), so the standard structure is
-J0 = [[0, -I], [I, 0]] and a strand permutation acts block-diagonally on the
-p's and q's.  Crossings are the zeros of det(Psi(t) - sigma); each carries the
-quadratic form <sigma xi, K(t0) sigma xi> on the kernel, and the index is the
-sum of crossing-form signatures with half weight at the endpoints.  Indices
-are stored doubled so half-integers stay exact.
+Coordinates are (p^1..p^n, q^1..q^n), J0 = [[0, -I], [I, 0]], and a strand
+permutation sigma acts block-diagonally on the p's and q's.  The index sums
+the signatures of the crossing forms <sigma xi, K(t0) sigma xi> at the zeros
+t0 of det(Psi(t) - sigma), half weight at the endpoints, stored doubled.
 
-Paths of constant families (`constant_family`, `rotation_family`, the
-annulus Hessians) take the closed form Psi(t) = expm(t J0 K); every other
-family is integrated by RK4.  Either way the nodes' symplectic drift must stay
-below DRIFT_BOUND, and crossings are found on stacked smallest singular values.
+Constant families take the closed form Psi(t) = expm(t J0 K), others RK4,
+with the nodes' symplectic drift below DRIFT_BOUND.  Zeros are found on the
+smallest singular value of Psi(t) - sigma: the node grid brackets them, and a
+Lipschitz zoom cuts each bracket around the apex of its V until BISECTION_TOL.
 """
 
 from __future__ import annotations
@@ -40,10 +38,7 @@ ZOOM_POINTS = 17
 
 
 def standard_j(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
+    return np.kron([[0, -1], [1, 0]], np.eye(n))
 
 
 def permutation_matrix(sigma: StrandPermutation) -> np.ndarray:
@@ -101,9 +96,17 @@ def constant_family(k) -> SymmetricFamily:
     return family
 
 
+def _positive_tau(tau: float) -> float:
+    if not np.isfinite(tau):  # a NaN endpoint would never pass the refinement test
+        raise BraidInputError(f"tau is {tau}, not a finite number")
+    if not tau > 0:  # the node grid would run backwards or stand still
+        raise BraidInputError(f"tau is {tau}, not a positive number")
+    return tau
+
+
 def rotation_family(k: int, n: int = 1, tau: float = 1.0) -> SymmetricFamily:
     """Generator of the loop e^{(2 pi k / tau) J0 t}."""
-    return constant_family((2 * np.pi * k / tau) * np.eye(2 * n))
+    return constant_family((2 * np.pi * k / _positive_tau(tau)) * np.eye(2 * n))
 
 
 def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamily:
@@ -191,8 +194,7 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
     the drift stays below 1e-8 at every node and the endpoint agrees with the
     next refinement to 1e-10.
     """
-    if not np.isfinite(tau):  # a NaN endpoint would never pass the refinement test
-        raise BraidInputError(f"tau is {tau}, not a finite number")
+    _positive_tau(tau)
     n = family.dimension // 2
     j = standard_j(n)
     steps = max(min_steps, 64)
@@ -226,7 +228,7 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
 def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> SymplecticPathSample:
     a = j @ family.constant
     norm = float(np.linalg.norm(a, 2))
-    while abs(tau) / steps * norm > NODE_SPACING:
+    while tau / steps * norm > NODE_SPACING:
         steps *= 2
     times = np.linspace(0.0, tau, steps + 1)
     eye = np.eye(len(a))
@@ -302,36 +304,49 @@ def _smin(path: SymplecticPathSample, sbar: np.ndarray, ts) -> np.ndarray:
     return np.linalg.svd(path.psi(np.asarray(ts, dtype=float)) - sbar, compute_uv=False)[..., -1]
 
 
-def _runs(pts: np.ndarray, keep: np.ndarray):
-    """(lo, hi, row) of each run of kept cells; cell c of row r spans pts[r, c:c + 2]."""
+def _runs(keep: np.ndarray):
+    """(row, first, last) of each run of kept cells; cell c of a row spans points c, c + 1."""
     edges = np.zeros((len(keep), keep.shape[1] + 1), dtype=np.int8)  # keep[c] - keep[c - 1]
     edges[:, :-1] = keep
     edges[:, 1:] -= keep
     rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]
-    return pts[rows, starts], pts[rows, ends], rows
+    return rows, starts, np.nonzero(edges == -1)[1]
 
 
-def _isolate_zeros(path, sbar, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The zeros of the smallest singular value f in the brackets [lo, hi].
+def _isolate_zeros(path, sbar, lo, hi, apex, start: float, end: float) -> np.ndarray:
+    """The zeros in (start, end) of the smallest singular value f, from brackets [lo, hi].
 
-    Each round cuts every bracket into ZOOM_POINTS - 1 cells, all evaluated
-    in one call.  A cell [x, y] can hold a zero only if f(x) + f(y) <= 2 L
-    (y - x), L the steepest cell slope in its bracket, and the runs of such
-    cells are the next brackets, so zeros closer than a cell come apart in
-    later rounds.  A bracket is final at BISECTION_TOL or once it stops
-    shrinking (f vanishing along an interval), and yields its midpoint.
+    Each round evaluates ZOOM_POINTS points per bracket in one call: the apex
+    estimate and, on each side, points whose distances to it halve, though
+    never closer than a uniform cut of a bracket of BISECTION_TOL or of 256
+    float steps.  A cell [x, y] can hold a zero only if f(x) + f(y) <= 2 L
+    (y - x), L the steepest cell slope in its bracket; at ratio 2 this excludes
+    every cell of a V of slope L but the two at its apex.  A run of kept cells,
+    narrowed to [x + f(x) / 2L, y - f(y) / 2L], is the next bracket, and its
+    arms of slope L meet at the next apex.  A bracket is final at BISECTION_TOL
+    or once it stops shrinking (f vanishing along an interval), and yields its
+    midpoint; one outside (start, end) is dropped, as its midpoint would be.
     """
+    half = ZOOM_POINTS // 2
+    k = np.arange(half)  # the k-th point on a side halves the distance to the apex k times
     done = []
     while len(lo):
-        pts = np.linspace(lo, hi, ZOOM_POINTS).T
+        step = np.maximum(BISECTION_TOL, 256 * np.spacing(np.abs(apex)))[:, None] / (2 * half)
+        c = np.clip(apex[:, None], lo[:, None] + half * step, hi[:, None] - half * step)
+        left = np.maximum((c - lo[:, None]) * 0.5 ** k, (half - k) * step)
+        right = np.maximum((hi[:, None] - c) * 0.5 ** k, (half - k) * step)
+        pts = np.hstack((c - left, c, c + right[:, ::-1]))
         f = _smin(path, sbar, pts.ravel()).reshape(pts.shape)
         cell = pts[:, 1:] - pts[:, :-1]
         slope = np.max(np.abs(f[:, 1:] - f[:, :-1]) / cell, axis=1, keepdims=True)
-        new_lo, new_hi, row = _runs(pts, f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
+        row, i, j = _runs(f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
+        x, y, fx, fy = pts[row, i], pts[row, j], f[row, i], f[row, j]
+        s = np.maximum(2 * slope[row, 0], np.finfo(float).tiny)  # 0 if f = 0 on the bracket
+        new_lo, new_hi = x + fx / s, y - fy / s
         final = (new_hi - new_lo <= BISECTION_TOL) | (new_hi - new_lo >= (hi - lo)[row])
         done.append((new_lo + new_hi)[final] / 2)
-        lo, hi = new_lo[~final], new_hi[~final]
+        go = ~final & (new_hi > start) & (new_lo < end)
+        lo, hi, apex = new_lo[go], new_hi[go], ((x + y) / 2 + (fx - fy) / s)[go]
     return np.concatenate([[]] + done)
 
 
@@ -342,16 +357,20 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     definite crossing forms), so crossings are found through the smallest
     singular value f.  A grid cell [x, y] is searched when f(x) + f(y) <=
     4 s (y - x), s the steepest slope of f on the grid, which holds for any
-    zero whose slope is at most 4 s; `_isolate_zeros` then separates and
-    polishes them.
+    zero whose slope is at most 4 s.  Each run of such cells is a bracket for
+    `_isolate_zeros`, with the first apex where arms of the run's steepest
+    slope meet; zeros within `margin` of a or b are the endpoints' own.
     """
     grid = np.concatenate(([a], path.times[(path.times > a) & (path.times < b)], [b]))
     g = _smin(path, sbar, grid)
     dt = np.diff(grid)  # positive: permuted_cz_index checks a < b
-    bound = np.maximum(4 * np.max(np.abs(np.diff(g)) / dt) * dt, 1e3 * KERNEL_TOL)
-    lo, hi, _ = _runs(grid[None, :], (g[:-1] + g[1:] <= bound)[None, :])
-    found = _isolate_zeros(path, sbar, lo, hi)
+    slope = np.abs(np.diff(g)) / dt
+    bound = np.maximum(4 * np.max(slope) * dt, 1e3 * KERNEL_TOL)
+    _, i, j = _runs((g[:-1] + g[1:] <= bound)[None, :])
+    s = np.array([max(2 * np.max(slope[m:n]), np.finfo(float).tiny) for m, n in zip(i, j)])
+    apex = (grid[i] + grid[j]) / 2 + (g[i] - g[j]) / s
     margin = max(1e-9, 100 * BISECTION_TOL)
+    found = _isolate_zeros(path, sbar, grid[i], grid[j], apex, a + margin, b - margin)
     found = found[(a + margin < found) & (found < b - margin)]
     if len(found):
         found = found[_smin(path, sbar, found) < KERNEL_TOL]
@@ -411,7 +430,7 @@ def permuted_cz_index(
     n = path.family.strands
     sigma = sigma or StrandPermutation.identity(n)
     if sigma.n != n:
-        raise BraidInputError("permutation size does not match the family")
+        raise BraidInputError(f"sigma permutes {sigma.n} strands, the family has {n}")
     sbar = permutation_matrix(sigma)
     b = path.tau if b is None else b
     if not a < b:

@@ -30,7 +30,14 @@ from braidfloer.discrete import (
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
 from braidfloer.homology import GradedBetti, _homology, boundary_matrix
-from braidfloer.maslov import SymmetricFamily, constant_family
+from braidfloer.maslov import (
+    BISECTION_TOL,
+    ZOOM_POINTS,
+    SymmetricFamily,
+    _runs,
+    _smin,
+    constant_family,
+)
 from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
 from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
 
@@ -341,6 +348,30 @@ def direct_sum_permutation(sa: StrandPermutation, sb: StrandPermutation) -> Stra
     return StrandPermutation(
         tuple(sa(k) for k in range(na)) + tuple(na + sb(k) for k in range(sb.n))
     )
+
+
+def reference_isolate_zeros(path, sbar, lo, hi, *_) -> np.ndarray:
+    """The uniform zoom that `maslov._isolate_zeros` replaced, as its oracle.
+
+    Each round cuts every bracket into ZOOM_POINTS - 1 equal cells, keeps the
+    cells with f(x) + f(y) <= 2 L (y - x), L the steepest cell slope in the
+    bracket, and takes the runs of kept cells, not narrowed, as the next
+    brackets.  A bracket is final at BISECTION_TOL or once it stops shrinking,
+    and yields its midpoint.  The apex and the (start, end) window of the
+    replacement are ignored: every bracket is zoomed to the end.
+    """
+    done = []
+    while len(lo):
+        pts = np.linspace(lo, hi, ZOOM_POINTS).T
+        f = _smin(path, sbar, pts.ravel()).reshape(pts.shape)
+        cell = pts[:, 1:] - pts[:, :-1]
+        slope = np.max(np.abs(f[:, 1:] - f[:, :-1]) / cell, axis=1, keepdims=True)
+        row, i, j = _runs(f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
+        new_lo, new_hi = pts[row, i], pts[row, j]
+        final = (new_hi - new_lo <= BISECTION_TOL) | (new_hi - new_lo >= (hi - lo)[row])
+        done.append((new_lo + new_hi)[final] / 2)
+        lo, hi = new_lo[~final], new_hi[~final]
+    return np.concatenate([[]] + done)
 
 
 def nf_to_word(nf: GarsideNormalForm) -> BraidWord:

@@ -156,7 +156,9 @@ BROKEN_FIELDS = st.one_of(
               st.one_of(st.integers(), st.text(max_size=3),
                         st.lists(st.one_of(st.integers(0, 1), st.booleans(), st.floats(0, 1)),
                                  min_size=1, max_size=3).filter(
-                            lambda ks: any(type(k) is not int for k in ks)))),
+                            lambda ks: any(type(k) is not int for k in ks)),
+                        # integers, but more than the family's one strand
+                        st.lists(st.integers(0, 2), min_size=2, max_size=3))),
     st.tuples(st.just("forcing"), st.just("period_cap"), NOT_AN_INTEGER),
     st.tuples(st.just("flow"), st.just("horizon"), st.one_of(NOT_A_NUMBER, NOT_FINITE)),
     st.tuples(st.just("normalform"), st.just("text"),
@@ -203,6 +205,7 @@ def _break(block, field, value):
 @example(("cyclic", "phases", [0.1]))  # was "tuple index out of range"
 @example(("maslov", "sigma", [0, 1.0]))  # died in numpy indexing
 @example(("maslov", "sigma", [True, False]))  # passed as a permutation of 0..1
+@example(("maslov", "sigma", [0, 1]))  # was "permutation size does not match the family"
 @example(("rotation", "k", "x"))
 @example(("maslov", "tau", "x"))
 @example(("maslov", "b", "x"))
@@ -224,6 +227,28 @@ def test_malformed_field_is_named(broken):
     code, err = _main([command, "--input", "-"], document)
     _assert_contract(code, err)
     assert code == 1 and repr(broken[1]) in err, err
+
+
+TABLE = {"kind": "table", "times": [0, 1], "matrices": [[[1, 0], [0, 0.4]], [[0.5, 0], [0, 1]]]}
+FAMILIES = {"constant": {"kind": "constant", "matrix": [[3.0, 0.5], [0.5, 2.0]]}, "table": TABLE,
+            "rotation": {"kind": "rotation", "k": 1}, "annulus": {"kind": "annulus"}}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(-1e6, 0),
+       st.one_of(st.none(), st.floats(-1, 1)))
+@example("constant", -1.0, 0.5)  # exited 0 with a payload
+@example("table", -1.0, 0.5)  # exited 0 with a payload
+@example("rotation", 0.0, None)  # was "float division by zero"
+@example("constant", 0.0, None)  # was "need a < b"
+@example("annulus", -1.0, None)  # was "need a < b"
+def test_non_positive_tau_is_refused_by_name(kind, tau, b):
+    block = {"family": FAMILIES[kind], "tau": tau}
+    if b is not None:
+        block["b"] = b
+    code, err = _main(["maslov", "--input", "-"], json.dumps({"maslov": block}))
+    _assert_contract(code, err)
+    assert code == 1 and err == f"error: tau is {tau}, not a positive number\n", err
 
 
 @pytest.mark.parametrize("block, key", [("cyclic", "ell"), ("rotation", "k"), ("rotation", "n")])

@@ -1,12 +1,16 @@
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from braidfloer import maslov
 from braidfloer.errors import BraidInputError, StationaryDegenerateError
 from braidfloer.maslov import (
+    BISECTION_TOL,
+    KERNEL_TOL,
     SymmetricFamily,
     DRIFT_BOUND,
     NODE_SPACING,
@@ -22,7 +26,7 @@ from braidfloer.maslov import (
     standard_j,
 )
 from braidfloer.words import StrandPermutation
-from helpers import direct_sum_family, direct_sum_permutation
+from helpers import direct_sum_family, direct_sum_permutation, reference_isolate_zeros
 
 
 def random_nondegenerate_constant(rng, n, scale=3.0):
@@ -272,3 +276,83 @@ def test_integrate_path_refuses_non_finite_tau(kind, tau):
     with pytest.raises(BraidInputError, match=r"^tau is -?(nan|inf), not a finite number$"):
         integrate_path(family, tau)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.0, -1.0])
+def test_integrate_path_refuses_non_positive_tau(tau):
+    # a negative tau ran backwards over a descending node grid; rotation_family
+    # divided by zero before integrate_path could refuse
+    table = sampled_family([0.0, 1.0], [np.diag([1.0, 0.4]), np.diag([0.5, 1.0])])
+    for make in (lambda: integrate_path(constant_family(np.diag([1.0, -0.4])), tau),
+                 lambda: integrate_path(table, tau), lambda: rotation_family(1, 1, tau)):
+        with pytest.raises(BraidInputError, match=rf"^tau is {tau}, not a positive number$"):
+            make()
+
+
+def test_sigma_size_mismatch_names_sigma():
+    path = integrate_path(constant_family(np.diag([1.0, -0.4])), 1.0)
+    with pytest.raises(BraidInputError, match=r"^sigma permutes 2 strands, the family has 1$"):
+        permuted_cz_index(path, StrandPermutation((1, 0)))
+
+
+def test_zoom_matches_uniform_reference(monkeypatch):
+    # constant families at n = 1 and 2, the latter also against the swap, each
+    # rotated by k = -2..2, and the twin crossings of the rotated saddle
+    rng = random.Random(23)
+    cases = []
+    for c in range(8):
+        n = 1 + c % 2
+        path = integrate_path(constant_family(random_nondegenerate_constant(rng, n)), 1.0)
+        for sigma in (None, StrandPermutation((1, 0)))[:n]:
+            cases += [(rotated_path(path, k), sigma) for k in range(-2, 3)]
+    twin = integrate_path(constant_family(np.diag([1e-3, -1e-3])), 1.0)
+    cases += [(twin, None), (rotated_path(twin, 2), None)]
+    got = [permuted_cz_index(path, sigma) for path, sigma in cases]
+    monkeypatch.setattr(maslov, "_isolate_zeros", reference_isolate_zeros)
+    want = [permuted_cz_index(path, sigma) for path, sigma in cases]
+    assert sum(len(idx.crossings) for idx in want) > 3 * len(cases)
+    for idx, ref in zip(got, want):
+        assert idx.twice_value == ref.twice_value
+        assert ([(r.kernel_dimension, r.signature, r.endpoint) for r in idx.crossings]
+                == [(r.kernel_dimension, r.signature, r.endpoint) for r in ref.crossings])
+        assert all(abs(r.time - q.time) <= 1e-12 for r, q in zip(idx.crossings, ref.crossings))
+
+
+def test_zoom_at_float_resolution():
+    # brackets about BISECTION_TOL wide around the double zero of e^{2 pi J t} - Id
+    # at t = 1, with the apex anywhere: no cell may collapse to zero width
+    path = integrate_path(rotation_family(2, 1, 2.0), 2.0)
+    sbar = permutation_matrix(StrandPermutation.identity(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for width in (1e-13, 1e-12, 1.5e-12, 4e-12, 3e-11):
+            for u in (0.0, 0.3, 0.5, 1.0):
+                lo = np.array([1.0 - u * width])
+                hi = lo + width
+                for apex in (lo, hi, (lo + hi) / 2, lo - 1.0):
+                    found = maslov._isolate_zeros(path, sbar, lo, hi, apex, -np.inf, np.inf)
+                    assert len(found) and np.all(np.abs(found - 1.0) <= width + BISECTION_TOL)
+                    assert np.all(maslov._smin(path, sbar, found) < KERNEL_TOL)
+
+
+def test_crossings_found_at_large_tau():
+    # K / tau over [0, tau] is the path of K over [0, 1] in rescaled time, also
+    # where a float step near the crossings exceeds BISECTION_TOL / 16
+    k = 50 * np.array([[0.9, 0.1], [0.1, 0.4]])
+    base = permuted_cz_index(integrate_path(constant_family(k), 1.0))
+    assert len(base.crossings) == 5
+    for tau in (100.0, 1000.0, 5000.0):
+        idx = permuted_cz_index(integrate_path(constant_family(k / tau), tau))
+        assert idx.twice_value == base.twice_value and len(idx.crossings) == 5
+        assert all(abs(r.time / tau - q.time) < 1e-9 for r, q in zip(idx.crossings, base.crossings))
+
+
+def test_zoom_smin_call_budget(monkeypatch):
+    # 29 calls when written, against 56 for the uniform zoom
+    calls = []
+    smin = maslov._smin
+    monkeypatch.setattr(maslov, "_smin", lambda *args: calls.append(1) or smin(*args))
+    for k in (1, 2, 3):
+        permuted_cz_index(integrate_path(rotation_family(k), 1.0), closed=True)
+    permuted_cz_index(integrate_path(constant_family(np.array([[9.0, 1.5], [1.5, 7.0]])), 1.0))
+    assert len(calls) <= 32
