@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discrete import DiscreteRelativeBraid
 from .errors import BraidInputError, ImproperClassError, TransversalityError
-from .homology import boundary_matrix
 
 BARRIER_LOW = -1
 BARRIER_HIGH = -2
@@ -51,6 +51,7 @@ BARRIER_HIGH = -2
 COMPONENT_CUBE_CAP = 500_000
 INDEX_CELL_CAP = 1_500_000
 MIN_PERIOD = 2  # the least period of a braid complex
+UNIQUE_BLOCK = 1 << 16  # codes per block of the duplicate scan
 
 
 class ComplexGeometry:
@@ -174,10 +175,13 @@ class ComplexGeometry:
                                        np.asarray(tops, self.key_dtype) << 1 | 1)), flagged=True)
         for i in range(self.period):
             low = keys[self.gap_mask(keys, i, 2)]
-            if 2 * len(low) <= INDEX_CELL_CAP:
+            faces = 2 * len(low)
+            if faces <= INDEX_CELL_CAP:
                 low += 2 * self.ngaps * self.strides[i]
-                keys = _unique(np.concatenate((keys, low, low + 2 * self.strides[i])), flagged=True)
-            if max(len(keys), 2 * len(low)) > INDEX_CELL_CAP:
+                keys = np.concatenate((keys, low, low + 2 * self.strides[i]))
+                del low  # the merged sort holds neither the previous keys nor low
+                keys = _unique(keys, flagged=True)
+            if max(len(keys), faces) > INDEX_CELL_CAP:
                 raise BraidInputError(
                     f"index pair exceeds {INDEX_CELL_CAP} cells; "
                     "the class is beyond this build's desk scale"
@@ -192,7 +196,9 @@ def _unique(codes: np.ndarray, flagged: bool = False) -> np.ndarray:
     would hash."""
     codes.sort(kind="stable")
     keep = np.ones(len(codes), dtype=bool)
-    np.greater(codes[1:] ^ codes[:-1], int(flagged), out=keep[1:])
+    for lo in range(1, len(codes), UNIQUE_BLOCK):  # a block at a time keeps the xor small
+        hi = min(lo + UNIQUE_BLOCK, len(codes))
+        np.greater(codes[lo:hi] ^ codes[lo - 1:hi - 1], int(flagged), out=keep[lo:hi])
     return codes[keep]
 
 
@@ -229,23 +235,25 @@ class IndexPair:
     def exit(self) -> np.ndarray:  # N^-, sorted codes
         return self.cells[self.in_exit]
 
-    def relative_cells(self) -> np.ndarray:
-        return self.cells[~self.in_exit]
-
-    def chain_complex(self):
+    def chain_complex(self, spend: bool = False):
         """(sorted relative codes, their dimensions, relative boundary).
 
-        The boundary is a CSR matrix over indices into the relative codes;
-        faces inside the exit set are dropped.  N is closed, so every other
-        face is a relative cell.  At each slot, the low and then the high pins
-        of the cells with a gap there are a sorted run; merged into the cells
-        pinned there, each face that is a relative cell lands right after its
-        equal.
+        The boundary is a canonical CSR matrix of int8 ones over indices into
+        the relative codes; exit faces are dropped, and N is closed, so every
+        other face is a relative cell.  At each slot, the low and then the
+        high pins of the cells with a gap there are a sorted run; merged into
+        the cells pinned there, a relative face lands right after its equal.
+        A slot and pin give ascending rows, a row's faces ascend with slot and
+        pin, so these chunks, counted per row, fill each row from its end,
+        last chunk first.  `spend` drops N and N^- once `rel` is taken.
         """
         geo = self.geometry
-        rel = self.relative_cells()
+        rel = self.cells[~self.in_exit]
+        if spend:
+            self.cells = self.in_exit = None
         dims = np.zeros(len(rel), dtype=np.int8)
-        rows, cols = [], []
+        indptr = np.zeros(len(rel) + 1, dtype=np.int32)  # row counts, row ends, row starts
+        chunks = []
         for i in range(geo.period):
             is_gap = geo.gap_mask(rel, i)
             dims += is_gap
@@ -256,9 +264,18 @@ class IndexPair:
                 order = merged.argsort(kind="stable")
                 merged.sort(kind="stable")  # merging two runs is cheaper than gathering
                 hit = np.flatnonzero(merged[1:] == merged[:-1])
-                rows.append(gap[order[hit + 1] - len(pin)])
-                cols.append(pin[order[hit]])
-        return rel, dims, boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
+                rows = gap[order[hit + 1] - len(pin)]
+                indptr[rows.astype(np.intp)] += 1  # an intp index is cast once, not twice
+                chunks.append((rows, pin[order[hit]]))
+        np.cumsum(indptr, out=indptr)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        while chunks:
+            rows, cols = chunks.pop()
+            rows = rows.astype(np.intp)
+            indptr[rows] = ends = indptr[rows] - 1
+            indices[ends] = cols
+        ones = np.ones(len(indices), dtype=np.int8)
+        return rel, dims, sp.csr_matrix((ones, indices, indptr), shape=(len(rel),) * 2)
 
     def validate(self) -> None:
         """N^- is closed: at each slot, the low and then the high pins of its gap
@@ -268,12 +285,14 @@ class IndexPair:
         for i in range(geo.period):
             gap = geo.gap_mask(exit, i)
             pinned, faces = exit[~gap], exit[gap]
+            merged = np.empty_like(exit)
             for shift in (geo.ngaps * geo.strides[i], geo.strides[i]):  # pin g, then g+1
                 faces += shift
-                merged = np.concatenate((pinned, faces))
+                np.concatenate((pinned, faces), out=merged)
                 merged.sort(kind="stable")
                 if np.count_nonzero(merged[1:] == merged[:-1]) != len(faces):
                     raise AssertionError("exit set not closed under faces")
+            del pinned, faces, merged  # before the next slot's mask
 
 
 def _initial_code(geo: ComplexGeometry) -> int:

@@ -61,7 +61,8 @@ class DiscreteBraid:
         if outside.any():
             num = int(self.nums[outside][0])
             raise BraidInputError(f"anchor {Fraction(num, self.den)} outside [-1, 1]")
-        _check_transversality(self)
+        if self.strands > 1:  # a single strand has no pair to meet
+            _check_transversality(self)
 
     @property
     def strands(self) -> int:

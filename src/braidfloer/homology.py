@@ -1,17 +1,18 @@
 """Relative homology of finite index pairs over the two-element field.
 
 A chain complex is a vector of cell dimensions plus its boundary as a sparse
-cell x face matrix (CSR, int32 indices); the cofaces are its transpose.  The
-check d^2 = 0 is the exact sparse product B @ B, every entry even, at every
-size.  Homology-preserving eliminations run next: coreduction pairs (a cell
-whose boundary is a single cell) and free-face reductions (a cell with a
-single coface), both fill-in free over Z2 (Mrozek-Batko coreduction).  They
-go in whole rounds of disjoint pairs, each round judged against the cells
-still alive; once half the rows are gone the matrices are cut to the live
-submatrix, so a round costs the live size.  A queue over the CSR index
-arrays removes the last few pairs one at a time.  The surviving core is
-finished off by bit-packed Gaussian elimination.  Euler and Morse-inequality
-identities are asserted on every run.
+cell x face matrix (canonical CSR of int8 ones, int32 indices), which the
+index pair writes once N is dropped; the cofaces are its transpose.  The check
+d^2 = 0 is the exact sparse product B @ B, every entry even, at every size.
+Homology-preserving eliminations run next: coreduction pairs (a cell whose
+boundary is a single cell) and free-face reductions (a cell with a single
+coface), both fill-in free over Z2 (Mrozek-Batko coreduction).  They go in
+whole rounds of disjoint pairs, each round judged against the cells still
+alive; once half the rows are gone the matrices are cut to the live submatrix,
+so a round costs the live size.  A queue over the CSR index arrays removes the
+last few pairs one at a time.  The surviving core is finished off by
+bit-packed Gaussian elimination.  Euler and Morse-inequality identities are
+asserted on every run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,40 +79,29 @@ def poincare_polynomial(b: GradedBetti) -> str:
     return " + ".join(parts) or "0"
 
 
-def boundary_matrix(rows, cols, n: int) -> sp.csr_matrix:
-    """Z2 boundary as an n x n CSR matrix: row = cell, column = face.
-
-    Entries are 0/1 int8 with sorted indices; repeated faces cancel.
-    """
-    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
-    bnd = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    bnd.sum_duplicates()
-    bnd.data &= 1
-    bnd.eliminate_zeros()
-    return bnd
-
-
-def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
+def _coreduce(core: array, bnd: sp.csr_matrix) -> int:
     """Run coreduction and free-face reduction until no pair is left.
 
     `core` holds the cells (rows of `bnd`) taking part, an int64 array cut
-    down to the survivors; `cob` is the transpose of `bnd`.  Returns the
-    number of removed cells.
+    down to the survivors; its transpose `cob` is built here, so that a cut
+    frees it first.  Returns the number of removed cells.
 
     A pair stays removable while other cells go, so disjoint pairs can go
     together.  A round pairs every alive cell with one alive face, or with one
     alive coface, with that neighbour, and keeps the pairs that share no cell
     with a lower-numbered pair; two sparse products count the alive faces and
-    cofaces of every row at the start of each round.  Once at most half the
-    rows are alive, both matrices are cut to the alive rows and columns, so
-    later rounds cost the live size, not n.  Rounds go on while each removes
-    more pairs than the one before (they ramp up from the first free faces) or
-    at least (live + TAIL) / 64 pairs; then a queue over the cut matrices
-    finishes the tail one pair at a time.
+    cofaces of every row each round, in int8 (no data copy) below 128 per row.
+    Once at most half the rows are alive, both matrices are cut to the alive
+    rows and columns, so later rounds cost the live size, not n.  Rounds go on
+    while each removes more pairs than the one before (they ramp up from the
+    first free faces) or at least (live + TAIL) / 64 pairs; then a queue over
+    the cut matrices finishes the tail one pair at a time.
     """
-    alive = np.zeros(bnd.shape[0], dtype=np.int32)
+    cob = bnd.T.tocsr()
+    wide = max(np.diff(m.indptr).max(initial=0) for m in (bnd, cob)) > 127
+    alive = np.zeros(bnd.shape[0], dtype=np.int32 if wide else np.int8)
     alive[np.frombuffer(core, dtype=np.int64)] = 1
-    rows = np.arange(bnd.shape[0])  # original row of each row of bnd and cob
+    rows = np.arange(bnd.shape[0], dtype=np.int32)  # original row of each row of bnd, cob
     live, last = len(core), 0
     while True:
         face_count, coface_count = bnd @ alive, cob @ alive
@@ -132,6 +123,7 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
         live, last = live - 2 * pairs, pairs
         if TAIL <= 2 * live <= len(alive):
             sub = alive.astype(bool)
+            del cob  # before the cut matrices are built
             bnd = bnd[sub][:, sub]
             cob = bnd.T.tocsr()
             rows, alive = rows[sub], alive[sub]
@@ -171,7 +163,7 @@ def _coreduce(core: array, bnd: sp.csr_matrix, cob: sp.csr_matrix) -> int:
             b = next(f for f in c_idx[c_ptr[a]:c_ptr[a + 1]] if alive[f])
             drop(a)
             drop(b)
-    survivors = rows[np.flatnonzero(np.frombuffer(alive, dtype=np.uint8))]
+    survivors = rows[np.flatnonzero(np.frombuffer(alive, dtype=np.uint8))].astype(np.int64)
     removed = len(core) - len(survivors)
     core[:] = array("q", survivors.tobytes())
     return removed
@@ -196,25 +188,18 @@ def _gauss_ranks(core: array, dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int,
     ranks: dict[int, int] = {}
     for k, cols in sorted(by_dim.items()):
         rows = {c: i for i, c in enumerate(by_dim.get(k - 1, []))}
-        if not rows:
-            ranks[k] = 0
-            continue
         pivots: dict[int, int] = {}  # bit -> reduced column
-        rank = 0
-        for c in cols:
-            vec = 0
-            for f in bnd.indices[bnd.indptr[c]:bnd.indptr[c + 1]].tolist():
-                if f in rows:
-                    vec ^= 1 << rows[f]
+        for c in cols:  # a canonical row lists each face once, so + is xor
+            vec = sum(1 << rows[f] for f in bnd.indices[bnd.indptr[c]:bnd.indptr[c + 1]].tolist()
+                      if f in rows)
             while vec:
                 low = vec.bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = vec
-                    rank += 1
                     break
                 vec ^= other
-        ranks[k] = rank
+        ranks[k] = len(pivots)
     return ranks
 
 
@@ -241,12 +226,8 @@ def _check_morse_identities(counts: dict[int, int], betti: dict[int, int]) -> No
     diff = [counts.get(k, 0) - betti.get(k, 0) for k in range(lo, hi + 1)]
     if any(v < 0 for v in diff):
         raise AssertionError("chain counts below betti numbers")
-    q = []
-    carry = 0
-    for v in diff:
-        q.append(v - carry)
-        carry = q[-1]
-    if carry != 0 or any(v < 0 for v in q):
+    q = list(accumulate(diff, lambda prev, v: v - prev))  # Q's coefficients, then a remainder
+    if q[-1] != 0 or min(q) < 0:
         raise AssertionError("Morse inequality violated: not (1+t) times a nonneg series")
     IDENTITY_CHECKS["morse"] += 1
 
@@ -257,7 +238,7 @@ def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
     counts = {k + low: int(v) for k, v in enumerate(np.bincount(dims - low)) if v}
     _check_boundary_squared(bnd)
     core = array("q", np.arange(len(dims)).tobytes())
-    _coreduce(core, bnd, bnd.T.tocsr())
+    _coreduce(core, bnd)
     ranks = _gauss_ranks(core, dims, bnd)
     betti = {}
     for k, n in zip(*np.unique(dims[np.frombuffer(core, dtype=np.int64)], return_counts=True)):
@@ -269,7 +250,7 @@ def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
 
 
 def relative_homology(pair) -> GradedBetti:
-    """Betti numbers of the index pair (N, N^-): ker/im of the Z2 boundary."""
-    _, dims, bnd = pair.chain_complex()
-    betti = _homology(dims, bnd)
-    return GradedBetti.from_dict(betti, "direct")
+    """Betti numbers of the index pair (N, N^-): ker/im of the Z2 boundary.
+    Spends the pair: its N and exit mask read None afterwards."""
+    _, dims, bnd = pair.chain_complex(spend=True)
+    return GradedBetti.from_dict(_homology(dims, bnd), "direct")

@@ -351,7 +351,7 @@ def _isolate_zeros(path, sbar, lo, hi, apex, start: float, end: float) -> np.nda
 
 
 def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float):
-    """Zeros of det(Psi - sigma) in the open interval (a, b).
+    """Zeros of det(Psi - sigma) in the open interval (a, b), and f(a), f(b).
 
     det may touch zero without a sign change (kernels of dimension two and
     definite crossing forms), so crossings are found through the smallest
@@ -378,7 +378,7 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     for t0 in sorted(float(t) for t in found):  # merge duplicates from adjacent runs
         if not crossings or t0 - crossings[-1] > 100 * BISECTION_TOL:
             crossings.append(t0)
-    return crossings
+    return crossings, g[0], g[-1]
 
 
 def _graph_index(
@@ -386,13 +386,14 @@ def _graph_index(
 ) -> MaslovIndex:
     """Maslov index of gr(Psi) against the permuted diagonal over [a, b]."""
     for _ in range(3):  # crossings closer than MIN_SEPARATION: refine the grid
-        crossings = _detect_crossings(path, sbar, a, b)
+        crossings, s_a, s_b = _detect_crossings(path, sbar, a, b)
         if all(t1 - t0 >= MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])):
             break
         path = integrate_path(path.family, path.tau, min_steps=2 * path.steps)
+    else:  # the last refinement was not searched: its own values at a and b
+        s_a, s_b = _smin(path, sbar, [a, b])
     records = []
     twice = 0
-    s_a, s_b = _smin(path, sbar, [a, b])
     if s_a < KERNEL_TOL:
         rec = _crossing_form(path, sbar, a)
         records.append(replace(rec, endpoint=True))

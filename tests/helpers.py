@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from braidfloer.complex import (
     BARRIER_HIGH,
@@ -29,7 +30,7 @@ from braidfloer.discrete import (
 )
 from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
 from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
-from braidfloer.homology import GradedBetti, _homology, boundary_matrix
+from braidfloer.homology import GradedBetti, _homology
 from braidfloer.maslov import (
     BISECTION_TOL,
     ZOOM_POINTS,
@@ -513,9 +514,10 @@ def reference_left_normal_form(w: BraidWord) -> GarsideNormalForm:
 # homology.
 
 
-def reference_coreduce(core: list[int], bnd, cob) -> int:
+def reference_coreduce(core: list[int], bnd) -> int:
     """Coreduce the cells `core` (a list, cut down to the survivors); returns
     the number removed."""
+    cob = bnd.T.tocsr()
     n = bnd.shape[0]
     mask = np.zeros(n, dtype=np.int32)
     mask[core] = 1
@@ -593,6 +595,19 @@ def gf2_rank(m: np.ndarray) -> int:
 
 def inverse(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple((i, -s) for i, s in reversed(w.letters)))
+
+
+def boundary_matrix(rows, cols, n: int) -> sp.csr_matrix:
+    """Z2 boundary as an n x n CSR matrix: row = cell, column = face.
+
+    Entries are 0/1 int8 with sorted indices; repeated faces cancel.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+    bnd = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    bnd.sum_duplicates()
+    bnd.data &= 1
+    bnd.eliminate_zeros()
+    return bnd
 
 
 def homology_of_chain(cells: dict[int, int], boundary) -> dict[int, int]:

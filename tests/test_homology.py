@@ -8,15 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfloer import homology
-from braidfloer.homology import (
-    GradedBetti,
-    _coreduce,
-    _gauss_ranks,
-    boundary_matrix,
-    poincare_polynomial,
-)
+from braidfloer.homology import GradedBetti, _coreduce, _gauss_ranks, poincare_polynomial
 
-from helpers import gf2_rank, homology_of_chain, reference_coreduce
+from helpers import boundary_matrix, gf2_rank, homology_of_chain, reference_coreduce
 
 
 def test_poincare_polynomial_formats():
@@ -87,6 +81,18 @@ def test_long_path_collapses_to_a_point():
     assert homology_of_chain(cells, lambda c: bnd.get(c, [])) == {0: 1}
 
 
+def test_coreduce_counts_rows_wider_than_int8():
+    # a 257-gon and the disk it bounds: the 2-cell's 257 alive faces would
+    # wrap to 1 in the int8 counts, so its row needs the int32 ones
+    n = 257
+    cells = {i: 0 for i in range(n)} | {n + i: 1 for i in range(n)}
+    bnd = {n + i: [i, (i + 1) % n] for i in range(n)}
+    assert homology_of_chain(cells, lambda c: bnd.get(c, [])) == {0: 1, 1: 1}
+    cells[2 * n] = 2
+    bnd[2 * n] = list(range(n, 2 * n))
+    assert homology_of_chain(cells, lambda c: bnd.get(c, [])) == {0: 1}
+
+
 def test_boundary_squared_exact_on_large_complex():
     # one bad cell among 100,001: d of a 2-cell is a single edge, so d^2 != 0
     n = 50_000
@@ -129,7 +135,7 @@ def _closure(cells) -> set[tuple[int, ...]]:
 
 def _betti(coreduce, core, dims: np.ndarray, bnd) -> dict[int, int]:
     """Betti numbers of the cells `core` after `coreduce` and elimination."""
-    coreduce(core, bnd, bnd.T.tocsr())
+    coreduce(core, bnd)
     ranks = _gauss_ranks(core, dims, bnd)
     kept = np.bincount(dims[np.asarray(core, dtype=np.int64)], minlength=dims.max(initial=0) + 1)
     betti = {k: int(n) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, n in enumerate(kept)}
