@@ -235,7 +235,7 @@ class IndexPair:
     def exit(self) -> np.ndarray:  # N^-, sorted codes
         return self.cells[self.in_exit]
 
-    def chain_complex(self, spend: bool = False):
+    def chain_complex(self):
         """(sorted relative codes, their dimensions, relative boundary).
 
         The boundary is a canonical CSR matrix of int8 ones over indices into
@@ -245,12 +245,15 @@ class IndexPair:
         the cells pinned there, a relative face lands right after its equal.
         A slot and pin give ascending rows, a row's faces ascend with slot and
         pin, so these chunks, counted per row, fill each row from its end,
-        last chunk first.  `spend` drops N and N^- once `rel` is taken.
+        last chunk first.
+
+        Spends the pair: N and N^- read None once `rel` is taken, so neither
+        is held while the boundary is built.  `dataclasses.replace(pair)` is a
+        shallow copy to spend instead when the pair is read afterwards.
         """
         geo = self.geometry
         rel = self.cells[~self.in_exit]
-        if spend:
-            self.cells = self.in_exit = None
+        self.cells = self.in_exit = None
         dims = np.zeros(len(rel), dtype=np.int8)
         indptr = np.zeros(len(rel) + 1, dtype=np.int32)  # row counts, row ends, row starts
         chunks = []

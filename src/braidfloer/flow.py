@@ -267,7 +267,8 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
         # isolated, not attracting), so Newton does the real work, from both seeds
         try:
             free = DiscreteBraid(snapped(u0)[None], SNAP, rel.free.closure)
-            smoothed[n] = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4).u
+            state = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4)
+            smoothed[n] = state.u
         except (TransversalityError, BraidInputError, BoundaryContactError):
             pass
     polished, ok = _newton_polish(recurrence, np.concatenate((smoothed, starts)))

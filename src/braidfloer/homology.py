@@ -20,7 +20,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,18 +187,25 @@ def _gauss_ranks(core: array, dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int,
     ranks: dict[int, int] = {}
     for k, cols in sorted(by_dim.items()):
         rows = {c: i for i, c in enumerate(by_dim.get(k - 1, []))}
+        if not rows:
+            ranks[k] = 0
+            continue
         pivots: dict[int, int] = {}  # bit -> reduced column
-        for c in cols:  # a canonical row lists each face once, so + is xor
-            vec = sum(1 << rows[f] for f in bnd.indices[bnd.indptr[c]:bnd.indptr[c + 1]].tolist()
-                      if f in rows)
+        rank = 0
+        for c in cols:
+            vec = 0
+            for f in bnd.indices[bnd.indptr[c]:bnd.indptr[c + 1]].tolist():
+                if f in rows:
+                    vec ^= 1 << rows[f]
             while vec:
                 low = vec.bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = vec
+                    rank += 1
                     break
                 vec ^= other
-        ranks[k] = len(pivots)
+        ranks[k] = rank
     return ranks
 
 
@@ -226,8 +232,12 @@ def _check_morse_identities(counts: dict[int, int], betti: dict[int, int]) -> No
     diff = [counts.get(k, 0) - betti.get(k, 0) for k in range(lo, hi + 1)]
     if any(v < 0 for v in diff):
         raise AssertionError("chain counts below betti numbers")
-    q = list(accumulate(diff, lambda prev, v: v - prev))  # Q's coefficients, then a remainder
-    if q[-1] != 0 or min(q) < 0:
+    q = []
+    carry = 0
+    for v in diff:
+        q.append(v - carry)
+        carry = q[-1]
+    if carry != 0 or any(v < 0 for v in q):
         raise AssertionError("Morse inequality violated: not (1+t) times a nonneg series")
     IDENTITY_CHECKS["morse"] += 1
 
@@ -251,6 +261,7 @@ def _homology(dims: np.ndarray, bnd: sp.csr_matrix) -> dict[int, int]:
 
 def relative_homology(pair) -> GradedBetti:
     """Betti numbers of the index pair (N, N^-): ker/im of the Z2 boundary.
-    Spends the pair: its N and exit mask read None afterwards."""
-    _, dims, bnd = pair.chain_complex(spend=True)
-    return GradedBetti.from_dict(_homology(dims, bnd), "direct")
+    Spends the pair, as `chain_complex` does."""
+    _, dims, bnd = pair.chain_complex()
+    betti = _homology(dims, bnd)
+    return GradedBetti.from_dict(betti, "direct")

@@ -358,7 +358,8 @@ def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int]:
             "relative braid class is improper; braid Floer homology is undefined",
             comp.collapse_witness,
         )
-    return relative_homology(index_pair(comp)), comp.crossing_number
+    pair = index_pair(comp)
+    return relative_homology(pair), comp.crossing_number
 
 
 def braid_floer_homology(

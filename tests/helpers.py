@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -629,7 +629,7 @@ def homology_of_chain(cells: dict[int, int], boundary) -> dict[int, int]:
 
 def to_chain_json(pair: IndexPair) -> dict:
     """Chain-complex dump of a pair (relative cells only) for external verification."""
-    rel, dims, bnd = pair.chain_complex()
+    rel, dims, bnd = replace(pair).chain_complex()  # the pair stays readable
     ids = rel.tolist()
     faces = rel[bnd.indices].tolist()
     ptr = bnd.indptr.tolist()
@@ -649,7 +649,7 @@ def homology_from_json(doc: dict) -> GradedBetti:
 
 def chain_counts(pair: IndexPair) -> dict[int, int]:
     """Number of relative cells of the pair in each dimension."""
-    ks, counts = np.unique(pair.chain_complex()[1], return_counts=True)
+    ks, counts = np.unique(replace(pair).chain_complex()[1], return_counts=True)
     return dict(zip(ks.tolist(), counts.tolist()))
 
 
