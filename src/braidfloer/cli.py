@@ -3,7 +3,7 @@
 Commands: homology, normalform, maslov, flow, properness, forcing.  Inputs
 come as a JSON document (file or inline flags); outputs are deterministic
 JSON envelopes.  Exit codes: 0 success, 2 improper class, 3 degeneracy
-errors, 1 anything else.
+errors, 4 a failed built-in check, 1 anything else.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import (
     BraidInputError,
     DegenerateCrossingError,
     ImproperClassError,
+    MonotonicityViolationError,
+    StabilizationError,
     StationaryDegenerateError,
 )
 from .flow import evolve, find_stationary, fitted_recurrence
@@ -429,6 +431,9 @@ def main(argv=None) -> int:
     except (DegenerateCrossingError, StationaryDegenerateError, AmbiguousDiagramError) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 3
+    except (AssertionError, StabilizationError, MonotonicityViolationError) as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

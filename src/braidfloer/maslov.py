@@ -5,16 +5,17 @@ permutation sigma acts block-diagonally on the p's and q's.  The index sums
 the signatures of the crossing forms <sigma xi, K(t0) sigma xi> at the zeros
 t0 of det(Psi(t) - sigma), half weight at the endpoints, stored doubled.
 
-Constant families take the closed form Psi(t) = expm(t J0 K), others RK4,
-with the nodes' symplectic drift below DRIFT_BOUND.  Zeros are found on the
-smallest singular value of Psi(t) - sigma: the node grid brackets them, and a
-Lipschitz zoom cuts each bracket around the apex of its V until BISECTION_TOL.
+Every family is a table, K linear between samples; with a node at each knot,
+Taylor series solve the steps, the nodes' symplectic drift below DRIFT_BOUND.
+Zeros are found on the smallest singular value of Psi(t) - sigma: the node grid
+brackets them, and a Lipschitz zoom cuts each around its V's apex to BISECTION_TOL.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,45 +33,50 @@ EIGEN_TOL = 1e-8
 BISECTION_TOL = 1e-12
 MIN_SEPARATION = 1e-6
 SYMMETRY_TOL = 1e-12
-NODE_SPACING = 1 / 8   # bound on h * ||J0 K||_2 between closed-form nodes
+NODE_SPACING = 1 / 8   # bound on the integral of ||J0 K||_2 over one step
 TAYLOR_DEGREE = 10     # remainder below 1e-17 at that spacing
+MAX_STEPS = 2 ** 20
 ZOOM_POINTS = 17
 
 
+@functools.cache
 def standard_j(n: int) -> np.ndarray:
-    return np.kron([[0, -1], [1, 0]], np.eye(n))
+    j = np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
+    j.flags.writeable = False  # one array per n, shared by every caller
+    return j
 
 
 def permutation_matrix(sigma: StrandPermutation) -> np.ndarray:
     """Block-diagonal pair of permutation matrices defining the permuted diagonal."""
-    p = np.eye(sigma.n)[list(sigma.image)]  # p[k, sigma(k)] = 1
-    return np.kron(np.eye(2), p)
+    return np.eye(2 * sigma.n)[[n + k for n in (0, sigma.n) for k in sigma.image]]  # sigma(k) at k
 
 
 @dataclass
 class SymmetricFamily:
-    """Time family of symmetric 2n x 2n matrices."""
+    """K(t) through samples (times increasing): linear between them, constant outside."""
 
-    dimension: int
-    matrix: Callable[[float], np.ndarray]
-    constant: np.ndarray | None = None  # K, when the family does not depend on t
+    times: np.ndarray
+    matrices: np.ndarray  # samples x 2n x 2n, checked for shape and symmetry here
 
     def __post_init__(self):
-        if self.dimension % 2:
+        d = self.matrices.shape[1]
+        if d % 2:
             raise BraidInputError("dimension must be even (2n)")
-
-    def __call__(self, t: float) -> np.ndarray:
-        """K(t); every value is checked for shape and symmetry."""
-        k = np.asarray(self.matrix(t), dtype=float)
-        if k.shape != (self.dimension, self.dimension):
-            raise BraidInputError(f"K(t) must be {self.dimension}x{self.dimension}")
-        if np.abs(k - k.T).max() >= SYMMETRY_TOL:
+        if self.matrices.shape[2] != d:
+            raise BraidInputError(f"K(t) must be {d}x{d}")
+        if np.abs(self.matrices - np.swapaxes(self.matrices, 1, 2)).max() >= SYMMETRY_TOL:
             raise BraidInputError("K(t) is not symmetric")
-        return k
+
+    def __call__(self, t) -> np.ndarray:
+        """K(t) for a time, or the stack of K over a 1-d array of times."""
+        ts, ks = self.times, self.matrices
+        i = np.minimum(np.maximum(ts.searchsorted(t), 1), len(ts) - 1)  # the sample above t
+        w = np.minimum(np.maximum((t - ts[i - 1]) / (ts[i] - ts[i - 1]), 0.0), 1.0)[..., None, None]
+        return (1 - w) * ks[i - 1] + w * ks[i]
 
     @property
     def strands(self) -> int:
-        return self.dimension // 2
+        return self.matrices.shape[1] // 2
 
 
 def _finite_array(value, name: str, ndim: int, expected: str) -> np.ndarray:
@@ -89,11 +95,9 @@ def _finite_array(value, name: str, ndim: int, expected: str) -> np.ndarray:
 
 
 def constant_family(k) -> SymmetricFamily:
-    """The family t -> K, checked now; its path takes the closed form."""
+    """The family t -> K: a table of two equal samples."""
     k = _finite_array(k, "matrix", 2, "a 2-D array of numbers")
-    family = SymmetricFamily(k.shape[0], lambda t: k, constant=k)
-    family(0.0)
-    return family
+    return SymmetricFamily(np.array([0.0, 1.0]), np.stack((k, k)))
 
 
 def _positive_tau(tau: float) -> float:
@@ -124,23 +128,14 @@ def sampled_family(times: Sequence[float], matrices: Sequence) -> SymmetricFamil
                                   f"{mats[0].shape}")
     if mats[0].shape[0] != mats[0].shape[1]:
         raise BraidInputError(f"matrices[0] must be {square}")
-
-    def mat(t):
-        i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        w = min(max(w, 0.0), 1.0)
-        return (1 - w) * mats[i] + w * mats[i + 1]
-
-    return SymmetricFamily(mats[0].shape[0], mat)
+    return SymmetricFamily(ts, np.stack(mats))
 
 
 @dataclass
 class SymplecticPathSample:
-    """Psi at the nodes `times`, with the generating family attached.
-
-    At other times `evaluate` gives Psi in closed form (constant families,
-    rotated paths); without it RK4 runs from the node below, time by time.
-    """
+    """Psi on [0, tau]: at the nodes `times`, and Psi(t_i + s) = sum_k s^k P_k
+    Psi(t_i) after node i, P_k = taylor[generators[i], k] (flattened).  With
+    `turns` k the path is composed with the loop e^{2 pi k J0 t / tau}."""
 
     family: SymmetricFamily
     tau: float
@@ -148,23 +143,27 @@ class SymplecticPathSample:
     matrices: np.ndarray
     steps: int
     drift: float
-    evaluate: Callable[[np.ndarray], np.ndarray] | None = None
+    taylor: np.ndarray
+    generators: np.ndarray
+    turns: int = 0
+
+    def _rotation(self, t) -> np.ndarray:
+        theta = (2 * np.pi * self.turns / self.tau * np.asarray(t))[..., None, None]
+        j = standard_j(self.family.strands)
+        return np.cos(theta) * np.eye(len(j)) + np.sin(theta) * j
 
     def psi(self, t) -> np.ndarray:
         """Psi(t) for a time, or the stack of Psi over a 1-d array of times."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self.evaluate(ts) if self.evaluate else np.stack([self._integrated(x) for x in ts])
+        if len(ts) > 4096:  # in blocks, as each time gathers its Taylor rows
+            return np.concatenate([self.psi(b) for b in np.split(ts, range(4096, len(ts), 4096))])
+        i = np.searchsorted(self.times[1:], ts, side="right")  # last node <= t
+        s = (ts - self.times[i])[:, None]
+        p = (s ** np.arange(TAYLOR_DEGREE + 1))[:, None] @ self.taylor[self.generators[i]]
+        out = p.reshape(-1, *self.matrices.shape[1:]) @ self.matrices[i]
+        if self.turns:
+            out = self._rotation(ts) @ out
         return out if np.ndim(t) else out[0]
-
-    def _integrated(self, t: float) -> np.ndarray:
-        i = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 1))
-        t0 = self.times[i]
-        psi = self.matrices[i]
-        if t <= t0:
-            return psi
-        h = self.times[1] - self.times[0]
-        nsub = max(1, int(np.ceil((t - t0) / h * 4)))
-        return _rk4(self.family, psi, t0, t, nsub, standard_j(self.family.strands))
 
 
 def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps: int,
@@ -184,85 +183,71 @@ def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps:
 
 
 def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) -> SymplecticPathSample:
-    """Psi on a uniform grid of at least `min_steps` steps; Psi(0) is the identity exactly.
+    """Psi on [0, tau] with a node at every knot, where the slope of K changes.
 
-    A constant family takes the closed form Psi(t) = expm(t J0 K): the step
-    count doubles until h ||J0 K||_2 <= NODE_SPACING, the nodes are powers of
-    one expm(h J0 K), the degree-TAYLOR_DEGREE Taylor polynomial by Horner's
-    rule, and their symplectic drift must stay below 1e-8.  Any
-    other family is integrated by classical 4th-order steps that halve until
-    the drift stays below 1e-8 at every node and the endpoint agrees with the
-    next refinement to 1e-10.
+    A step count starts at max(min_steps, 64) and doubles, up to MAX_STEPS, until
+    h (||J0 K|| + h ||J0 K'|| / 2) <= NODE_SPACING (2-norms, maxima over the knots);
+    each knot interval takes ceil(length * steps / tau) equal steps.  On a step J0 K
+    = A + s D, so Psi(t_i + s) = P(s) Psi(t_i), P_0 = I, P_1 = A, (k + 1) P_{k+1} = A
+    P_k + D P_{k-1} to TAYLOR_DEGREE, summed by Horner's rule in h; the steps of an
+    interval where K is constant share one generator.  Drift stays below DRIFT_BOUND.
     """
     _positive_tau(tau)
-    n = family.dimension // 2
-    j = standard_j(n)
+    j = standard_j(family.strands)
+    ts, ks = family.times, family.matrices
+    flat = np.zeros((1,) + j.shape)
+    slopes = np.concatenate((flat, (ks[1:] - ks[:-1]) / (ts[1:] - ts[:-1])[:, None, None],
+                             flat))  # before, between and after the samples
+    kinks = np.any(slopes[1:] != slopes[:-1], axis=(1, 2)) & (ts > 0) & (ts < tau)
+    ends = np.concatenate(([0.0], ts[kinks], [tau]))
+    slope = j @ slopes[np.searchsorted(ts, (ends[:-1] + ends[1:]) / 2)]  # J0 K' on each interval
+    a_ends = j @ family(ends)
+    a_norm, d_norm = (np.linalg.svd(m, compute_uv=False)[:, 0].max() for m in (a_ends, slope))
     steps = max(min_steps, 64)
-    if family.constant is not None:
-        return _closed_form_path(family, tau, steps, j)
-    prev_end = None
-    for _ in range(22):
-        h = tau / steps
-        psi = np.eye(2 * n)
-        mats = [psi]
-        drift = 0.0
-        t = 0.0
-        for _ in range(steps):
-            psi = _rk4(family, psi, t, t + h, 1, j)
-            t += h
-            mats.append(psi)
-            drift = max(drift, float(np.max(np.abs(psi.T @ j @ psi - j))))
-            if drift >= DRIFT_BOUND:
-                prev_end = None
-                break
-        else:
-            if prev_end is not None and float(np.max(np.abs(psi - prev_end))) < 1e-10:
-                return SymplecticPathSample(
-                    family, tau, np.linspace(0.0, tau, steps + 1), np.array(mats), steps, drift
-                )
-            prev_end = psi
+    while steps <= MAX_STEPS and tau / steps * (a_norm + tau / steps * d_norm / 2) > NODE_SPACING:
         steps *= 2
-    raise StiffnessError(f"accuracy bounds unreachable at {steps} steps")
-
-
-def _closed_form_path(family: SymmetricFamily, tau: float, steps: int, j) -> SymplecticPathSample:
-    a = j @ family.constant
-    norm = float(np.linalg.norm(a, 2))
-    while tau / steps * norm > NODE_SPACING:
-        steps *= 2
-    times = np.linspace(0.0, tau, steps + 1)
-    eye = np.eye(len(a))
-    nodes = np.empty((steps + 1,) + a.shape)
-    nodes[0] = nodes[1] = eye
-    for d in range(TAYLOR_DEGREE, 0, -1):  # expm(h A), its Taylor polynomial by Horner's rule
-        nodes[1] = eye + (tau / steps / d) * (a @ nodes[1])
-    m = 1
-    while m < steps:  # nodes[m + i] = nodes[i] @ nodes[m]
-        k = min(m, steps - m)
-        nodes[m + 1:m + k + 1] = nodes[1:k + 1] @ nodes[m]
-        m += k
+    if steps > MAX_STEPS:
+        raise BraidInputError(f"tau = {tau} needs more than {MAX_STEPS} steps")
+    counts = np.ceil((ends[1:] - ends[:-1]) / tau * steps).astype(int)
+    width, offset = (ends[1:] - ends[:-1]) / counts, np.cumsum(counts) - counts
+    piece = np.repeat(np.arange(len(counts)), counts)  # the interval of each step
+    times = np.append(ends[piece] + (np.arange(len(piece)) - offset[piece]) * width[piece], tau)
+    fresh = slope.any(axis=(1, 2))[piece]  # every step of a sloped interval
+    fresh[offset] = True  # and the first step of each interval starts a generator
+    home, h = piece[fresh], width[piece[fresh]][:, None, None]  # each generator's interval, step
+    q = np.zeros((len(h), TAYLOR_DEGREE + 2) + j.shape)  # q[:, k + 1] = P_k, q[:, 0] = 0
+    q[:, 1], q[:, 2] = np.eye(len(j)), a_ends[home] + (
+        times[:-1][fresh] - ends[home])[:, None, None] * slope[home]
+    da = np.concatenate((slope[home], q[:, 2]), axis=2)  # [D A] [P_{k-1}; P_k] = (k + 1) P_{k+1}
+    for k in range(1, TAYLOR_DEGREE):
+        q[:, k + 2] = da @ q[:, k:k + 2].reshape(len(h), -1, len(j)) / (k + 1)
+    step = q[:, -1]
+    for k in range(TAYLOR_DEGREE, 0, -1):
+        step = q[:, k] + h * step
+    generators = np.cumsum(fresh) - 1
+    nodes = _products(step, generators)
     drift = float(np.max(np.abs(np.swapaxes(nodes, 1, 2) @ j @ nodes - j)))
     if not drift < DRIFT_BOUND:
-        raise StiffnessError(f"closed form drifts by {drift:.3g} at {steps} steps")
-    terms = [eye]  # A^d / d!, d = 0..TAYLOR_DEGREE
-    for d in range(1, TAYLOR_DEGREE + 1):
-        terms.append(terms[-1] @ a / d)
-    taylor = np.reshape(terms, (TAYLOR_DEGREE + 1, -1))  # one flattened term per row
-    degrees = np.arange(TAYLOR_DEGREE + 1)
+        raise StiffnessError(f"Taylor steps drift by {drift:.3g} at {len(generators)} steps")
+    return SymplecticPathSample(family, tau, times, nodes, len(generators), drift,
+                                q[:, 1:].reshape(len(h), TAYLOR_DEGREE + 1, -1),
+                                np.append(generators, generators[-1]))
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        """nodes[i] @ P(s A) with s = t - t_i, P(x A) = sum x^d A^d / d! as one product
-        over the stack; squarings cover s beyond one step (t < 0, t > tau)."""
-        i = np.searchsorted(times[1:], ts, side="right")  # last node <= t; 0 for t < 0
-        s = ts - times[i]
-        reach = np.max(np.abs(s)) * norm / NODE_SPACING
-        squarings = int(np.ceil(np.log2(reach))) if reach > 1 else 0
-        p = ((s / 2.0 ** squarings)[:, None] ** degrees @ taylor).reshape(len(ts), *a.shape)
-        for _ in range(squarings):
-            p = p @ p
-        return nodes[i] @ p
 
-    return SymplecticPathSample(family, tau, times, nodes, steps, drift, evaluate)
+def _products(step: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """[I, S_0, S_1 S_0, ...] for S_i = step[generators[i]], by doubling: nodes[m + i] is
+    Phi_i nodes[m], Phi_i the next i steps' product: nodes[i] while all share one generator."""
+    n = len(generators)
+    nodes = np.empty((n + 1,) + step.shape[1:])
+    nodes[0], nodes[1] = np.eye(step.shape[1]), step[generators[0]]
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        same = generators[m + k - 1] == generators[0]
+        nodes[m + 1:m + k + 1] = (nodes[1:k + 1] if same else _products(
+            step, generators[m:m + k])[1:]) @ nodes[m]
+        m += k
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -290,7 +275,8 @@ def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, t0: float) -> C
     kernel = vt[s < KERNEL_TOL].T
     if kernel.shape[1] == 0:
         raise DegenerateCrossingError(f"no kernel at detected crossing t={t0}")
-    k = path.family(t0)
+    phi = path._rotation(t0)  # K of the path with turns: rate I + phi K phi^T
+    k = 2 * np.pi * path.turns / path.tau * np.eye(len(phi)) + phi @ path.family(t0) @ phi.T
     m = kernel.T @ sbar.T @ k @ sbar @ kernel
     eigs = np.linalg.eigvalsh((m + m.T) / 2)
     if np.any(np.abs(eigs) < EIGEN_TOL):
@@ -359,7 +345,8 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     4 s (y - x), s the steepest slope of f on the grid, which holds for any
     zero whose slope is at most 4 s.  Each run of such cells is a bracket for
     `_isolate_zeros`, with the first apex where arms of the run's steepest
-    slope meet; zeros within `margin` of a or b are the endpoints' own.
+    slope meet.  Zeros within `margin` of a or b, or within KERNEL_TOL / s of an
+    endpoint where f < KERNEL_TOL (f stays below it there anyway), are its own.
     """
     grid = np.concatenate(([a], path.times[(path.times > a) & (path.times < b)], [b]))
     g = _smin(path, sbar, grid)
@@ -371,7 +358,9 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     apex = (grid[i] + grid[j]) / 2 + (g[i] - g[j]) / s
     margin = max(1e-9, 100 * BISECTION_TOL)
     found = _isolate_zeros(path, sbar, grid[i], grid[j], apex, a + margin, b - margin)
-    found = found[(a + margin < found) & (found < b - margin)]
+    near = KERNEL_TOL / max(np.max(slope), np.finfo(float).tiny)
+    lo, hi = (margin + near * (end < KERNEL_TOL) for end in (g[0], g[-1]))
+    found = found[(a + lo < found) & (found < b - hi)]
     if len(found):
         found = found[_smin(path, sbar, found) < KERNEL_TOL]
     crossings = []
@@ -389,7 +378,7 @@ def _graph_index(
         crossings, s_a, s_b = _detect_crossings(path, sbar, a, b)
         if all(t1 - t0 >= MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])):
             break
-        path = integrate_path(path.family, path.tau, min_steps=2 * path.steps)
+        path = replace(integrate_path(path.family, path.tau, 2 * path.steps), turns=path.turns)
     else:  # the last refinement was not searched: its own values at a and b
         s_a, s_b = _smin(path, sbar, [a, b])
     records = []
@@ -434,8 +423,8 @@ def permuted_cz_index(
         raise BraidInputError(f"sigma permutes {sigma.n} strands, the family has {n}")
     sbar = permutation_matrix(sigma)
     b = path.tau if b is None else b
-    if not a < b:
-        raise BraidInputError(f"need a < b, got a={a}, b={b}")
+    if not 0 <= a < b <= path.tau:
+        raise BraidInputError(f"need 0 <= a < b <= tau = {path.tau}, got a={a}, b={b}")
     idx = _graph_index(path, sbar, a, b, closed=closed)
     if a == 0.0:
         start = next((r for r in idx.crossings if r.endpoint), None)
@@ -444,34 +433,13 @@ def permuted_cz_index(
     return idx
 
 
-def rotated_path(path: SymplecticPathSample, k: int) -> SymplecticPathSample:
-    """The path t -> e^{2 pi k J0 t / tau} Psi(t), built in closed form."""
-    j = standard_j(path.family.strands)
-    eye = np.eye(len(j))
-    rate = 2 * np.pi * k / path.tau
-
-    def rotation(t) -> np.ndarray:
-        theta = (rate * np.asarray(t))[..., None, None]
-        return np.cos(theta) * eye + np.sin(theta) * j
-
-    def generator(t):  # of the rotated path: rate I + phi K phi^T
-        phi = rotation(t)
-        return rate * eye + phi @ path.family(t) @ phi.T
-
-    return SymplecticPathSample(
-        SymmetricFamily(path.family.dimension, generator), path.tau, path.times,
-        rotation(path.times) @ path.matrices, path.steps, path.drift,
-        evaluate=lambda ts: rotation(ts) @ path.psi(ts),
-    )
-
-
 def rotation_shift_check(
     path: SymplecticPathSample, sigma: StrandPermutation | None, k: int
 ) -> bool:
     """Whether composing with the loop e^{2 pi k J0 t / tau} shifts mu by 2kn."""
     n = path.family.strands
     base = permuted_cz_index(path, sigma)
-    shifted = permuted_cz_index(rotated_path(path, k), sigma)
+    shifted = permuted_cz_index(replace(path, turns=path.turns + k), sigma)
     return shifted.twice_value == base.twice_value + 4 * k * n
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +35,12 @@ from braidfloer.maslov import (
     BISECTION_TOL,
     ZOOM_POINTS,
     SymmetricFamily,
+    SymplecticPathSample,
+    _rk4,
     _runs,
     _smin,
     constant_family,
+    standard_j,
 )
 from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
 from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
@@ -333,15 +336,49 @@ def direct_sum_family(a: SymmetricFamily, b: SymmetricFamily) -> SymmetricFamily
     """K_a + K_b of two constant families, acting on disjoint strand blocks.
 
     In (p..., q...) coordinates this is the constant family of the block
-    matrix, so its path takes the closed form.
+    matrix.
     """
     n = a.strands + b.strands
     k = np.zeros((2 * n, 2 * n))
     for family, offset in ((a, 0), (b, a.strands)):
         m = family.strands
         idx = list(range(offset, offset + m)) + list(range(n + offset, n + offset + m))
-        k[np.ix_(idx, idx)] = family.constant
+        k[np.ix_(idx, idx)] = family.matrices[0]
     return constant_family(k)
+
+
+RK4_SUBSTEPS = 16
+
+
+def _rk4_stack(family: SymmetricFamily, psi0: np.ndarray, t0, t1) -> np.ndarray:
+    """`maslov._rk4` from each psi0[i] at t0[i] to t1[i], all intervals at once."""
+    column = lambda t: np.array(t, dtype=float).reshape(-1, 1, 1)  # a copy: _rk4 adds to t
+    return _rk4(lambda t: family(t.ravel()), psi0, column(t0), column(t1), RK4_SUBSTEPS,
+                standard_j(family.strands))
+
+
+@dataclass
+class RK4Path(SymplecticPathSample):
+    """A path on the nodes of another, by classical RK4 with RK4_SUBSTEPS steps
+    from each node to the next and from the node below any other time."""
+
+    def psi(self, t) -> np.ndarray:
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        i = np.searchsorted(self.times[1:], ts, side="right")
+        out = self._rotation(ts) @ _rk4_stack(self.family, self.matrices[i], self.times[i], ts)
+        return out if np.ndim(t) else out[0]
+
+
+def rk4_path(path: SymplecticPathSample) -> RK4Path:
+    """The RK4 oracle of a path: its family, node times and turns, RK4's nodes."""
+    eye = np.eye(2 * path.family.strands)
+    steps = _rk4_stack(path.family, np.broadcast_to(eye, (path.steps,) + eye.shape),
+                       path.times[:-1], path.times[1:])
+    nodes = [eye]
+    for step in steps:  # each interval has no knot inside: RK4 keeps its order
+        nodes.append(step @ nodes[-1])
+    values = {f.name: getattr(path, f.name) for f in fields(path)}
+    return RK4Path(**dict(values, matrices=np.array(nodes)))
 
 
 def direct_sum_permutation(sa: StrandPermutation, sb: StrandPermutation) -> StrandPermutation:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from braidfloer import pipeline
+from braidfloer import homology, pipeline
 from braidfloer.cli import (
     JobSpec,
     format_braid_text,
@@ -17,7 +17,7 @@ from braidfloer.cli import (
     parse_braid_text,
     run,
 )
-from braidfloer.errors import BraidInputError
+from braidfloer.errors import BraidInputError, StabilizationError
 from braidfloer.maslov import DRIFT_BOUND
 from braidfloer.words import exponent_sum
 
@@ -384,3 +384,53 @@ def test_homology_at_a_chosen_period(capsys, monkeypatch, relative, betti, perio
     assert main(["homology", "--input", "-", "--period", str(period)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["betti"], payload["period"]) == (betti, period)
+
+
+@pytest.mark.parametrize("error", [AssertionError, StabilizationError])
+def test_failed_builtin_check_exit_code(capsys, monkeypatch, error):
+    # a defect of the program is not a refusal of the input: exit 4, not 1
+    def broken(bnd):
+        raise error("boundary of boundary is nonzero")
+
+    monkeypatch.setattr(homology, "_check_boundary_squared", broken)
+    code = main(["homology", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "internal check failed: boundary of boundary is nonzero"]
+
+
+# the table document whose RK4 path took 27 s at tau = 5 and never answered at
+# tau = 10; the tau = 10 crossings were checked with DOP853 and Brent's method
+FOUND_TABLE = {"kind": "table", "times": [0, 1],
+               "matrices": [[[1, 0], [0, 0.4]], [[0.5, 0], [0, 1]]]}
+
+
+@pytest.mark.parametrize("tau, twice, times", [
+    (5.0, 2, []), (7.0, 2, []), (10.0, 6, [8.437850686936107, 9.17648251325165])])
+def test_maslov_table_with_a_knot_answers_quickly(tau, twice, times):
+    start = time.perf_counter()
+    payload = run(JobSpec("maslov", {"maslov": {"family": FOUND_TABLE, "tau": tau}})).payload
+    assert time.perf_counter() - start < 1.0
+    assert payload["twice_value"] == twice
+    got = [c["time"] for c in payload["crossings"] if not c["endpoint"]]
+    assert len(got) == len(times) and all(abs(t - r) < 1e-9 for t, r in zip(got, times))
+
+
+def test_maslov_step_cap_refused_quickly(capsys, monkeypatch):
+    doc = {"maslov": {"family": {"kind": "constant", "matrix": [[1.0, 0.2], [0.2, 0.7]]},
+                      "tau": 1e6}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    code = main(["maslov", "--input", "-"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tau = 1000000.0 needs more than 1048576 steps"]
+
+
+def test_maslov_b_past_tau_refused(capsys, monkeypatch):
+    doc = {"maslov": {"family": FOUND_TABLE, "tau": 2.0, "b": 2.5}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["maslov", "--input", "-"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: need 0 <= a < b <= tau = 2.0, got a=0.0, b=2.5"]

@@ -1,6 +1,7 @@
 import random
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from braidfloer.errors import BraidInputError, StationaryDegenerateError
 from braidfloer.maslov import (
     BISECTION_TOL,
     KERNEL_TOL,
-    SymmetricFamily,
     DRIFT_BOUND,
     NODE_SPACING,
     annulus_hamiltonian,
@@ -20,13 +20,17 @@ from braidfloer.maslov import (
     permutation_matrix,
     permuted_cz_index,
     rotation_family,
-    rotated_path,
     rotation_shift_check,
     sampled_family,
     standard_j,
 )
 from braidfloer.words import StrandPermutation
-from helpers import direct_sum_family, direct_sum_permutation, reference_isolate_zeros
+from helpers import (
+    direct_sum_family,
+    direct_sum_permutation,
+    reference_isolate_zeros,
+    rk4_path,
+)
 
 
 def random_nondegenerate_constant(rng, n, scale=3.0):
@@ -46,46 +50,44 @@ def random_nondegenerate_constant(rng, n, scale=3.0):
 
 
 def test_closed_form_matches_rk4_reference():
-    # SymmetricFamily(2n, lambda t: k) carries no constant K, so it takes RK4
+    # constant families against the RK4 oracle on the same nodes, also rotated
     rng = random.Random(17)
     for c in range(10):
         n = 1 + c % 2
         k = random_nondegenerate_constant(rng, n)
-        reference = integrate_path(SymmetricFamily(2 * n, lambda t, k=k: k), 1.0)
-        closed = integrate_path(constant_family(k), 1.0, min_steps=reference.steps)
-        assert closed.steps == reference.steps
+        closed = integrate_path(constant_family(k), 1.0)
+        reference = rk4_path(closed)
         assert np.max(np.abs(closed.matrices - reference.matrices)) < 1e-8
         ts = np.array([rng.uniform(0.0, 1.0) for _ in range(5)])
         exact = np.stack([expm(t * standard_j(n) @ k) for t in ts])
         assert np.max(np.abs(closed.psi(ts) - exact)) < 1e-10
-        closed = integrate_path(constant_family(k), 1.0)
+        assert np.max(np.abs(reference.psi(ts) - exact)) < 1e-10
         assert permuted_cz_index(closed).twice_value == permuted_cz_index(reference).twice_value
         kk = (-2, -1, 0, 1, 2)[c % 5]
-        assert (permuted_cz_index(rotated_path(closed, kk)).twice_value
-                == permuted_cz_index(rotated_path(reference, kk)).twice_value)
+        assert (permuted_cz_index(replace(closed, turns=kk)).twice_value
+                == permuted_cz_index(replace(reference, turns=kk)).twice_value)
     for kk in (1, 2, 3):
-        loop = 2 * np.pi * kk * np.eye(2)
-        reference = integrate_path(SymmetricFamily(2, lambda t, loop=loop: loop), 1.0)
         closed = integrate_path(rotation_family(kk), 1.0)
+        reference = rk4_path(closed)
         assert (permuted_cz_index(closed, closed=True).twice_value
                 == permuted_cz_index(reference, closed=True).twice_value == 4 * kk)
 
 
 def test_closed_form_evaluation_on_every_branch():
-    # one stack of node times, interior times and times outside [0, tau]; the
-    # last take the squarings branch for the whole stack
+    # one stack of node times, the ends and interior times, then scalar times
     rng = random.Random(5)
     for n in (1, 2):
         k = random_nondegenerate_constant(rng, n)
         path = integrate_path(constant_family(k), 1.0)
         nodes = path.times[::7]
         inside = [rng.uniform(0.0, 1.0) for _ in range(4)]
-        ts = np.concatenate((nodes, inside, [-0.6, -1e-3, 1.0 + 1e-3, 1.7]))
+        ts = np.concatenate((nodes, [1.0], inside))
         got = path.psi(ts)
         assert np.max(np.abs(got[:len(nodes)] - path.matrices[::7])) < 1e-14
+        assert np.array_equal(got[len(nodes)], path.matrices[-1])  # tau is the last node
         exact = np.stack([expm(t * standard_j(n) @ k) for t in ts])
         assert np.max(np.abs(got - exact)) < 1e-10
-        for t in (-0.6, 0.5, 1.7):  # scalar times, each with its own squarings
+        for t in (0.0, 0.5, 1.0):
             assert np.max(np.abs(path.psi(t) - expm(t * standard_j(n) @ k))) < 1e-10
 
 
@@ -94,7 +96,7 @@ def test_twin_crossings_inside_one_grid_cell():
     # near t = 1/2, about lam / (4 pi) apart, far inside one grid cell
     lam = 1e-3
     path = integrate_path(constant_family(np.diag([lam, -lam])), 1.0)
-    rotated = permuted_cz_index(rotated_path(path, 2))
+    rotated = permuted_cz_index(replace(path, turns=2))
     inner = [r.time for r in rotated.crossings if not r.endpoint]
     assert len(inner) == 3 and inner[1] - inner[0] < (path.times[1] - path.times[0]) / 50
     assert rotation_shift_check(path, None, 2)
@@ -120,11 +122,11 @@ def test_zero_family_is_identity():
 
 def test_integration_matches_matrix_exponential():
     j = standard_j(1)
-    # on nodes, between nodes, past tau, and with ||J0 K|| = 250
+    # on nodes, between nodes, and with ||J0 K|| = 250
     for k in (np.diag([1.0, -0.4]), 250.0 * np.eye(2)):
         path = integrate_path(constant_family(k), 1.0)
         assert path.steps * NODE_SPACING >= np.linalg.norm(j @ k, 2)
-        for t in (0.25, 0.5, 1.0, 0.3141, 0.7777, 1.3):
+        for t in (0.25, 0.5, 1.0, 0.3141, 0.7777):
             exact = expm(j @ k * t)
             assert np.max(np.abs(path.psi(t) - exact)) < 1e-8
 
@@ -225,19 +227,17 @@ def _start_sig(idx):
 
 
 def test_reparametrization_invariance():
-    import math
-
+    # Psi(s(t)) with s(t) = (t + t^2) / 2 solves Psi' = J0 s'(t) K Psi, and
+    # s'(t) = (1 + 2t) / 2 is linear: a table from K / 2 at 0 to 3K / 2 at 1
     for diag in ([1.0, 0.4], [1.0, -0.4], [4.0, 5.0]):
         k = np.diag(diag)
-        base = integrate_path(constant_family(k), 1.0)
-
-        def warped(t):
-            # diffeomorphism s(t) = (e^{2t} - 1)/(e^2 - 1); derivative positive
-            ds = 2 * math.exp(2 * t) / (math.exp(2) - 1)
-            return ds * k
-
-        warped_path = integrate_path(SymmetricFamily(2, warped), 1.0)
-        assert permuted_cz_index(base).twice_value == permuted_cz_index(warped_path).twice_value
+        base = permuted_cz_index(integrate_path(constant_family(k), 1.0))
+        table = sampled_family([0.0, 1.0], [k / 2, 3 * k / 2])
+        warped = permuted_cz_index(integrate_path(table, 1.0))
+        assert base.twice_value == warped.twice_value
+        for r, q in zip(base.crossings, warped.crossings, strict=True):
+            assert (r.kernel_dimension, r.signature) == (q.kernel_dimension, q.signature)
+            assert abs(r.time - (q.time + q.time ** 2) / 2) < 1e-9
 
 
 def test_sampled_family_round_trip():
@@ -304,9 +304,9 @@ def test_zoom_matches_uniform_reference(monkeypatch):
         n = 1 + c % 2
         path = integrate_path(constant_family(random_nondegenerate_constant(rng, n)), 1.0)
         for sigma in (None, StrandPermutation((1, 0)))[:n]:
-            cases += [(rotated_path(path, k), sigma) for k in range(-2, 3)]
+            cases += [(replace(path, turns=k), sigma) for k in range(-2, 3)]
     twin = integrate_path(constant_family(np.diag([1e-3, -1e-3])), 1.0)
-    cases += [(twin, None), (rotated_path(twin, 2), None)]
+    cases += [(twin, None), (replace(twin, turns=2), None)]
     got = [permuted_cz_index(path, sigma) for path, sigma in cases]
     monkeypatch.setattr(maslov, "_isolate_zeros", reference_isolate_zeros)
     want = [permuted_cz_index(path, sigma) for path, sigma in cases]
@@ -356,3 +356,122 @@ def test_zoom_smin_call_budget(monkeypatch):
         permuted_cz_index(integrate_path(rotation_family(k), 1.0), closed=True)
     permuted_cz_index(integrate_path(constant_family(np.array([[9.0, 1.5], [1.5, 7.0]])), 1.0))
     assert len(calls) <= 32
+
+
+def _random_table(rng, n, tau):
+    """Two to four random symmetric samples, at least one of them inside (0, tau),
+    most of them definite enough to wind."""
+    times = sorted([rng.uniform(0.1, tau - 0.1)]
+                   + [rng.uniform(-0.5, tau + 0.5) for _ in range(rng.randrange(1, 4))])
+    mats = []
+    for _ in times:
+        a = np.array([[rng.uniform(-3, 3) for _ in range(2 * n)] for _ in range(2 * n)])
+        mats.append((a + a.T) / 2 + rng.uniform(0, 6) * np.eye(2 * n))
+    return sampled_family(times, mats)
+
+
+def _same_index(idx, ref, tol):
+    assert idx.twice_value == ref.twice_value
+    assert ([(r.kernel_dimension, r.signature, r.endpoint) for r in idx.crossings]
+            == [(r.kernel_dimension, r.signature, r.endpoint) for r in ref.crossings])
+    assert all(abs(r.time - q.time) <= tol for r, q in zip(idx.crossings, ref.crossings))
+
+
+def test_table_families_match_rk4_oracle():
+    # tables with knots inside (0, tau), n = 1 and 2, against RK4 on the same
+    # nodes; draws that drift past DRIFT_BOUND or whose index is degenerate are
+    # refused, and skipped
+    rng = random.Random(31)
+    checked = crossings = 0
+    while checked < 50:
+        n = 1 + checked % 2
+        tau = rng.uniform(2.0, 4.0)
+        try:
+            path = integrate_path(_random_table(rng, n, tau), tau)
+            idx = permuted_cz_index(path)
+        except (maslov.StiffnessError, StationaryDegenerateError, maslov.DegenerateCrossingError):
+            continue
+        assert any(0 < t < tau and t in path.times for t in path.family.times)
+        _same_index(idx, permuted_cz_index(rk4_path(path)), 1e-9)
+        checked += 1
+        crossings += len(idx.crossings) - 1
+    assert crossings > 100
+
+
+def test_constant_family_as_a_two_sample_table():
+    # K held constant between and outside two samples has no knot: same grid
+    rng = random.Random(41)
+    for c in range(6):
+        n = 1 + c % 2
+        k = random_nondegenerate_constant(rng, n)
+        path = integrate_path(constant_family(k), 1.0)
+        table = integrate_path(sampled_family([0.25, 3.0], [k, k]), 1.0)
+        assert np.array_equal(table.times, path.times)
+        for turns in (0, 1):
+            _same_index(permuted_cz_index(replace(table, turns=turns)),
+                        permuted_cz_index(replace(path, turns=turns)), 1e-12)
+
+
+def test_collinear_sample_leaves_the_index():
+    rng = random.Random(43)
+    for c in range(6):
+        n = 1 + c % 2
+        k0, k1 = (random_nondegenerate_constant(rng, n) for _ in range(2))
+        tau = 2.0
+        two = integrate_path(sampled_family([0.0, tau], [k0, k1]), tau)
+        three = integrate_path(sampled_family([0.0, 0.7, tau], [k0, k0 + 0.35 * (k1 - k0), k1]),
+                               tau)
+        try:
+            ref = permuted_cz_index(two)
+        except (StationaryDegenerateError, maslov.DegenerateCrossingError):
+            continue
+        _same_index(permuted_cz_index(three), ref, 1e-9)
+
+
+def test_path_lives_on_zero_to_tau():
+    path = integrate_path(constant_family(np.diag([1.0, -0.4])), 2.0)
+    for a, b in ((-0.5, 1.0), (0.5, 2.5), (-1.0, 3.0)):
+        with pytest.raises(BraidInputError,
+                           match=rf"^need 0 <= a < b <= tau = 2.0, got a={a}, b={b}$"):
+            permuted_cz_index(path, a=a, b=b)
+    assert permuted_cz_index(path, a=0.0, b=2.0) == permuted_cz_index(path)
+
+
+def test_step_count_is_capped_before_allocating():
+    family = constant_family(np.array([[1.0, 0.2], [0.2, 0.7]]))
+    start = time.perf_counter()
+    with pytest.raises(BraidInputError, match=r"^tau = 1000000.0 needs more than 1048576 steps$"):
+        integrate_path(family, 1e6)
+    assert time.perf_counter() - start < 1.0
+
+
+# a table whose RK4 path the zoom once gave a second zero at t = 1.1e-9, where
+# sigma_min ~ 1.37 t is below KERNEL_TOL only because Psi(0) = Id
+NEAR_START_TIMES = [0.16664311709167134, 0.47915404991794996, 0.8270034923413254,
+                    1.3499891278767917]
+NEAR_START_MATRICES = [
+    [[-1.0331251223144275, 2.255840317841894, -0.3545243923914492, 2.2681999467957845],
+     [2.255840317841894, 0.9820972818357809, 1.155886726539578, 0.011103063854356332],
+     [-0.3545243923914492, 1.155886726539578, -0.09482537615717135, -1.0168527401870304],
+     [2.2681999467957845, 0.011103063854356332, -1.0168527401870304, -1.232282843127578]],
+    [[2.7441333782225144, -0.06859216529598611, 1.0597341703803282, -1.8038327648895336],
+     [-0.06859216529598611, -1.368277478420699, -2.764422295653456, -0.2461341457831141],
+     [1.0597341703803282, -2.764422295653456, 2.8493025387951683, -0.1904582340081893],
+     [-1.8038327648895336, -0.2461341457831141, -0.1904582340081893, 2.859862499452717]],
+    [[0.29773184246039763, 0.2800134728512862, -0.4990562590075962, -1.8215986440186756],
+     [0.2800134728512862, -0.8735975324391045, 1.3847461472370681, -0.09923154908947374],
+     [-0.4990562590075962, 1.3847461472370681, -0.6351017513198718, 0.6076186552282229],
+     [-1.8215986440186756, -0.09923154908947374, 0.6076186552282229, -1.2058834162778616]],
+    [[-0.35297258657295805, 2.6650982395519085, 0.3195692828086272, -1.0186639999090272],
+     [2.6650982395519085, 0.02341525340194206, -0.15017435708721516, -0.7396999993292483],
+     [0.3195692828086272, -0.15017435708721516, 0.10040735712363436, -0.8600940055995169],
+     [-1.0186639999090272, -0.7396999993292483, -0.8600940055995169, -2.4419107944009073]],
+]
+
+
+def test_no_second_zero_beside_an_endpoint_crossing():
+    tau = 2.3371452759247013
+    path = integrate_path(sampled_family(NEAR_START_TIMES, NEAR_START_MATRICES), tau)
+    idx = permuted_cz_index(path)
+    assert [r.time > 0.4 for r in idx.crossings] == [False, True, True]
+    _same_index(permuted_cz_index(rk4_path(path)), idx, 1e-9)
