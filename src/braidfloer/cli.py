@@ -82,7 +82,6 @@ class JobSpec:
     command: str
     document: dict
     period: int | None = None
-    period_check: bool = True
     cache_dir: str | None = None
     seed: int = 0
 
@@ -108,7 +107,6 @@ def _job_hash(job: JobSpec) -> str:
         "command": job.command,
         "document": job.document,
         "period": job.period,
-        "period_check": job.period_check,
         "seed": job.seed,
         "version": pipeline.TOOL_VERSION,
     }
@@ -304,9 +302,7 @@ def run(job: JobSpec) -> ResultEnvelope:
         }
     elif job.command == "homology":
         spec = _relative_spec(doc)
-        result = pipeline.braid_floer_homology(
-            spec, period=job.period, period_check=job.period_check
-        )
+        result = pipeline.braid_floer_homology(spec, period=job.period)
         payload = result.payload()
         provenance.append(result.betti.provenance)
         warnings.append(
@@ -324,9 +320,7 @@ def run(job: JobSpec) -> ResultEnvelope:
         spec = _relative_spec(doc)
         period_cap = _field(doc, "period_cap", "forcing document", expected="an integer",
                             convert=_integer, default=12)
-        result = pipeline.braid_floer_homology(
-            spec, period=job.period, period_check=job.period_check
-        )
+        result = pipeline.braid_floer_homology(spec, period=job.period)
         payload = pipeline.forcing_report(spec, result=result, period_cap=period_cap)
         provenance.append("conjecture-shifted")
     elif job.command == "flow":
@@ -389,7 +383,6 @@ def main(argv=None) -> int:
     parser.add_argument("--outer", nargs=2, type=int, metavar=("N", "M"))
     parser.add_argument("--ell", type=int)
     parser.add_argument("--period", type=int, default=None)
-    parser.add_argument("--period-check", action=argparse.BooleanOptionalAction, default=True)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the full envelope")
@@ -410,9 +403,7 @@ def main(argv=None) -> int:
                 document["relative"] = {
                     "cyclic": {"inner": args.inner, "outer": args.outer, "ell": args.ell}
                 }
-        job = JobSpec(
-            args.command, document, args.period, args.period_check, args.cache_dir, args.seed
-        )
+        job = JobSpec(args.command, document, args.period, args.cache_dir, args.seed)
         env = run(job)
         if env.payload.get("proper") is False:
             print(env.to_json())

@@ -22,12 +22,12 @@ import numpy as np
 from .complex import component_contains, enumerate_component
 from .discrete import SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, snapped
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
-                     MonotonicityViolationError, TransversalityError)
+                     MonotonicityViolationError)
 
 MONOTONE_MARGIN = 1e-6
 STATIONARY_RESIDUAL = 1e-8
 DISTINCT_TOL = 1e-4
-SEEDS = 60  # top cells sampled as starts of a stationary search
+SEEDS = 1024  # top cells searched in full; a larger class is sampled
 
 
 @dataclass
@@ -248,9 +248,10 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
                     rng=None, expected: int | None = None):
     """Stationary free strands in the braid class of `rel`, and warnings.
 
-    Multistart flow descent followed by one batched Newton polish; solutions
-    are kept when the residual is below 1e-8, they stay inside the class, and
-    they are pairwise distinct beyond 1e-4 in sup norm."""
+    One batched Newton polish from the free strand and from the centre of every
+    top cell of the class, or of SEEDS top cells drawn by `rng` in a larger class;
+    solutions are kept when the residual is below 1e-8, they stay inside the
+    class, and they are pairwise distinct beyond 1e-4 in sup norm."""
     comp = enumerate_component(rel)
     if not comp.proper:
         raise ImproperClassError("find_stationary needs a proper class", comp.collapse_witness)
@@ -261,22 +262,10 @@ def find_stationary(rel: DiscreteRelativeBraid, recurrence: RecurrenceRelation |
     chosen = cubes if len(cubes) <= SEEDS else (rng or random.Random(0)).sample(cubes, SEEDS)
     starts = np.array([rel.free.nums[0] / rel.free.den,
                        *([float(v) for v in geo.representative(cube)] for cube in chosen)])
-    smoothed = starts.copy()
-    for n, u0 in enumerate(starts):
-        # a short descent smooths the seed; most trajectories exit the class (it is
-        # isolated, not attracting), so Newton does the real work, from both seeds
-        try:
-            free = DiscreteBraid(snapped(u0)[None], SNAP, rel.free.closure)
-            state = evolve(DiscreteRelativeBraid(free, rel.skeleton), recurrence, horizon=0.4)
-            smoothed[n] = state.u
-        except (TransversalityError, BraidInputError, BoundaryContactError):
-            pass
-    polished, ok = _newton_polish(recurrence, np.concatenate((smoothed, starts)))
-    polished, ok = polished.reshape(2, *starts.shape), ok.reshape(2, -1)
+    polished, ok = _newton_polish(recurrence, starts)
     solutions: list[np.ndarray] = []
     warnings: list[str] = []
-    for n in np.flatnonzero(ok.any(axis=0)):
-        u_star = polished[0 if ok[0, n] else 1, n]
+    for u_star in polished[ok]:
         if component_contains(comp, snapped(u_star), SNAP) and all(
                 np.max(np.abs(u_star - s)) > DISTINCT_TOL for s in solutions):
             solutions.append(u_star)

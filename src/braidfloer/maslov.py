@@ -31,7 +31,6 @@ DRIFT_BOUND = 1e-8
 KERNEL_TOL = 1e-8
 EIGEN_TOL = 1e-8
 BISECTION_TOL = 1e-12
-MIN_SEPARATION = 1e-6
 SYMMETRY_TOL = 1e-12
 NODE_SPACING = 1 / 8   # bound on the integral of ||J0 K||_2 over one step
 TAYLOR_DEGREE = 10     # remainder below 1e-17 at that spacing
@@ -101,7 +100,7 @@ def constant_family(k) -> SymmetricFamily:
 
 
 def _positive_tau(tau: float) -> float:
-    if not np.isfinite(tau):  # a NaN endpoint would never pass the refinement test
+    if not np.isfinite(tau):  # a NaN tau passes every step-size test, into a NaN grid
         raise BraidInputError(f"tau is {tau}, not a finite number")
     if not tau > 0:  # the node grid would run backwards or stand still
         raise BraidInputError(f"tau is {tau}, not a positive number")
@@ -182,10 +181,10 @@ def _rk4(family: SymmetricFamily, psi0: np.ndarray, t0: float, t1: float, steps:
     return psi
 
 
-def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) -> SymplecticPathSample:
+def integrate_path(family: SymmetricFamily, tau: float) -> SymplecticPathSample:
     """Psi on [0, tau] with a node at every knot, where the slope of K changes.
 
-    A step count starts at max(min_steps, 64) and doubles, up to MAX_STEPS, until
+    A step count starts at 128 and doubles, up to MAX_STEPS, until
     h (||J0 K|| + h ||J0 K'|| / 2) <= NODE_SPACING (2-norms, maxima over the knots);
     each knot interval takes ceil(length * steps / tau) equal steps.  On a step J0 K
     = A + s D, so Psi(t_i + s) = P(s) Psi(t_i), P_0 = I, P_1 = A, (k + 1) P_{k+1} = A
@@ -203,7 +202,7 @@ def integrate_path(family: SymmetricFamily, tau: float, min_steps: int = 128) ->
     slope = j @ slopes[np.searchsorted(ts, (ends[:-1] + ends[1:]) / 2)]  # J0 K' on each interval
     a_ends = j @ family(ends)
     a_norm, d_norm = (np.linalg.svd(m, compute_uv=False)[:, 0].max() for m in (a_ends, slope))
-    steps = max(min_steps, 64)
+    steps = 128
     while steps <= MAX_STEPS and tau / steps * (a_norm + tau / steps * d_norm / 2) > NODE_SPACING:
         steps *= 2
     if steps > MAX_STEPS:
@@ -374,13 +373,7 @@ def _graph_index(
     path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float, closed: bool = False
 ) -> MaslovIndex:
     """Maslov index of gr(Psi) against the permuted diagonal over [a, b]."""
-    for _ in range(3):  # crossings closer than MIN_SEPARATION: refine the grid
-        crossings, s_a, s_b = _detect_crossings(path, sbar, a, b)
-        if all(t1 - t0 >= MIN_SEPARATION for t0, t1 in zip(crossings, crossings[1:])):
-            break
-        path = replace(integrate_path(path.family, path.tau, 2 * path.steps), turns=path.turns)
-    else:  # the last refinement was not searched: its own values at a and b
-        s_a, s_b = _smin(path, sbar, [a, b])
+    crossings, s_a, s_b = _detect_crossings(path, sbar, a, b)
     records = []
     twice = 0
     if s_a < KERNEL_TOL:

@@ -47,7 +47,7 @@ from .garside import GarsideNormalForm, left_normal_form, pad_normal_form, twist
 from .homology import GradedBetti, poincare_polynomial, relative_homology
 from .words import BraidWord, StrandPermutation, permutation_of
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 MAX_WORD_PERIOD = 13
 FINE_SAMPLE_CAP = 512
 
@@ -159,7 +159,7 @@ class FloerResult:
     g: int
     n: int
     period: int
-    stabilization_ok: bool | None  # None: the period-(d+1) rerun was skipped
+    stabilization_ok: bool  # True: a differing period-(d+1) table raises
     crossing_number: int
     label: str = ""
 
@@ -362,11 +362,7 @@ def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int]:
     return relative_homology(pair), comp.crossing_number
 
 
-def braid_floer_homology(
-    spec: RelativeBraidSpec,
-    period: int | None = None,
-    period_check: bool = True,
-) -> FloerResult:
+def braid_floer_homology(spec: RelativeBraidSpec, period: int | None = None) -> FloerResult:
     """Braid Floer homology of a proper relative braid class.
 
     Runs the Conley-index route on a positive representative at consecutive
@@ -380,18 +376,14 @@ def braid_floer_homology(
         raise AssertionError("padding exceeds the applied twist; Garside is broken")
 
     betti, crossings = _homology_at(rb)
-    stabilization_ok = None
-    if period_check:
-        rb_up = DiscreteRelativeBraid(
-            insert_duplicate_slot(rb.free), insert_duplicate_slot(rb.skeleton)
+    betti_up, _ = _homology_at(
+        DiscreteRelativeBraid(insert_duplicate_slot(rb.free), insert_duplicate_slot(rb.skeleton))
+    )
+    if betti_up.as_dict() != betti.as_dict():
+        raise StabilizationError(
+            f"betti tables differ between periods {rb.period} and {rb.period + 1}: "
+            f"{betti.as_dict()} vs {betti_up.as_dict()}"
         )
-        betti_up, _ = _homology_at(rb_up)
-        stabilization_ok = betti_up.as_dict() == betti.as_dict()
-        if not stabilization_ok:
-            raise StabilizationError(
-                f"betti tables differ between periods {rb.period} and {rb.period + 1}: "
-                f"{betti.as_dict()} vs {betti_up.as_dict()}"
-            )
     shift = 2 * n * k_twist
     return FloerResult(
         betti.shifted(-shift, "conjecture-shifted"),
@@ -399,7 +391,7 @@ def braid_floer_homology(
         g,
         n,
         rb.period,
-        stabilization_ok,
+        True,
         crossings,
         spec.label,
     )

@@ -364,10 +364,10 @@ def test_forcing_honours_the_period_options(capsys, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_homology_at", counted)
     code = main(["forcing", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1",
-                 "--period", "5", "--no-period-check"])
+                 "--period", "5"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["generic_lower_bound"] == 2
-    assert periods == [5]
+    assert periods == [5, 6]
 
 
 @pytest.mark.parametrize("period", [5, 6])

@@ -83,10 +83,9 @@ def test_normalform_text_fuzz(text):
 
 
 @FUZZ
-@given(WORD_DOCS, st.booleans())
-def test_homology_word_document_fuzz(document, period_check):
-    argv = ["homology", "--input", "-"] + ([] if period_check else ["--no-period-check"])
-    code, err = _main(argv, document)
+@given(WORD_DOCS)
+def test_homology_word_document_fuzz(document):
+    code, err = _main(["homology", "--input", "-"], document)
     _assert_contract(code, err)
     bad = [k for k in json.loads(document)["relative"]["word"]["free"] if not 0 <= k <= 2]
     if bad:

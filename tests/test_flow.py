@@ -13,8 +13,8 @@ from braidfloer.flow import (
     find_stationary,
     fitted_recurrence,
 )
-from braidfloer.pipeline import _realize_cyclic, cyclic_spec
-from braidfloer.words import StrandPermutation
+from braidfloer.pipeline import _homology_at, _realize_cyclic, cyclic_spec, realize, word_spec
+from braidfloer.words import StrandPermutation, permutation_of, word
 
 from helpers import (anchor_neighbours, crossing_count_float, fraction_braid, fractions_of,
                      reference_free_crossings, snap)
@@ -150,7 +150,7 @@ def test_finite_difference_jacobian_matches_exact():
     assert np.max(np.abs(numeric.jacobian(u) - exact.jacobian(u))) < 1e-6
     want, _ = find_stationary(rb, exact, rng=random.Random(1))
     got, _ = find_stationary(rb, numeric, rng=random.Random(1))
-    assert len(want) == len(got) == 7
+    assert len(want) == len(got) == 8
     for (a, _), (b, _) in zip(want, got):
         assert np.max(np.abs(a - b)) < 1e-10
 
@@ -191,9 +191,11 @@ def test_find_stationary_does_not_swallow_internal_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("flow bug")
 
-    monkeypatch.setattr(flow, "evolve", broken)
-    with pytest.raises(AssertionError, match="flow bug"):
-        find_stationary(braids1_class())
+    for name in ("_newton_polish", "component_contains"):
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, name, broken)
+            with pytest.raises(AssertionError, match="flow bug"):
+                find_stationary(braids1_class())
 
 
 def test_batched_newton_rows_are_independent():
@@ -212,3 +214,77 @@ def test_batched_newton_rows_are_independent():
         if ok[n]:
             assert np.array_equal(alone[0], polished[n])
             assert np.max(np.abs(rec.vector_field(polished[n]))) < 1e-8
+
+
+DESK_CLASSES = [
+    *(cyclic_spec(inner, outer, ell) for inner, outer, ell in (
+        ((1, 2), (2, 1), 1), ((-3, 2), (-1, 2), -1), ((3, 2), (1, 2), 1), ((-1, 2), (1, 1), 0),
+        ((1, 2), (-1, 2), 0), ((1, 2), (-1, 1), 0), ((-2, 3), (1, 2), 0))),
+    word_spec(word(3, [1, 2, 2, 1]), [0], "word[s1 s2 s2 s1;0]"),
+    word_spec(word(3, [2, 1, 2]), [1], "word[s2 s1 s2;1]"),
+]
+
+
+def seeded_proper_classes(count: int, seed: int = 1, max_period: int = 5):
+    """(label, representative, Betti table at its period) of seeded proper classes:
+    cyclic specs and marked words on 3 or 4 strands."""
+    rng, seen, out = random.Random(seed), set(), []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            m, m2 = rng.randint(1, 3), rng.randint(1, 3)
+            rotations = (rng.randint(-2 * m, 2 * m), m), (rng.randint(-2 * m2, 2 * m2), m2)
+            try:
+                spec = cyclic_spec(*rotations, rng.randint(-2, 2))
+            except BraidInputError:  # a rotation number n/m with n, m not coprime
+                continue
+        else:
+            n = rng.randint(3, 4)
+            letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 6))]
+            w = word(n, letters)
+            fixed = [s for s in range(n) if permutation_of(w)(s) == s]
+            if not fixed:
+                continue
+            mark = rng.choice(fixed)
+            spec = word_spec(w, [mark], f"word[n={n}:{letters};{mark}]")
+        if spec.label in seen:
+            continue
+        seen.add(spec.label)
+        try:
+            rb, _, _ = realize(spec, None)
+            if rb.period <= max_period:
+                out.append((spec.label, rb, _homology_at(rb)[0].as_dict()))
+        except (ImproperClassError, BraidInputError):
+            pass
+    return out
+
+
+def morse_quotient(m: dict[int, int], p: dict[int, int]) -> list[int] | None:
+    """Q with M - P = (1 + t) Q, lowest degree first, or None when 1 + t does not
+    divide M - P."""
+    diff = {k: m.get(k, 0) - p.get(k, 0) for k in m.keys() | p.keys()}
+    if not diff:
+        return []
+    q, carry = [], 0
+    for k in range(min(diff), max(diff) + 1):
+        carry = diff.get(k, 0) - carry
+        q.append(carry)
+    return q[:-1] if q[-1] == 0 else None
+
+
+def test_stationary_braids_satisfy_the_morse_relations():
+    # the rest points of the flow in a proper class, counted by unstable
+    # dimension, satisfy M(t) - P(t) = (1 + t) Q(t), Q >= 0, against the
+    # Poincare polynomial P of the class's index pair at the same period
+    desk = [(spec.label, realize(spec, None)[0]) for spec in DESK_CLASSES]
+    survey = seeded_proper_classes(60)
+    assert {label.split("[")[0] for label, _, _ in survey} == {"cyclic", "word"}
+    for label, rb, p in [(label, rb, _homology_at(rb)[0].as_dict()) for label, rb in desk] + survey:
+        rec = fitted_recurrence(rb.skeleton)
+        m: dict[int, int] = {}
+        for u, _ in find_stationary(rb, rec, rng=random.Random(0))[0]:
+            eig = np.linalg.eigvalsh(rec.jacobian(u))
+            assert np.min(np.abs(eig)) > 1e-6, (label, "degenerate stationary braid")
+            k = int((eig > 0).sum())
+            m[k] = m.get(k, 0) + 1
+        q = morse_quotient(m, p)
+        assert q is not None and min(q, default=0) >= 0, (label, m, p, q)

@@ -91,10 +91,10 @@ def test_closed_form_evaluation_on_every_branch():
             assert np.max(np.abs(path.psi(t) - expm(t * standard_j(n) @ k))) < 1e-10
 
 
-def test_twin_crossings_inside_one_grid_cell():
+@pytest.mark.parametrize("lam", [1e-3, 1e-5, 5e-6, 2e-6])
+def test_twin_crossings_inside_one_grid_cell(lam):
     # the rotated saddle crosses where cos(4 pi t) cosh(lam t) = 1: twice
     # near t = 1/2, about lam / (4 pi) apart, far inside one grid cell
-    lam = 1e-3
     path = integrate_path(constant_family(np.diag([lam, -lam])), 1.0)
     rotated = permuted_cz_index(replace(path, turns=2))
     inner = [r.time for r in rotated.crossings if not r.endpoint]

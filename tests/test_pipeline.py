@@ -177,20 +177,21 @@ def test_cache_never_changes_an_answer(tmp_path, letters):
         if {perm(k) for k in m} == set(m)
     ]
 
-    def outcome(mark, check, cache_dir):
+    def outcome(mark, period, cache_dir):
         doc = {"relative": {"word": {"text": format_braid_text(w), "free": list(mark)}}}
         try:
-            return run(JobSpec("homology", doc, period_check=check, cache_dir=cache_dir))
+            return run(JobSpec("homology", doc, period=period, cache_dir=cache_dir))
         except Exception as exc:
             return type(exc)
 
     # the third round meets the entries the first two left behind
-    for check in (False, True, False):
+    for period in (None, 5, None):
         for mark in marks:
-            expected = outcome(mark, check, None)
-            assert outcome(mark, check, str(tmp_path)) == expected, (mark, check)
+            expected = outcome(mark, period, None)
+            assert outcome(mark, period, str(tmp_path)) == expected, (mark, period)
             if not isinstance(expected, type):
-                assert expected.payload["stabilization_ok"] is (True if check else None)
+                assert expected.payload["stabilization_ok"] is True
+                assert period is None or expected.payload["period"] == period
 
 
 def test_internal_errors_are_not_retried(monkeypatch):
