@@ -1,14 +1,15 @@
 """Parabolic recurrence flows on discretized relative braid classes.
 
 The flow integrates du_i/ds = R_i(u_{i-1}, u_i, u_{i+1}) for the free strand,
-with the skeleton frozen.  The default R_i is the discrete Laplacian plus a
-nonlinearity g_i that makes every skeleton anchor an exact equilibrium: a
-numpy PCHIP table over all slots, with Fritsch-Carlson (1980) slopes by the
-Fritsch-Butland (1984) harmonic mean, as in scipy's PchipInterpolator.  The
-table also gives g_i' and so the exact Jacobian.  Crossing numbers may never
-increase along the flow: a step that would raise them is retried at half
-step, and a persistent increase is a hard failure since it would falsify the
-monotonicity property, not the input.
+with the skeleton frozen.  R_i has one form: the discrete Laplacian, which is
+increasing in the outer arguments, plus a nonlinearity g_i(u_i) that makes
+every skeleton anchor an exact equilibrium.  g is a numpy PCHIP table over all
+slots, with Fritsch-Carlson (1980) slopes by the Fritsch-Butland (1984)
+harmonic mean, as in scipy's PchipInterpolator; the table also gives g_i' and
+so the exact Jacobian.  Crossing numbers may never increase along the flow: a
+step that would raise them is retried at half step, and a persistent increase
+is a hard failure since it would falsify the monotonicity property, not the
+input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .discrete import SNAP, DiscreteBraid, DiscreteRelativeBraid, crosses, snapp
 from .errors import (BoundaryContactError, BraidInputError, ImproperClassError,
                      MonotonicityViolationError)
 
-MONOTONE_MARGIN = 1e-6
 STATIONARY_RESIDUAL = 1e-8
 DISTINCT_TOL = 1e-4
 SEEDS = 1024  # top cells searched in full; a larger class is sampled
@@ -32,38 +32,23 @@ SEEDS = 1024  # top cells searched in full; a larger class is sampled
 
 @dataclass
 class RecurrenceRelation:
-    """Nearest-neighbour recurrence, increasing in the outer arguments.
-
-    `field(left, center, right)` evaluates every R_i at once on arrays whose
-    last axis runs over the slots.  `center_slope`, when given, declares the
-    form R_i = l - 2c + r + g_i(c) with g_i' = center_slope, and the Jacobian
-    is exact; otherwise it is taken by central differences.
+    """R_i(u_{i-1}, u_i, u_{i+1}) = u_{i-1} - 2 u_i + u_{i+1} + g_i(u_i): the
+    discrete Laplacian, increasing in both outer arguments, plus a per-slot
+    nonlinearity g with derivative `slope`.  g and slope act on arrays whose
+    last axis runs over the slots.
     """
 
     period: int
-    field: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    center_slope: Callable[[np.ndarray], np.ndarray] | None = None
+    g: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self._slots = np.arange(self.period)
         self._left, self._right = self._slots - 1, (self._slots + 1) % self.period  # -1: d-1
-        self.certify_monotone()
 
-    def certify_monotone(self) -> None:
-        """Finite-difference check of dR/d(left) > 0 and dR/d(right) > 0."""
-        h = 1e-4
-        grid = np.linspace(-0.9, 0.9, 9)[::3]
-        a, c, b = (np.repeat(v.reshape(-1, 1), self.period, axis=1)
-                   for v in np.meshgrid(grid, grid, grid, indexing="ij"))
-        d1 = (self.field(a + h, c, b) - self.field(a - h, c, b)) / (2 * h)
-        d3 = (self.field(a, c, b + h) - self.field(a, c, b - h)) / (2 * h)
-        if np.shape(d1) != a.shape or np.shape(d3) != a.shape:
-            raise BraidInputError("need one recurrence value per slot")
-        bad = ((d1 < MONOTONE_MARGIN) | (d3 < MONOTONE_MARGIN)).T  # slot by slot
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
-            raise BraidInputError(f"recurrence at slot {i} is not monotone "
-                                  f"(dR1={d1[k, i]:.2e}, dR3={d3[k, i]:.2e})")
+    def field(self, left: np.ndarray, center: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Every R_i at once, on arrays whose last axis runs over the slots."""
+        return left - 2 * center + right + self.g(center)
 
     def vector_field(self, u: np.ndarray) -> np.ndarray:
         """R at the states u, whose last axis runs over the slots."""
@@ -71,18 +56,10 @@ class RecurrenceRelation:
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Periodic tridiagonal Jacobians of the vector field, shape (..., d, d)."""
-        if self.center_slope is not None:
-            dl = dr = np.ones_like(u)
-            dc = -2.0 + self.center_slope(u)
-        else:
-            h, f, left, right = 1e-6, self.field, u[..., self._left], u[..., self._right]
-            dl = (f(left + h, u, right) - f(left - h, u, right)) / (2 * h)
-            dr = (f(left, u, right + h) - f(left, u, right - h)) / (2 * h)
-            dc = (f(left, u + h, right) - f(left, u - h, right)) / (2 * h)
         jac = np.zeros(u.shape + (self.period,))
-        jac[..., self._slots, self._left] += dl
-        jac[..., self._slots, self._right] += dr
-        jac[..., self._slots, self._slots] += dc
+        jac[..., self._slots, self._left] += 1.0
+        jac[..., self._slots, self._right] += 1.0
+        jac[..., self._slots, self._slots] += self.slope(u) - 2.0
         return jac
 
 
@@ -141,7 +118,7 @@ def fitted_recurrence(skeleton: DiscreteBraid) -> RecurrenceRelation:
                               f"{int(np.argmax(coincide))}; jitter the skeleton")
     values = np.pad(np.take_along_axis(curvature, order, axis=0).T, ((0, 0), (1, 1)))
     table = pchip_table(knots, values)
-    return RecurrenceRelation(d, lambda l, c, r: l - 2 * c + r + pchip_eval(knots, table, c),
+    return RecurrenceRelation(d, lambda c: pchip_eval(knots, table, c),
                               lambda c: pchip_eval(knots, table, c, nu=1))
 
 

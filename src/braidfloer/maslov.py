@@ -460,7 +460,8 @@ class AnnulusModel:
         for c in self.critical_points:
             path = integrate_path(constant_family(c.hessian), tau)
             idx = permuted_cz_index(path)
-            assert idx.twice_value % 2 == 0
+            if idx.twice_value % 2:  # not a bare assert, which python -O strips
+                raise AssertionError(f"half-integer index {idx.value} at a critical point")
             out.append(idx.twice_value // 2)
         return out
 

@@ -159,7 +159,6 @@ class FloerResult:
     g: int
     n: int
     period: int
-    stabilization_ok: bool  # True: a differing period-(d+1) table raises
     crossing_number: int
     label: str = ""
 
@@ -176,7 +175,7 @@ class FloerResult:
             "g": self.g,
             "free_strands": self.n,
             "period": self.period,
-            "stabilization_ok": self.stabilization_ok,
+            "stabilization_ok": True,  # a differing period-(d+1) table raises
             "proper": True,  # improper classes raise ImproperClassError
             "crossing_number": self.crossing_number,
             "label": self.label,
@@ -391,7 +390,6 @@ def braid_floer_homology(spec: RelativeBraidSpec, period: int | None = None) -> 
         g,
         n,
         rb.period,
-        True,
         crossings,
         spec.label,
     )

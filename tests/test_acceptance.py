@@ -177,7 +177,7 @@ def test_criterion_05_stabilization():
     # disagreement; assert the flag on all memoized runs and re-check one
     # spec at explicitly pinned periods
     assert _memo, "no earlier results"
-    ok = all(res.stabilization_ok for res in _memo.values())
+    ok = all(res.payload()["stabilization_ok"] for res in _memo.values())
     spec = cyclic_spec((1, 2), (2, 1), ell=1)
     rb, _, _ = _realize_cyclic(spec, None)
     from braidfloer.discrete import insert_duplicate_slot

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -207,6 +208,32 @@ def test_flow_job():
     assert json.loads(env.to_json())["payload"] == env.payload  # plain JSON values
 
 
+FLOW_STATIONARY = [
+    [-0.27719180227665496, -0.3312866441451341, -0.3535071093418824, 0.46423842251463254],
+    [-0.3187156213458235, -0.07783043241660349, 0.1957405747666917, 0.36664725260674286],
+    [-0.23947026002341606, 0.3521643288626378, -0.32511367456425416, -0.3382114621117337],
+    [-0.26980990040964836, 0.24664498317872166, 0.09916869891371538, -0.1388745278346449],
+    [-0.3813674884029859, 0.2054064480508131, 0.3291583840504356, 0.3509114819631646],
+    [0.15807007859245276, -0.12768254541942237, -0.3807633593171294, 0.38739937855285467],
+    [0.06864606137688857, 0.2771478246167077, -0.34227352530389343, -0.19306621140759891],
+    [0.3259721715175009, 0.23030378653554023, -0.44652800503218115, 0.3661253004803864],
+]
+
+
+def test_flow_payload_pinned(capsys):
+    # cyclic[1/2,1,2/1] at seed 0: the crossing trace as (crossings, entries)
+    # runs, and the stationary braids in the order the search keeps them
+    assert main(["flow", "--inner", "1", "2", "--outer", "2", "1", "--ell", "1",
+                 "--seed", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    runs = [(c, len(list(group))) for c, group in itertools.groupby(c for _, c in payload["trace"])]
+    assert runs == [(17, 10), (15, 3), (13, 8), (11, 11), (9, 226)]
+    assert (payload["steps"], payload["converged"]) == (257, True)
+    got = [s["values"] for s in payload["stationary"]]
+    assert len(got) == len(FLOW_STATIONARY)
+    assert max(abs(a - b) for u, v in zip(got, FLOW_STATIONARY) for a, b in zip(u, v)) < 1e-9
+
+
 def test_unknown_command_rejected():
     with pytest.raises(BraidInputError):
         JobSpec("frobnicate", {})
@@ -342,6 +369,23 @@ def test_maslov_annulus_without_eps_is_degenerate(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     assert main(["maslov", "--input", "-"]) == 3
     assert capsys.readouterr().err.startswith("degenerate input: ")
+
+
+def test_annulus_parity_check_survives_optimize():
+    # under python -O a bare assert is stripped: an odd doubled index must
+    # still be a failed built-in check, exit 4
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    doc = {"maslov": {"family": {"kind": "annulus", "eps": 0.1}}}
+    code = ("import sys; from braidfloer import cli, maslov; "
+            "maslov.permuted_cz_index = lambda *a, **k: maslov.MaslovIndex(1); "
+            "sys.exit(cli.main(['maslov', '--input', '-']))")
+    run = subprocess.run([sys.executable, "-O", "-c", code], input=json.dumps(doc),
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout) == (4, "")
+    assert run.stderr.splitlines() == [
+        "internal check failed: half-integer index 0.5 at a critical point"]
 
 
 def test_flow_trace_csv(capsys, tmp_path):

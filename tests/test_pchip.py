@@ -124,7 +124,7 @@ def test_desk_skeleton_tables_match_scipy():
         states = rng.uniform(-1.2, 1.2, (64, d))
         states[:sk.strands] = center
         l, r = np.roll(states, 1, axis=1), np.roll(states, -1, axis=1)
-        got, slope = rec.field(l, states, r), rec.center_slope(states)
+        got, slope = rec.field(l, states, r), rec.slope(states)
         for i in range(d):
             order = np.argsort(center[:, i])
             curvature = -(left[:, i] - 2 * center[:, i] + right[:, i])

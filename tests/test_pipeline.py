@@ -28,7 +28,7 @@ def test_braids_unlinked_interval_case():
     res = braid_floer_homology(spec)
     assert res.betti.as_dict() == {2: 1, 3: 1}
     assert res.g == 0 and res.shift_applied == 0
-    assert res.stabilization_ok and res.payload()["proper"] is True
+    assert res.payload()["stabilization_ok"] and res.payload()["proper"] is True
     assert res.betti.provenance == "conjecture-shifted"
     assert res.poincare == "t^2 + t^3"
 
@@ -221,7 +221,7 @@ def test_cell_cap_refusal():
 ])
 def test_desk_classes_sample_at_period_3(inner, outer, ell, betti):
     res = braid_floer_homology(cyclic_spec(inner, outer, ell))
-    assert res.period == 3 and res.stabilization_ok is True
+    assert res.period == 3 and res.payload()["stabilization_ok"] is True
     assert res.betti.as_dict() == betti
 
 
@@ -249,7 +249,7 @@ def _rotation(rng):
 def _outcome(spec):
     try:
         res = braid_floer_homology(spec)
-        return ("ok", res.betti.as_dict(), res.stabilization_ok)
+        return ("ok", res.betti.as_dict(), res.payload()["stabilization_ok"])
     except (BraidInputError, ImproperClassError) as exc:
         return (type(exc).__name__, str(exc))
 
