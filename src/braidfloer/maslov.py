@@ -234,18 +234,17 @@ def integrate_path(family: SymmetricFamily, tau: float) -> SymplecticPathSample:
 
 
 def _products(step: np.ndarray, generators: np.ndarray) -> np.ndarray:
-    """[I, S_0, S_1 S_0, ...] for S_i = step[generators[i]], by doubling: nodes[m + i] is
-    Phi_i nodes[m], Phi_i the next i steps' product: nodes[i] while all share one generator."""
-    n = len(generators)
-    nodes = np.empty((n + 1,) + step.shape[1:])
-    nodes[0], nodes[1] = np.eye(step.shape[1]), step[generators[0]]
-    m = 1
-    while m < n:
-        k = min(m, n - m)
-        same = generators[m + k - 1] == generators[0]
-        nodes[m + 1:m + k + 1] = (nodes[1:k + 1] if same else _products(
-            step, generators[m:m + k])[1:]) @ nodes[m]
-        m += k
+    """[I, S_0, S_1 S_0, ...] for S_i = step[generators[i]], one run of steps sharing a generator
+    at a time: from node m, S, S^2, ..., S^r by doubling (S^{k+i} = S^i S^k), times nodes[m]."""
+    nodes = np.empty((len(generators) + 1,) + step.shape[1:])
+    nodes[0] = np.eye(step.shape[1])
+    starts = np.flatnonzero(np.diff(generators, prepend=-1)).tolist()
+    for m, end in zip(starts, starts[1:] + [len(generators)]):
+        run = nodes[m + 1:end + 1]
+        run[0] = step[generators[m]]
+        for k in (1 << e for e in range((len(run) - 1).bit_length())):  # 1, 2, 4, ... < r
+            run[k:2 * k] = run[:min(k, len(run) - k)] @ run[k - 1]
+        run[:] = run @ nodes[m]
     return nodes
 
 
@@ -301,16 +300,16 @@ def _runs(keep: np.ndarray):
 def _isolate_zeros(path, sbar, lo, hi, apex, start: float, end: float) -> np.ndarray:
     """The zeros in (start, end) of the smallest singular value f, from brackets [lo, hi].
 
-    Each round evaluates ZOOM_POINTS points per bracket in one call: the apex
-    estimate and, on each side, points whose distances to it halve, though
-    never closer than a uniform cut of a bracket of BISECTION_TOL or of 256
-    float steps.  A cell [x, y] can hold a zero only if f(x) + f(y) <= 2 L
-    (y - x), L the steepest cell slope in its bracket; at ratio 2 this excludes
-    every cell of a V of slope L but the two at its apex.  A run of kept cells,
-    narrowed to [x + f(x) / 2L, y - f(y) / 2L], is the next bracket, and its
-    arms of slope L meet at the next apex.  A bracket is final at BISECTION_TOL
-    or once it stops shrinking (f vanishing along an interval), and yields its
-    midpoint; one outside (start, end) is dropped, as its midpoint would be.
+    Each round evaluates ZOOM_POINTS points per bracket in one call: the apex estimate and,
+    on each side, points whose distances to it halve, though never closer than a uniform cut
+    of a bracket of BISECTION_TOL or of 256 float steps.  A cell [x, y] can hold a zero only
+    if f(x) + f(y) <= 2 L (y - x), L the steepest cell slope in its bracket; at ratio 2 this
+    excludes every cell of a V of slope L but the two at its apex.  A run of kept cells,
+    narrowed to [x + f(x) / 2L, y - f(y) / 2L], is the next bracket, and its arms of slope L
+    meet at the next apex.  A bracket is final at BISECTION_TOL or once it stops shrinking
+    (f vanishing along an interval), and yields its midpoint; one outside (start, end) is
+    dropped, as its midpoint would be.  A row that keeps no cell, as where rounding lifts f
+    to a floor of about 1e-12 over a zero, ends at its least f if that is below KERNEL_TOL.
     """
     half = ZOOM_POINTS // 2
     k = np.arange(half)  # the k-th point on a side halves the distance to the apex k times
@@ -324,7 +323,10 @@ def _isolate_zeros(path, sbar, lo, hi, apex, start: float, end: float) -> np.nda
         f = _smin(path, sbar, pts.ravel()).reshape(pts.shape)
         cell = pts[:, 1:] - pts[:, :-1]
         slope = np.max(np.abs(f[:, 1:] - f[:, :-1]) / cell, axis=1, keepdims=True)
-        row, i, j = _runs(f[:, :-1] + f[:, 1:] <= 2 * slope * cell)
+        keep = f[:, :-1] + f[:, 1:] <= 2 * slope * cell
+        lost = ~keep.any(axis=1) & (f.min(axis=1) < KERNEL_TOL)  # f's floor above a zero
+        done.append(pts[lost, np.argmin(f[lost], axis=1)])
+        row, i, j = _runs(keep)
         x, y, fx, fy = pts[row, i], pts[row, j], f[row, i], f[row, j]
         s = np.maximum(2 * slope[row, 0], np.finfo(float).tiny)  # 0 if f = 0 on the bracket
         new_lo, new_hi = x + fx / s, y - fy / s
@@ -344,8 +346,8 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     4 s (y - x), s the steepest slope of f on the grid, which holds for any
     zero whose slope is at most 4 s.  Each run of such cells is a bracket for
     `_isolate_zeros`, with the first apex where arms of the run's steepest
-    slope meet.  Zeros within `margin` of a or b, or within KERNEL_TOL / s of an
-    endpoint where f < KERNEL_TOL (f stays below it there anyway), are its own.
+    slope meet.  Zeros within `margin` of a or b, or within KERNEL_TOL / c of an
+    endpoint where f < KERNEL_TOL, c the slope of f on that end's grid cell, are its own.
     """
     grid = np.concatenate(([a], path.times[(path.times > a) & (path.times < b)], [b]))
     g = _smin(path, sbar, grid)
@@ -357,8 +359,8 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     apex = (grid[i] + grid[j]) / 2 + (g[i] - g[j]) / s
     margin = max(1e-9, 100 * BISECTION_TOL)
     found = _isolate_zeros(path, sbar, grid[i], grid[j], apex, a + margin, b - margin)
-    near = KERNEL_TOL / max(np.max(slope), np.finfo(float).tiny)
-    lo, hi = (margin + near * (end < KERNEL_TOL) for end in (g[0], g[-1]))
+    lo, hi = (margin + KERNEL_TOL / max(c, np.finfo(float).tiny) * (end < KERNEL_TOL)
+              for end, c in ((g[0], slope[0]), (g[-1], slope[-1])))
     found = found[(a + lo < found) & (found < b - hi)]
     if len(found):
         found = found[_smin(path, sbar, found) < KERNEL_TOL]

@@ -402,8 +402,6 @@ def enumerate_forced_fractions(low: Fraction, high: Fraction, period_cap: int):
         lo = math.floor(low * k) + 1
         hi = math.ceil(high * k) - 1
         for l in range(lo, hi + 1):
-            if Fraction(l, k) <= low or Fraction(l, k) >= high:
-                continue
             if math.gcd(abs(l), k) == 1:
                 out.append((l, k))
     return sorted(out, key=lambda p: (p[1], p[0]))

@@ -169,20 +169,11 @@ def test_maslov_nan_family_refused(capsys, monkeypatch, family, message):
     assert capsys.readouterr().err.splitlines() == [message]
 
 
-def test_maslov_degenerate_exit_code(capsys):
-    code = main(["maslov", "--input", "-"]) if False else None
+def test_maslov_degenerate_exit_code(monkeypatch):
     # endpoint degeneracy: closed rotation loop
-    import io
-    import sys
-
     doc = {"maslov": {"family": {"kind": "rotation", "k": 1, "n": 1}, "tau": 1.0}}
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(doc))
-    try:
-        code = main(["maslov", "--input", "-"])
-    finally:
-        sys.stdin = stdin
-    assert code == 3
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["maslov", "--input", "-"]) == 3
 
 
 def test_forcing_job():

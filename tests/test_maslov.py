@@ -475,3 +475,49 @@ def test_no_second_zero_beside_an_endpoint_crossing():
     idx = permuted_cz_index(path)
     assert [r.time > 0.4 for r in idx.crossings] == [False, True, True]
     _same_index(permuted_cz_index(rk4_path(path)), idx, 1e-9)
+
+
+@pytest.mark.parametrize("t0", [220.04, 1000.3, 3000.9, 60000.5])
+def test_zoom_ends_at_the_floor_of_a_missed_zero(monkeypatch, t0):
+    # after 1e4-1e5 steps the path misses a 2-dimensional kernel by delta, so f
+    # bottoms out like sqrt(L^2 (t - t0)^2 + delta^2): the Lipschitz rule then
+    # keeps no cell of the last rows, and the bracket must end at its floor
+    lost = []
+    for delta in (3e-13, 1e-12, 3e-12, 1e-11):
+        for lam in (0.17, 0.4, 1.7):
+            monkeypatch.setattr(maslov, "_smin", lambda path, sbar, ts, lam=lam, delta=delta:
+                                np.sqrt(lam ** 2 * (np.asarray(ts) - t0) ** 2 + delta ** 2))
+            found = maslov._isolate_zeros(None, None, np.array([t0 - 0.03]),
+                                          np.array([t0 + 0.05]), np.array([t0 + 0.001]),
+                                          -np.inf, np.inf)
+            if not (len(found) and np.all(np.abs(found - t0) < KERNEL_TOL / lam)):
+                lost.append((delta, lam, found))
+    assert not lost
+
+
+# toolkit seed 54's constant path 24 (n = 1): f rises from the t = 0 endpoint
+# at 0.171, a tenth of the grid's steepest slope, so it stays below KERNEL_TOL
+# up to t = 5.8e-8, beyond the KERNEL_TOL / 1.71 that the steepest slope gives
+SHALLOW_START = [[1.7115480986351417, -0.012639616700892673],
+                 [-0.012639616700892673, 0.17139919875673187]]
+
+
+def test_endpoint_exclusion_reads_the_slope_of_its_own_cell():
+    path = integrate_path(constant_family(SHALLOW_START), 1.0)
+    idx = permuted_cz_index(path)
+    assert idx.twice_value == 2
+    assert [(r.time, r.endpoint) for r in idx.crossings] == [(0.0, True)]
+    assert rotation_shift_check(path, None, 2)
+
+
+@pytest.mark.slow
+def test_rotation_oracle_at_the_step_cap():
+    # K = [[1, 0.2], [0.2, 0.7]] turns at omega = sqrt(det K): Psi returns to Id
+    # every 2 pi / omega, and each return is a crossing of signature 2 and kernel 2
+    tau = 6e4
+    path = integrate_path(constant_family(np.array([[1.0, 0.2], [0.2, 0.7]])), tau)
+    idx = permuted_cz_index(path)
+    turns = int(tau * np.sqrt(0.66) / (2 * np.pi))
+    assert path.steps == maslov.MAX_STEPS and turns == 7757
+    assert idx.twice_value == 2 + 4 * turns
+    assert [(r.kernel_dimension, r.signature) for r in idx.crossings] == [(2, 2)] * (turns + 1)
