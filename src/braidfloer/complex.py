@@ -170,12 +170,21 @@ class ComplexGeometry:
         only grows, and the cells with a gap at slot i and their pins g there
         are distinct cells of N, so checking the cap against either refuses
         exactly the closures larger than the cap, and early, before the merge.
+        So does a third count, taken when its bound `len(low) << (d - i)`
+        passes the cap: each cell with gaps at every slot from i on, with pins
+        g at any subset of those slots, is a distinct cell of N.
         """
         keys = _unique(np.concatenate((np.asarray(seeds, self.key_dtype) << 1,
                                        np.asarray(tops, self.key_dtype) << 1 | 1)), flagged=True)
-        for i in range(self.period):
+        d = self.period
+        for i in range(d):
             low = keys[self.gap_mask(keys, i, 2)]
             faces = 2 * len(low)
+            if len(low) << (d - i) > INDEX_CELL_CAP:
+                gaps = np.ones(len(low), dtype=bool)
+                for j in range(i + 1, d):
+                    gaps &= self.gap_mask(low, j, 2)
+                faces = max(faces, int(np.count_nonzero(gaps)) << (d - i))
             if faces <= INDEX_CELL_CAP:
                 low += 2 * self.ngaps * self.strides[i]
                 keys = np.concatenate((keys, low, low + 2 * self.strides[i]))

@@ -8,16 +8,24 @@ braid (a negative letter also moves one Delta^-1 to the front through tau),
 and a single right-to-left sweep of descent-set slides restores
 left-weightedness (Epstein et al., Word Processing in Groups, ch. 9;
 Elrifai-Morton 1994), so each letter costs at most s pair steps.
+
+A pair step, a generator's transposition, Delta and a factor's letters are
+pure functions of permutations, so they are looked up in bounded caches; the
+pair cache holds all of S_4 x S_4 (576).  A step returns tuples equal to, not
+the same as, the factors it leaves, so the sweep compares them by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import BraidWord, StrandPermutation, exponent_sum, half_twist_letters, word
 
 # Permutations are stored as tuples p with p[k] = image of position k (0-based).
 # Concatenating braids x then y composes as P_{xy} = P_y o P_x.
+
+CACHE_SIZE = 1 << 12  # entries per cache; a full pair cache at n = 8 is about 2.5 MB
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -25,10 +33,12 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(a.__getitem__, b))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _delta_perm(n: int) -> tuple[int, ...]:
     return tuple(n - 1 - k for k in range(n))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _swap(n: int, i: int) -> tuple[int, ...]:
     """Transposition of positions i-1, i for the 1-based generator index i."""
     p = list(range(n))
@@ -54,7 +64,8 @@ def _finishing_set(p: tuple[int, ...]) -> set[int]:
     return {i for i in range(1, len(p)) if inv[i - 1] > inv[i]}
 
 
-def factor_letters(f: StrandPermutation) -> list[int]:
+@lru_cache(maxsize=CACHE_SIZE)
+def factor_letters(f: StrandPermutation) -> tuple[int, ...]:
     """Lexicographically least positive word of the permutation braid of f."""
     out = []
     cur = f.image
@@ -65,7 +76,7 @@ def factor_letters(f: StrandPermutation) -> list[int]:
         i = min(start)
         out.append(i)
         cur = _mul(cur, _swap(f.n, i))  # strip sigma_i from the front
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -97,22 +108,21 @@ def _tau(p: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(n - 1 - v for v in reversed(p))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _left_weight_pair(a, b, n):
     """Slide generators that can begin b onto the end of a until (a, b) is left-weighted.
     A slide at the least i in S(b) - F(a) (b descends, a's inverse ascends) swaps the
     entries i-1, i of b and of a's inverse, so the next least i is at least i-1.
-    Returns a and b themselves when nothing slides."""
-    inv, out = list(_inverse(a)), None
+    Returns a and b unchanged when nothing slides."""
+    inv, b = list(_inverse(a)), list(b)
     i = 1
     while i < n:
         if b[i - 1] > b[i] and inv[i - 1] < inv[i]:  # append sigma_i to a, strip it from b
-            if out is None:
-                b = out = list(b)
             inv[i - 1], inv[i], b[i - 1], b[i] = inv[i], inv[i - 1], b[i], b[i - 1]
             i = max(i - 1, 1)
         else:
             i += 1
-    return (a, b) if out is None else (_inverse(inv), tuple(b))
+    return _inverse(inv), tuple(b)
 
 
 def left_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -140,7 +150,7 @@ def left_normal_form(w: BraidWord) -> GarsideNormalForm:
         j = len(factors) - 1
         while j > 0:
             a, b = _left_weight_pair(factors[j - 1], factors[j], n)
-            if a is factors[j - 1]:
+            if a == factors[j - 1]:
                 break
             factors[j - 1], factors[j] = a, b
             j -= 1
@@ -179,7 +189,7 @@ def pad_normal_form(nf: GarsideNormalForm, crossings: int) -> TwistPadding:
     n = nf.strands
     g = max(-nf.infimum + 1, 0) // 2
     layers = (tuple(half_twist_letters(n)),) * (nf.infimum + 2 * g)
-    pad = TwistPadding(n, g, layers + tuple(tuple(factor_letters(f)) for f in nf.factors))
+    pad = TwistPadding(n, g, layers + tuple(map(factor_letters, nf.factors)))
     if exponent_sum(pad.positive_word) != crossings + g * n * (n - 1):
         raise AssertionError("twist padding lost crossings; normal form is broken")
     return pad

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -28,7 +29,12 @@ from braidfloer.discrete import (
     discrete_to_word,
     layers_to_discrete,
 )
-from braidfloer.errors import AmbiguousDiagramError, BraidInputError, TransversalityError
+from braidfloer.errors import (
+    AmbiguousDiagramError,
+    BraidInputError,
+    ImproperClassError,
+    TransversalityError,
+)
 from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
 from braidfloer.homology import GradedBetti, _homology
 from braidfloer.maslov import (
@@ -42,8 +48,15 @@ from braidfloer.maslov import (
     constant_family,
     standard_j,
 )
-from braidfloer.pipeline import CyclicComponent, RelativeBraidSpec
-from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, word
+from braidfloer.pipeline import (
+    CyclicComponent,
+    RelativeBraidSpec,
+    _homology_at,
+    cyclic_spec,
+    realize,
+    word_spec,
+)
+from braidfloer.words import BraidWord, StrandPermutation, half_twist_letters, permutation_of, word
 
 
 # -- braid words the package does not build ----------------------------------
@@ -966,3 +979,36 @@ def reference_index_pair(comp):
             cols.append(pos[found].astype(np.int32))
     bnd = boundary_matrix(np.concatenate(rows), np.concatenate(cols), len(rel))
     return cells, exit_cells, rel, dims, bnd
+
+
+def seeded_proper_classes(count: int, seed: int = 1, max_period: int = 5):
+    """(label, representative, Betti table at its period) of seeded proper classes:
+    cyclic specs and marked words on 3 or 4 strands."""
+    rng, seen, out = random.Random(seed), set(), []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            m, m2 = rng.randint(1, 3), rng.randint(1, 3)
+            rotations = (rng.randint(-2 * m, 2 * m), m), (rng.randint(-2 * m2, 2 * m2), m2)
+            try:
+                spec = cyclic_spec(*rotations, rng.randint(-2, 2))
+            except BraidInputError:  # a rotation number n/m with n, m not coprime
+                continue
+        else:
+            n = rng.randint(3, 4)
+            letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 6))]
+            w = word(n, letters)
+            fixed = [s for s in range(n) if permutation_of(w)(s) == s]
+            if not fixed:
+                continue
+            mark = rng.choice(fixed)
+            spec = word_spec(w, [mark], f"word[n={n}:{letters};{mark}]")
+        if spec.label in seen:
+            continue
+        seen.add(spec.label)
+        try:
+            rb, _, _ = realize(spec, None)
+            if rb.period <= max_period:
+                out.append((spec.label, rb, _homology_at(rb)[0].as_dict()))
+        except (ImproperClassError, BraidInputError):
+            pass
+    return out

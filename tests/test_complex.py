@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidfloer import complex as complex_module
 from braidfloer.complex import (
+    INDEX_CELL_CAP,
     ComplexGeometry,
     IndexPair,
     component_contains,
@@ -32,6 +33,7 @@ from helpers import (
     reference_geometry_tables,
     reference_index_pair,
     reference_slots,
+    seeded_proper_classes,
     snap,
     to_chain_json,
     word_to_discrete,
@@ -186,16 +188,22 @@ def test_relative_homology_matches_dense_rank(inner, outer, ell):
 
 
 def test_index_cell_cap_is_exact(monkeypatch):
-    comp = desk_component((1, 2), (2, 1), 1)
-    size = len(index_pair(comp).cells)
-    monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", size)
-    assert len(index_pair(comp).cells) == size
-    monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", size - 1)
-    with pytest.raises(BraidInputError) as err:
-        index_pair(comp)
-    assert str(err.value) == (
-        f"index pair exceeds {size - 1} cells; the class is beyond this build's desk scale"
-    )
+    """At a cap of |N| the pair builds; at |N| - 1, and at |N| // 8 where the
+    closure's growth bound stops it early, it is refused with the same message."""
+    rbs = [build() for _, build in COMPONENT_CASES] + [rb for _, rb, _ in seeded_proper_classes(24)]
+    for comp in (enumerate_component(r) for rb in rbs for r in (rb, stabilized(rb))):
+        monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", INDEX_CELL_CAP)
+        pair = index_pair(comp)
+        size = len(pair.cells)
+        monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", size)
+        assert np.array_equal(index_pair(comp).cells, pair.cells)
+        for cap in (size - 1, size // 8):
+            monkeypatch.setattr(complex_module, "INDEX_CELL_CAP", cap)
+            with pytest.raises(BraidInputError) as err:
+                index_pair(comp)
+            assert str(err.value) == (
+                f"index pair exceeds {cap} cells; the class is beyond this build's desk scale"
+            )
 
 
 def test_cell_codes_refuse_int64_overflow():

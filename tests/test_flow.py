@@ -5,7 +5,7 @@ import pytest
 
 from braidfloer import flow
 from braidfloer.discrete import DiscreteRelativeBraid
-from braidfloer.errors import BoundaryContactError, BraidInputError, ImproperClassError
+from braidfloer.errors import BoundaryContactError, ImproperClassError
 from braidfloer.flow import (
     RecurrenceRelation,
     evolve,
@@ -13,10 +13,10 @@ from braidfloer.flow import (
     fitted_recurrence,
 )
 from braidfloer.pipeline import _homology_at, _realize_cyclic, cyclic_spec, realize, word_spec
-from braidfloer.words import StrandPermutation, permutation_of, word
+from braidfloer.words import StrandPermutation, word
 
 from helpers import (anchor_neighbours, crossing_count_float, fraction_braid, fractions_of,
-                     reference_free_crossings, snap)
+                     reference_free_crossings, seeded_proper_classes, snap)
 
 
 def braids1_class():
@@ -206,39 +206,6 @@ DESK_CLASSES = [
     word_spec(word(3, [1, 2, 2, 1]), [0], "word[s1 s2 s2 s1;0]"),
     word_spec(word(3, [2, 1, 2]), [1], "word[s2 s1 s2;1]"),
 ]
-
-
-def seeded_proper_classes(count: int, seed: int = 1, max_period: int = 5):
-    """(label, representative, Betti table at its period) of seeded proper classes:
-    cyclic specs and marked words on 3 or 4 strands."""
-    rng, seen, out = random.Random(seed), set(), []
-    while len(out) < count:
-        if rng.random() < 0.5:
-            m, m2 = rng.randint(1, 3), rng.randint(1, 3)
-            rotations = (rng.randint(-2 * m, 2 * m), m), (rng.randint(-2 * m2, 2 * m2), m2)
-            try:
-                spec = cyclic_spec(*rotations, rng.randint(-2, 2))
-            except BraidInputError:  # a rotation number n/m with n, m not coprime
-                continue
-        else:
-            n = rng.randint(3, 4)
-            letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 6))]
-            w = word(n, letters)
-            fixed = [s for s in range(n) if permutation_of(w)(s) == s]
-            if not fixed:
-                continue
-            mark = rng.choice(fixed)
-            spec = word_spec(w, [mark], f"word[n={n}:{letters};{mark}]")
-        if spec.label in seen:
-            continue
-        seen.add(spec.label)
-        try:
-            rb, _, _ = realize(spec, None)
-            if rb.period <= max_period:
-                out.append((spec.label, rb, _homology_at(rb)[0].as_dict()))
-        except (ImproperClassError, BraidInputError):
-            pass
-    return out
 
 
 def morse_quotient(m: dict[int, int], p: dict[int, int]) -> list[int] | None:

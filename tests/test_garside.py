@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidfloer import pipeline
+from braidfloer import garside, pipeline
 from braidfloer.garside import (
+    CACHE_SIZE,
     _left_weight_pair,
     is_left_weighted,
     left_normal_form,
@@ -172,12 +173,70 @@ def test_nf_matches_positive_oracle_small():
         assert positive_words_equal(nfw, w)
 
 
+GARSIDE_CACHES = [
+    getattr(garside, name) for name in dir(garside) if hasattr(getattr(garside, name), "cache_info")
+]
+
+
+def clear_garside_caches():
+    for f in GARSIDE_CACHES:
+        f.cache_clear()
+
+
 def test_left_weight_pair_matches_reference_on_every_pair():
-    # the pair step against the set-based one, on all of S_n x S_n
+    # the uncached pair step against the set-based one, on all of S_n x S_n
     for n in range(2, 6):
         perms = list(itertools.permutations(range(n)))
         for a, b in itertools.product(perms, perms):
-            assert _left_weight_pair(a, b, n) == reference_left_weight_pair(a, b, n), (a, b)
+            want = reference_left_weight_pair(a, b, n)
+            assert _left_weight_pair.__wrapped__(a, b, n) == want, (a, b)
+            if n <= 4:  # a miss, then a hit, answer alike
+                assert _left_weight_pair(a, b, n) == _left_weight_pair(a, b, n) == want, (a, b)
+
+
+def test_every_garside_cache_is_bounded():
+    assert {f.__name__ for f in GARSIDE_CACHES} == {
+        "_delta_perm", "_left_weight_pair", "_swap", "factor_letters"}
+    for f in GARSIDE_CACHES:
+        assert f.cache_info().maxsize is not None, f.__name__
+    # the pair cache holds every pair of permutation braids on 4 strands
+    assert CACHE_SIZE >= 24 * 24
+    clear_garside_caches()
+    perms = list(itertools.permutations(range(4)))
+    for _ in range(2):
+        for a, b in itertools.product(perms, perms):
+            _left_weight_pair(a, b, 4)
+    info = _left_weight_pair.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (576, 576, 576)
+
+
+def test_caches_never_change_a_normal_form(monkeypatch):
+    """Cold and warm caches give the same normal form and padding after the
+    same pair steps.  A sweep stops at the first pair that does not slide, so
+    each letter makes at most one such step: a sweep that compared by identity
+    would miss a cached equal pair and go on to the front."""
+    rng = random.Random(43)
+    words = [random_word(rng, n, rng.randrange(0, 61)) for n in (2, 3, 4, 5, 6) for _ in range(44)]
+    cached = garside._left_weight_pair
+    steps = []
+
+    def counted(a, b, n):
+        out = cached(a, b, n)
+        steps.append(out[0] == a)
+        return out
+
+    monkeypatch.setattr(garside, "_left_weight_pair", counted)
+
+    def run(w):
+        steps.clear()
+        nf = left_normal_form(w)
+        assert sum(steps) <= len(w.letters), w
+        return nf, len(steps), twist_padding(w)
+
+    warm = [run(w) for w in words + words][len(words):]
+    for w, want in zip(words, warm):
+        clear_garside_caches()
+        assert run(w) == want, w
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
