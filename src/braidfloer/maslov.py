@@ -7,8 +7,10 @@ t0 of det(Psi(t) - sigma), half weight at the endpoints, stored doubled.
 
 Every family is a table, K linear between samples; with a node at each knot,
 Taylor series solve the steps, the nodes' symplectic drift below DRIFT_BOUND.
-Zeros are found on the smallest singular value of Psi(t) - sigma: the node grid
-brackets them, and a Lipschitz zoom cuts each around its V's apex to BISECTION_TOL.
+Zeros are found on the smallest singular value f of Psi(t) - sigma: the node grid,
+f at its interior nodes read from the node matrices, brackets them, and a Lipschitz
+zoom cuts each around its V's apex to BISECTION_TOL.  One full SVD stack then filters
+and merges the zeros and gives every crossing form, read in time order with b last.
 """
 
 from __future__ import annotations
@@ -268,19 +270,27 @@ class MaslovIndex:
         return self.twice_value / 2
 
 
-def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, t0: float) -> CrossingRecord:
-    u, s, vt = np.linalg.svd(path.psi(t0) - sbar)
-    kernel = vt[s < KERNEL_TOL].T
-    if kernel.shape[1] == 0:
-        raise DegenerateCrossingError(f"no kernel at detected crossing t={t0}")
-    phi = path._rotation(t0)  # K of the path with turns: rate I + phi K phi^T
-    k = 2 * np.pi * path.turns / path.tau * np.eye(len(phi)) + phi @ path.family(t0) @ phi.T
-    m = kernel.T @ sbar.T @ k @ sbar @ kernel
-    eigs = np.linalg.eigvalsh((m + m.T) / 2)
-    if np.any(np.abs(eigs) < EIGEN_TOL):
-        raise DegenerateCrossingError(f"degenerate crossing form at t={t0}")
-    sig = int(np.sum(eigs > 0) - np.sum(eigs < 0))
-    return CrossingRecord(t0, kernel.shape[1], sig, False)
+def _crossing_form(path: SymplecticPathSample, sbar: np.ndarray, ts: Sequence[float]):
+    """Kernel dimension, signature and degeneracy of the crossing form at each time of a stack.
+
+    One full SVD of Psi(t) - sigma: the kernel is spanned by the right singular vectors of
+    the singular values below KERNEL_TOL, the last ones, so the form is the trailing block
+    of (sigma V)^T K (sigma V), K the rate of the path with turns.
+    """
+    ts = np.asarray(ts, dtype=float)
+    _, s, vt = np.linalg.svd(path.psi(ts) - sbar)
+    phi, rate = path._rotation(ts), 2 * np.pi * path.turns / path.tau
+    k = rate * np.eye(len(sbar)) + phi @ path.family(ts) @ np.swapaxes(phi, 1, 2)  # with turns
+    sv = sbar @ np.swapaxes(vt, 1, 2)
+    forms = np.swapaxes(sv, 1, 2) @ k @ sv
+    dims = np.sum(s < KERNEL_TOL, axis=1)
+    sig, flat = np.zeros(len(ts), dtype=int), np.zeros(len(ts), dtype=bool)
+    for d in set(dims.tolist()) - {0}:  # one eigensolve per kernel dimension
+        m = forms[dims == d, -d:, -d:]
+        eigs = np.linalg.eigvalsh((m + np.swapaxes(m, 1, 2)) / 2)
+        sig[dims == d] = np.sum(eigs > 0, axis=1) - np.sum(eigs < 0, axis=1)
+        flat[dims == d] = np.any(np.abs(eigs) < EIGEN_TOL, axis=1)
+    return dims.tolist(), sig.tolist(), flat.tolist()
 
 
 def _smin(path: SymplecticPathSample, sbar: np.ndarray, ts) -> np.ndarray:
@@ -338,19 +348,25 @@ def _isolate_zeros(path, sbar, lo, hi, apex, start: float, end: float) -> np.nda
 
 
 def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float):
-    """Zeros of det(Psi - sigma) in the open interval (a, b), and f(a), f(b).
+    """Candidate zeros of det(Psi - sigma) in the open interval (a, b), and f(a), f(b).
 
     det may touch zero without a sign change (kernels of dimension two and
     definite crossing forms), so crossings are found through the smallest
-    singular value f.  A grid cell [x, y] is searched when f(x) + f(y) <=
-    4 s (y - x), s the steepest slope of f on the grid, which holds for any
+    singular value f.  On the grid, f at the interior nodes is read from the node
+    matrices, and Psi is evaluated only at a and b.  A grid cell [x, y] is searched when
+    f(x) + f(y) <= 4 s (y - x), s the steepest slope of f on the grid, which holds for any
     zero whose slope is at most 4 s.  Each run of such cells is a bracket for
     `_isolate_zeros`, with the first apex where arms of the run's steepest
     slope meet.  Zeros within `margin` of a or b, or within KERNEL_TOL / c of an
     endpoint where f < KERNEL_TOL, c the slope of f on that end's grid cell, are its own.
     """
-    grid = np.concatenate(([a], path.times[(path.times > a) & (path.times < b)], [b]))
-    g = _smin(path, sbar, grid)
+    inner = (path.times > a) & (path.times < b)
+    grid = np.concatenate(([a], path.times[inner], [b]))
+    nodes = path.matrices[inner]  # Psi at a node: s = 0, and Taylor row 0 is I
+    if path.turns:
+        nodes = path._rotation(grid[1:-1]) @ nodes
+    ends = path.psi(grid[[0, -1]])
+    g = np.linalg.svd(np.concatenate((ends[:1], nodes, ends[1:])) - sbar, compute_uv=False)[:, -1]
     dt = np.diff(grid)  # positive: permuted_cz_index checks a < b
     slope = np.abs(np.diff(g)) / dt
     bound = np.maximum(4 * np.max(slope) * dt, 1e3 * KERNEL_TOL)
@@ -361,39 +377,37 @@ def _detect_crossings(path: SymplecticPathSample, sbar: np.ndarray, a: float, b:
     found = _isolate_zeros(path, sbar, grid[i], grid[j], apex, a + margin, b - margin)
     lo, hi = (margin + KERNEL_TOL / max(c, np.finfo(float).tiny) * (end < KERNEL_TOL)
               for end, c in ((g[0], slope[0]), (g[-1], slope[-1])))
-    found = found[(a + lo < found) & (found < b - hi)]
-    if len(found):
-        found = found[_smin(path, sbar, found) < KERNEL_TOL]
-    crossings = []
-    for t0 in sorted(float(t) for t in found):  # merge duplicates from adjacent runs
-        if not crossings or t0 - crossings[-1] > 100 * BISECTION_TOL:
-            crossings.append(t0)
-    return crossings, g[0], g[-1]
+    return found[(a + lo < found) & (found < b - hi)], g[0], g[-1]
 
 
 def _graph_index(
     path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float, closed: bool = False
 ) -> MaslovIndex:
-    """Maslov index of gr(Psi) against the permuted diagonal over [a, b]."""
-    crossings, s_a, s_b = _detect_crossings(path, sbar, a, b)
-    records = []
-    twice = 0
-    if s_a < KERNEL_TOL:
-        rec = _crossing_form(path, sbar, a)
-        records.append(replace(rec, endpoint=True))
-        twice += rec.signature
-    for t0 in crossings:
-        rec = _crossing_form(path, sbar, t0)
-        records.append(rec)
-        twice += 2 * rec.signature
-    if s_b < KERNEL_TOL:
-        if not closed:
+    """Maslov index of gr(Psi) against the permuted diagonal over [a, b].
+
+    The candidate zeros, and a and b where f < KERNEL_TOL, take one stacked
+    `_crossing_form`, read in time order: a candidate counts if its kernel is not
+    empty and it lies more than 100 BISECTION_TOL past the last one counted.
+    """
+    found, f_a, f_b = _detect_crossings(path, sbar, a, b)
+    ts = [a] * bool(f_a < KERNEL_TOL) + sorted(found.tolist()) + [b] * bool(f_b < KERNEL_TOL)
+    records, twice, last = [], 0, -np.inf
+    for t0, dim, sig, flat in zip(ts, *_crossing_form(path, sbar, ts)):
+        endpoint = t0 == a or t0 == b  # candidates lie at least `margin` inside
+        if not endpoint:
+            if not dim or t0 - last <= 100 * BISECTION_TOL:
+                continue  # f above KERNEL_TOL after all, or a duplicate from an adjacent run
+            last = t0
+        elif t0 == b and not closed:
             raise StationaryDegenerateError(
                 f"det(Psi({b}) - sigma) vanishes: stationary braid degenerate"
             )
-        rec = _crossing_form(path, sbar, b)
-        records.append(replace(rec, endpoint=True))
-        twice += rec.signature
+        if not dim:
+            raise DegenerateCrossingError(f"no kernel at detected crossing t={t0}")
+        if flat:
+            raise DegenerateCrossingError(f"degenerate crossing form at t={t0}")
+        records.append(CrossingRecord(t0, dim, sig, endpoint))
+        twice += sig if endpoint else 2 * sig
     return MaslovIndex(twice, tuple(records))
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
+from braidfloer import maslov
 from braidfloer.complex import (
     BARRIER_HIGH,
     BARRIER_LOW,
@@ -32,14 +33,20 @@ from braidfloer.discrete import (
 from braidfloer.errors import (
     AmbiguousDiagramError,
     BraidInputError,
+    DegenerateCrossingError,
     ImproperClassError,
+    StationaryDegenerateError,
     TransversalityError,
 )
 from braidfloer.garside import GarsideNormalForm, factor_letters, twist_padding
 from braidfloer.homology import GradedBetti, _homology
 from braidfloer.maslov import (
     BISECTION_TOL,
+    EIGEN_TOL,
+    KERNEL_TOL,
     ZOOM_POINTS,
+    CrossingRecord,
+    MaslovIndex,
     SymmetricFamily,
     SymplecticPathSample,
     _rk4,
@@ -423,6 +430,57 @@ def reference_isolate_zeros(path, sbar, lo, hi, *_) -> np.ndarray:
         done.append((new_lo + new_hi)[final] / 2)
         lo, hi = new_lo[~final], new_hi[~final]
     return np.concatenate([[]] + done)
+
+
+def reference_crossing_form(path: SymplecticPathSample, sbar: np.ndarray,
+                             t0: float) -> CrossingRecord:
+    """The crossing form at one time, by its own SVD: what `maslov._crossing_form` stacks."""
+    u, s, vt = np.linalg.svd(path.psi(t0) - sbar)
+    kernel = vt[s < KERNEL_TOL].T
+    if kernel.shape[1] == 0:
+        raise DegenerateCrossingError(f"no kernel at detected crossing t={t0}")
+    phi = path._rotation(t0)  # K of the path with turns: rate I + phi K phi^T
+    k = 2 * np.pi * path.turns / path.tau * np.eye(len(phi)) + phi @ path.family(t0) @ phi.T
+    m = kernel.T @ sbar.T @ k @ sbar @ kernel
+    eigs = np.linalg.eigvalsh((m + m.T) / 2)
+    if np.any(np.abs(eigs) < EIGEN_TOL):
+        raise DegenerateCrossingError(f"degenerate crossing form at t={t0}")
+    sig = int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    return CrossingRecord(t0, kernel.shape[1], sig, False)
+
+
+def reference_graph_index(path: SymplecticPathSample, sbar: np.ndarray, a: float, b: float,
+                          closed: bool = False) -> MaslovIndex:
+    """The tail of the crossing search that one stacked `maslov._crossing_form` replaced,
+    as its oracle: the candidates kept where `_smin` < KERNEL_TOL, merged within
+    100 BISECTION_TOL (the first kept), one single-time crossing form each, a first
+    and b last, where a vanishing determinant is refused unless `closed`."""
+    found, s_a, s_b = maslov._detect_crossings(path, sbar, a, b)
+    if len(found):
+        found = found[_smin(path, sbar, found) < KERNEL_TOL]
+    crossings = []
+    for t0 in sorted(float(t) for t in found):
+        if not crossings or t0 - crossings[-1] > 100 * BISECTION_TOL:
+            crossings.append(t0)
+    records = []
+    twice = 0
+    if s_a < KERNEL_TOL:
+        rec = reference_crossing_form(path, sbar, a)
+        records.append(replace(rec, endpoint=True))
+        twice += rec.signature
+    for t0 in crossings:
+        rec = reference_crossing_form(path, sbar, t0)
+        records.append(rec)
+        twice += 2 * rec.signature
+    if s_b < KERNEL_TOL:
+        if not closed:
+            raise StationaryDegenerateError(
+                f"det(Psi({b}) - sigma) vanishes: stationary braid degenerate"
+            )
+        rec = reference_crossing_form(path, sbar, b)
+        records.append(replace(rec, endpoint=True))
+        twice += rec.signature
+    return MaslovIndex(twice, tuple(records))
 
 
 def nf_to_word(nf: GarsideNormalForm) -> BraidWord:

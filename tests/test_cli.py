@@ -176,6 +176,15 @@ def test_maslov_degenerate_exit_code(monkeypatch):
     assert main(["maslov", "--input", "-"]) == 3
 
 
+def test_maslov_degenerate_start_reported_before_the_end(capsys, monkeypatch):
+    # K = diag(1, 0) fixes (0, 1): the form at t = 0 is refused before t = tau is checked
+    doc = {"maslov": {"family": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.0]]}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["maslov", "--input", "-"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "degenerate input: degenerate crossing form at t=0.0")
+
+
 def test_forcing_job():
     doc = {
         "relative": {"cyclic": {"inner": [1, 2], "outer": [2, 1], "ell": 1}},

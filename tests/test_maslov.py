@@ -8,7 +8,11 @@ import pytest
 from scipy.linalg import expm
 
 from braidfloer import maslov
-from braidfloer.errors import BraidInputError, StationaryDegenerateError
+from braidfloer.errors import (
+    BraidInputError,
+    DegenerateCrossingError,
+    StationaryDegenerateError,
+)
 from braidfloer.maslov import (
     BISECTION_TOL,
     KERNEL_TOL,
@@ -28,6 +32,7 @@ from braidfloer.words import StrandPermutation
 from helpers import (
     direct_sum_family,
     direct_sum_permutation,
+    reference_graph_index,
     reference_isolate_zeros,
     rk4_path,
 )
@@ -348,14 +353,15 @@ def test_crossings_found_at_large_tau():
 
 
 def test_zoom_smin_call_budget(monkeypatch):
-    # 29 calls when written, against 56 for the uniform zoom
+    # 18 calls, all from the zoom's rounds: the grid reads the node matrices, and
+    # the kernel filter shares the crossing forms' SVD stack (56 for the uniform zoom)
     calls = []
     smin = maslov._smin
     monkeypatch.setattr(maslov, "_smin", lambda *args: calls.append(1) or smin(*args))
     for k in (1, 2, 3):
         permuted_cz_index(integrate_path(rotation_family(k), 1.0), closed=True)
     permuted_cz_index(integrate_path(constant_family(np.array([[9.0, 1.5], [1.5, 7.0]])), 1.0))
-    assert len(calls) <= 32
+    assert len(calls) <= 21
 
 
 def _random_table(rng, n, tau):
@@ -521,3 +527,73 @@ def test_rotation_oracle_at_the_step_cap():
     assert path.steps == maslov.MAX_STEPS and turns == 7757
     assert idx.twice_value == 2 + 4 * turns
     assert [(r.kernel_dimension, r.signature) for r in idx.crossings] == [(2, 2)] * (turns + 1)
+
+
+DEGENERATE_AT_BOTH_ENDS = constant_family(np.diag([1.0, 0.0]))  # Psi(t) fixes (0, 1)
+
+
+@pytest.mark.parametrize("family, closed, error, message", [
+    (DEGENERATE_AT_BOTH_ENDS, False, DegenerateCrossingError, "degenerate crossing form at t=0.0"),
+    (DEGENERATE_AT_BOTH_ENDS, True, DegenerateCrossingError, "degenerate crossing form at t=0.0"),
+    (rotation_family(1), False, StationaryDegenerateError,
+     "det(Psi(1.0) - sigma) vanishes: stationary braid degenerate"),
+], ids=["both-ends-open", "both-ends-closed", "loop-open"])
+def test_degenerate_crossings_are_refused_in_time_order(family, closed, error, message):
+    # a degenerate form at a is refused before the far endpoint b is checked
+    with pytest.raises(error) as exc:
+        permuted_cz_index(integrate_path(family, 1.0), closed=closed)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_closed_loop_counts_both_endpoints():
+    idx = permuted_cz_index(integrate_path(rotation_family(1), 1.0), closed=True)
+    assert idx.twice_value == 4
+    assert [(r.time, r.kernel_dimension, r.signature, r.endpoint) for r in idx.crossings] == [
+        (0.0, 2, 2, True), (1.0, 2, 2, True)]
+
+
+def _outcome(index):
+    """An index as its value and records, each time as its exact hex, or its refusal."""
+    try:
+        idx = index()
+    except (DegenerateCrossingError, StationaryDegenerateError) as exc:
+        return type(exc).__name__, str(exc)
+    return idx.twice_value, [(r.time.hex(), r.kernel_dimension, r.signature, r.endpoint)
+                             for r in idx.crossings]
+
+
+def test_stacked_crossing_forms_match_the_single_time_reference(monkeypatch):
+    # seeded constant and three-sample table families at n = 1 and 2, turns -2,
+    # 0 and 1, both sigma at n = 2, open and closed, also over [tau / 3, 0.9 tau];
+    # with them, families degenerate at an endpoint or along the whole path
+    rng = np.random.default_rng(5)
+    families = []
+    for c in range(30):
+        n, tau = 1 + c % 2, rng.uniform(1.0, 3.0)
+        k = rng.uniform(-3, 3, (3, 2 * n, 2 * n))
+        mats = (k + np.swapaxes(k, 1, 2)) / 2 + rng.uniform(0, 6, (3, 1, 1)) * np.eye(2 * n)
+        table = sampled_family(np.sort(rng.uniform(-0.3, tau + 0.3, 3)), mats)
+        families.append((table if c % 4 > 1 else constant_family(mats[0]), tau))
+    families += [(constant_family(k), 1.0) for k in (
+        np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([1.0, 0.0, 2.0, 0.0]))]
+    # no rotation of 2 turns: composed with turns = -2 it stays at I, where f is
+    # rounding noise that the zoom does not end on
+    families += [(rotation_family(1), 1.0), (rotation_family(3, 2), 1.0)]
+    cases = []
+    for family, tau in families:
+        path = integrate_path(family, tau)
+        for turns in (-2, 0, 1):
+            rotated = replace(path, turns=turns)
+            # the grid's f at a node: psi there is the node matrix, bit for bit
+            assert np.array_equal(rotated.psi(path.times[1:-1]),
+                                  rotated._rotation(path.times[1:-1]) @ path.matrices[1:-1])
+            for sigma in (None, StrandPermutation((1, 0)))[:family.strands]:
+                cases += [(rotated, sigma, 0.0, None, closed) for closed in (False, True)]
+        cases += [(path, None, tau / 3, 0.9 * tau, closed) for closed in (False, True)]
+    got = [_outcome(lambda: permuted_cz_index(*case)) for case in cases]
+    monkeypatch.setattr(maslov, "_graph_index", reference_graph_index)
+    want = [_outcome(lambda: permuted_cz_index(*case)) for case in cases]
+    assert got == want
+    assert len(cases) >= 300
+    assert {w[0] if isinstance(w[0], str) else "index" for w in want} == {
+        "index", "DegenerateCrossingError", "StationaryDegenerateError"}
