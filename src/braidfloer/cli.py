@@ -405,9 +405,6 @@ def main(argv=None) -> int:
                 }
         job = JobSpec(args.command, document, args.period, args.cache_dir, args.seed)
         env = run(job)
-        if env.payload.get("proper") is False:
-            print(env.to_json())
-            return 2
         out = env.to_json() if args.json else json.dumps(env.payload, sort_keys=True, indent=2)
         if args.output:
             Path(args.output).write_text(out + "\n")
@@ -432,7 +429,7 @@ def main(argv=None) -> int:
     print(out)
     for w in env.warnings:
         print(f"note: {w}", file=sys.stderr)
-    return 0
+    return 2 if env.payload.get("proper") is False else 0
 
 
 if __name__ == "__main__":

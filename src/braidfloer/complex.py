@@ -373,7 +373,8 @@ def index_pair(comp: BraidClassComponent) -> IndexPair:
     """Closure of the component plus the faces where crossings drop."""
     if not comp.proper:
         raise ImproperClassError(
-            "index pair of an improper class is undefined", comp.collapse_witness
+            "relative braid class is improper; braid Floer homology is undefined",
+            comp.collapse_witness,
         )
     geo = comp.geometry
     codes = comp.top_cells

@@ -7,6 +7,8 @@ twist.  The identification of the discrete index with the Floer invariant
 rides on a conjecture, so every result carries provenance
 'conjecture-shifted'.  A word class is laid out one normal-form factor of
 its padded word per slot interval; the period is its supremum, at least 2.
+Both presentations end in one split of the combined braid: its marked (or
+first, cyclic) free strands against the skeleton, each in strand order.
 
 Cyclic skeletons (rigid rotations at fixed radii) are realized geometrically:
 the configuration twisted by K full turns has an honestly positive diagram
@@ -39,7 +41,6 @@ from .discrete import (
 from .errors import (
     AmbiguousDiagramError,
     BraidInputError,
-    ImproperClassError,
     StabilizationError,
     TransversalityError,
 )
@@ -94,11 +95,6 @@ class RelativeBraidSpec:
     cyclic_skeleton: tuple[CyclicComponent, ...] = ()
     word: BraidWord | None = None
     free_marks: tuple[int, ...] = ()
-
-    def free_strands(self) -> int:
-        if self.presentation == "cyclic":
-            return self.cyclic_free.strands
-        return len(self.free_marks)
 
 
 def cyclic_spec(
@@ -236,13 +232,12 @@ def _positivity_twist(components) -> int:
     return max(k, 0)
 
 
-def _faithful_sample(components, d_start: int = MIN_PERIOD, d_cap: int = 16):
-    """The sampling at the smallest period that carries the exact combined
-    braid, and that braid's Garside normal form."""
-    expected = _expected_crossings(components)
+def _faithful_sample(components, periods, expected: int):
+    """The sampling at the first of `periods` that carries the exact combined
+    braid of `expected` crossings, and that braid's Garside normal form."""
     fine_nf = None
     last_error = None
-    for d in range(d_start, d_cap + 1):
+    for d in periods:
         try:
             b = _sample_components(components, d)
         except SAMPLING_ERRORS as exc:  # tangential snap collisions at unlucky periods
@@ -266,22 +261,25 @@ def _faithful_sample(components, d_start: int = MIN_PERIOD, d_cap: int = 16):
         except AmbiguousDiagramError:  # a multiple point: unfaithful like any other miss
             continue
     raise BraidInputError(
-        f"no faithful sampling period up to {d_cap}"
+        f"no faithful sampling period up to {periods[-1]}"
         + (f" (last rejection: {last_error})" if last_error else "")
     )
 
 
-def _split_first_free(combined: DiscreteBraid, n_free: int) -> DiscreteRelativeBraid:
-    free_image = combined.closure.image[:n_free]
-    if set(free_image) != set(range(n_free)):
+def _split(combined: DiscreteBraid, free) -> DiscreteRelativeBraid:
+    """The strands in `free` as free strands and the rest as skeleton, each in
+    strand order, with the closure remapped to the new positions."""
+    free = sorted(set(free))
+    if {combined.closure(s) for s in free} != set(free):
         raise BraidInputError("free strands are not closed under the braid closure")
-    free = DiscreteBraid(combined.nums[:n_free], combined.den, StrandPermutation(free_image))
-    skel = DiscreteBraid(
-        combined.nums[n_free:],
-        combined.den,
-        StrandPermutation(tuple(v - n_free for v in combined.closure.image[n_free:])),
-    )
-    return DiscreteRelativeBraid(free, skel)
+    skeleton = [s for s in range(combined.strands) if s not in free]
+    pos = {s: i for rows in (free, skeleton) for i, s in enumerate(rows)}
+
+    def part(rows):
+        image = StrandPermutation(tuple(pos[combined.closure(s)] for s in rows))
+        return DiscreteBraid(combined.nums[rows], combined.den, image)
+
+    return DiscreteRelativeBraid(part(free), part(skeleton))
 
 
 def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
@@ -298,25 +296,20 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
             f"positive representative needs {expected} crossings; this "
             "desk-scale build caps cyclic specs at 48"
         )
-    combined = None
-    last = None
+    periods = range(MIN_PERIOD, 17) if period is None else (period,)
     for bump in (0.0, 0.013, 0.029):  # retry unlucky snap collisions
         shifted = tuple(
             CyclicComponent(c.strands, c.rotation, c.radius, c.phase + bump)
             for c in twisted
         )
         try:
-            if period is None:
-                combined, nf = _faithful_sample(shifted)
-            else:
-                combined, nf = _faithful_sample(shifted, d_start=period, d_cap=period)
+            combined, nf = _faithful_sample(shifted, periods, expected)
             break
         except SAMPLING_ERRORS as exc:
             last = exc
-            combined = None
-    if combined is None:
+    else:
         raise BraidInputError(f"could not discretize the cyclic spec: {last}")
-    rb = _split_first_free(combined, spec.cyclic_free.strands)
+    rb = _split(combined, range(spec.cyclic_free.strands))
     n = combined.strands
     base = GarsideNormalForm(n, nf.infimum - 2 * k_twist, nf.factors)
     return rb, k_twist, pad_normal_form(base, expected - k_twist * n * (n - 1)).g
@@ -331,13 +324,7 @@ def _realize_word(spec: RelativeBraidSpec, period: int | None):
             "this desk-scale build handles shorter inputs"
         )
     combined = layers_to_discrete(pad.strands, pad.layers, d if period is None else max(d, period))
-    marks = set(spec.free_marks)
-    order = sorted(range(combined.strands), key=lambda s: (s not in marks, s))
-    pos_of = {s: i for i, s in enumerate(order)}
-    closure = StrandPermutation(tuple(pos_of[combined.closure(s)] for s in order))
-    reordered = DiscreteBraid(combined.nums[order], combined.den, closure)
-    rb = _split_first_free(reordered, len(marks))
-    return rb, pad.g, pad.g
+    return _split(combined, spec.free_marks), pad.g, pad.g
 
 
 def realize(spec: RelativeBraidSpec, period: int | None):
@@ -352,13 +339,7 @@ def realize(spec: RelativeBraidSpec, period: int | None):
 
 def _homology_at(rb: DiscreteRelativeBraid) -> tuple[GradedBetti, int]:
     comp = enumerate_component(rb)
-    if not comp.proper:
-        raise ImproperClassError(
-            "relative braid class is improper; braid Floer homology is undefined",
-            comp.collapse_witness,
-        )
-    pair = index_pair(comp)
-    return relative_homology(pair), comp.crossing_number
+    return relative_homology(index_pair(comp)), comp.crossing_number
 
 
 def braid_floer_homology(spec: RelativeBraidSpec, period: int | None = None) -> FloerResult:
@@ -370,7 +351,7 @@ def braid_floer_homology(spec: RelativeBraidSpec, period: int | None = None) -> 
     conjecture-mediated and flagged as such.
     """
     rb, k_twist, g = realize(spec, period)
-    n = spec.free_strands()
+    n = rb.free.strands
     if g > k_twist:
         raise AssertionError("padding exceeds the applied twist; Garside is broken")
 

@@ -957,6 +957,28 @@ def reference_sample(components, d: int):
     return tuple(anchors), StrandPermutation(tuple(closure))
 
 
+def reference_split(combined: DiscreteBraid, marks) -> DiscreteRelativeBraid:
+    """The relative braid with the strands in `marks` free, built the long way:
+    a second braid with the marked strands moved to the front, then its first
+    len(marks) strands split off as the free braid."""
+    marks = set(marks)
+    order = sorted(range(combined.strands), key=lambda s: (s not in marks, s))
+    pos_of = {s: i for i, s in enumerate(order)}
+    closure = StrandPermutation(tuple(pos_of[combined.closure(s)] for s in order))
+    reordered = DiscreteBraid(combined.nums[order], combined.den, closure)
+    n_free = len(marks)
+    free_image = closure.image[:n_free]
+    if set(free_image) != set(range(n_free)):
+        raise BraidInputError("free strands are not closed under the braid closure")
+    free = DiscreteBraid(reordered.nums[:n_free], reordered.den, StrandPermutation(free_image))
+    skeleton = DiscreteBraid(
+        reordered.nums[n_free:],
+        reordered.den,
+        StrandPermutation(tuple(v - n_free for v in closure.image[n_free:])),
+    )
+    return DiscreteRelativeBraid(free, skeleton)
+
+
 def reference_geometry_tables(geo):
     """`prev_pos`, `next_pos` and `cross` of a ComplexGeometry, each fixed
     value looked up among its slot's Fraction values (`reference_slots`) one

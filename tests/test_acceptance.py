@@ -160,8 +160,8 @@ def test_criterion_04_shift_theorem():
     assert len(random_specs) == 5, "could not draw five random proper specs"
     checked = 0
     for spec in base_specs + random_specs:
-        base = homology_of(spec).betti.as_dict()
-        n = spec.free_strands()
+        res = homology_of(spec)
+        base, n = res.betti.as_dict(), res.n
         for k in (1, -1):
             shifted = homology_of(twisted(spec, k)).betti.as_dict()
             expected = {deg + 2 * n * k: v for deg, v in base.items()}

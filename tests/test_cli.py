@@ -73,14 +73,49 @@ def test_homology_job_and_cache(tmp_path):
     assert env3.payload == env1.payload
 
 
+IMPROPER_ARGS = ["--inner", "2", "1", "--outer", "1", "2", "--ell", "1"]
+
+
 def test_properness_job_improper_exit_code(capsys):
-    doc = {"relative": {"cyclic": {"inner": [2, 1], "outer": [1, 2], "ell": 1}}}
-    code = main(["properness", "--inner", "2", "1", "--outer", "1", "2", "--ell", "1"])
+    code = main(["properness", *IMPROPER_ARGS])
     captured = capsys.readouterr()
     assert code == 2
-    payload = json.loads(captured.out)["payload"]
+    payload = json.loads(captured.out)  # the payload, as for a proper class
     assert payload["proper"] is False
     assert payload["witness"] is not None
+    assert captured.err == ""
+
+
+def test_properness_improper_takes_the_json_and_output_options(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    assert main(["properness", *IMPROPER_ARGS, "--output", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert path.read_text() == out
+    assert json.loads(out)["proper"] is False
+    assert main(["properness", *IMPROPER_ARGS, "--json", "--output", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert path.read_text() == out
+    doc = {"relative": {"cyclic": {"inner": [2, 1], "outer": [1, 2], "ell": 1}}}
+    assert json.loads(out) == json.loads(run(JobSpec("properness", doc)).to_json())
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["homology", *IMPROPER_ARGS], None),
+    (["homology", "--input", "-"],
+     json.dumps({"relative": {"word": {"text": "n=3; s1 s1 s2 s2", "free": [2]}}})),
+])
+def test_homology_improper_refusal_lines(capsys, monkeypatch, argv, stdin):
+    """The route's one refusal: exit 2, the message line and the witness line."""
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refusal, witness = captured.err.splitlines()
+    assert refusal == ("improper class: relative braid class is improper; "
+                       "braid Floer homology is undefined")
+    assert set(json.loads(witness)["witness"]) == {"collapses_onto", "pinned_values",
+                                                   "from_top_cell"}
 
 
 def test_homology_cli_main(capsys, tmp_path):
@@ -303,8 +338,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         assert run.stdout.strip() == "[]", job
 
 
-# a symmetric table whose last sample is not: every K(t) is checked, so RK4
-# meets the asymmetric half at once instead of halving its step 22 times
+# a symmetric table whose last sample is not: every sample is checked when the
+# family is built, so the refusal comes before any integration
 TABLE_ASYMMETRIC_LAST = {"kind": "table", "times": [0, 0.5, 1],
                          "matrices": [[[1, 0], [0, 0.4]], [[1, 0], [0, 0.4]], [[1, 0.3], [0, 0.4]]]}
 TABLE_RAGGED = {"kind": "table", "times": [0, 0.5, 1],

@@ -110,6 +110,17 @@ def test_improper_empty_skeleton():
         index_pair(comp)
 
 
+@pytest.mark.parametrize("spec", [cyclic_spec((2, 1), (1, 2), 1),
+                                  word_spec(word(3, [1, 1, 2, 2]), [2])])
+def test_index_pair_refuses_an_improper_class_with_the_route_message(spec):
+    comp = enumerate_component(realize(spec, None)[0])
+    assert not comp.proper
+    with pytest.raises(ImproperClassError) as err:
+        index_pair(comp)
+    assert str(err.value) == "relative braid class is improper; braid Floer homology is undefined"
+    assert err.value.witness == comp.collapse_witness
+
+
 def test_improper_unlinked_parallel_strand():
     skeleton = fraction_braid(1, 2, (constant_strand(0.5, 2),), StrandPermutation((0,)))
     rb = make_relative([-0.25, -0.25], skeleton)

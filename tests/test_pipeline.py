@@ -12,6 +12,7 @@ from braidfloer.errors import BraidInputError, ImproperClassError
 from braidfloer.garside import left_normal_form, twist_padding
 from braidfloer.pipeline import (
     CyclicComponent,
+    RelativeBraidSpec,
     braid_floer_homology,
     cyclic_spec,
     enumerate_forced_fractions,
@@ -20,7 +21,16 @@ from braidfloer.pipeline import (
 )
 from braidfloer.words import StrandPermutation, permutation_of, word
 
-from helpers import base_word, fraction_braid, snap, twisted, word_to_discrete
+from helpers import (
+    base_word,
+    cycles,
+    fraction_braid,
+    random_word,
+    reference_split,
+    snap,
+    twisted,
+    word_to_discrete,
+)
 
 
 def test_braids_unlinked_interval_case():
@@ -269,8 +279,8 @@ def test_search_from_period_2_keeps_outcomes(monkeypatch):
     construction; the others run the whole route both ways."""
     from_2 = pipeline._faithful_sample
 
-    def from_4(components, d_start=4, d_cap=16):
-        return from_2(components, d_start, d_cap)
+    def from_4(components, periods, expected):  # range(2, 17) loses 2 and 3
+        return from_2(components, periods[2:] or periods, expected)
 
     rng = random.Random(41)
     lowered = 0
@@ -285,6 +295,50 @@ def test_search_from_period_2_keeps_outcomes(monkeypatch):
         assert _outcome(spec) == old, spec.label
         lowered += 1
     assert lowered >= 3
+
+
+def _realized_bits(spec, period):
+    """Every bit of `realize`: each part's numerators, denominator and
+    closure image, K and g; or the exception type and message."""
+    try:
+        rb, k_twist, g = pipeline.realize(spec, period)
+    except (BraidInputError, ImproperClassError) as exc:
+        return (type(exc).__name__, str(exc))
+    parts = [(b.nums.dtype.str, b.nums.shape, b.nums.tobytes(), b.den, b.closure.image)
+             for b in (rb.free, rb.skeleton)]
+    return (*parts, k_twist, g)
+
+
+def _seeded_word_spec(rng):
+    """A word spec on 2-4 strands marking a random union of the closure's
+    cycles, or at times any strands at all, built without word_spec's checks."""
+    strands = rng.randrange(2, 5)
+    w = random_word(rng, strands, rng.randrange(0, 9))
+    orbits = cycles(permutation_of(w))
+    picked = [c for c in orbits if rng.random() < 0.5]
+    if rng.random() < 0.2 or not 0 < len(picked) < len(orbits):
+        marks = rng.sample(range(strands), rng.randrange(0, strands + 1))
+        return RelativeBraidSpec("word", word=w, free_marks=tuple(sorted(marks)))
+    return word_spec(w, [s for c in picked for s in c])
+
+
+def test_split_matches_the_reordered_reference(monkeypatch):
+    """realize through the one split equals realize through the reference's
+    reorder-then-split, bit for bit, on seeded word specs with marks anywhere
+    and on seeded cyclic specs, at the searched period and at periods 3 and 5."""
+    rng = random.Random(53)
+    specs = [_seeded_word_spec(rng) for _ in range(320)]
+    specs += [cyclic_spec(_rotation(rng), _rotation(rng), rng.randrange(-2, 3))
+              for _ in range(20)]
+    refused = 0
+    for spec in specs:
+        for period in (None, 3, 5):
+            new = _realized_bits(spec, period)
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "_split", reference_split)
+                assert _realized_bits(spec, period) == new, (spec, period)
+            refused += isinstance(new[0], str)
+    assert 0 < refused < 3 * len(specs)
 
 
 def test_cyclic_g_matches_padding_of_the_base_word():
