@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print the full envelope")
-    parser.add_argument("--output", help="write the envelope JSON to a file")
+    parser.add_argument("--output", help="also write what is printed to this file")
     parser.add_argument("--trace-csv", help="write the flow trace as CSV")
 
     try:

@@ -14,16 +14,20 @@ Cyclic skeletons (rigid rotations at fixed radii) are realized geometrically:
 the configuration twisted by K full turns has an honestly positive diagram
 once K beats the radius-weighted rotation differences, and sampling it at a
 small period is checked faithful against the crossing counts implied by the
-rotation numbers and the Garside normal form of a fine reference sampling;
-the search starts at period 2, the least a braid complex takes.  The least
+rotation numbers and the Garside normal form of a fine reference sampling.
+One loop tries three phase bumps in turn.  Each searches the periods from 2,
+the least a braid complex takes, and builds the fine reference once a period
+has the expected crossings; a failed reference or a search that finds no
+faithful period moves on to the next bump.  The least
 twist g that makes the class positive is read off that normal form: Delta^2
 is central, so the untwisted class has the same factors and 2K fewer Deltas.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +100,21 @@ class RelativeBraidSpec:
     word: BraidWord | None = None
     free_marks: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        """A word spec's free marks are strand indices at the starting slot,
+        kept sorted; the set must be invariant under the word's permutation."""
+        if self.presentation == "word":
+            n = self.word.strands
+            for k in self.free_marks:
+                if type(k) is not int or not 0 <= k < n:
+                    raise BraidInputError(f"free mark {k!r} is not a strand index in 0..{n - 1}")
+            marks = tuple(sorted(set(self.free_marks)))
+            if {permutation_of(self.word)(k) for k in marks} != set(marks):
+                raise BraidInputError("free marking is not closed under the braid permutation")
+            if not 0 < len(marks) < n:
+                raise BraidInputError("need at least one free and one skeleton strand")
+            object.__setattr__(self, "free_marks", marks)
+
 
 def cyclic_spec(
     inner: tuple[int, int],
@@ -127,23 +146,8 @@ def cyclic_spec(
 
 
 def word_spec(word: BraidWord, free_marks, label: str = "") -> RelativeBraidSpec:
-    """Combined word on free-plus-skeleton strands with the free ones marked.
-
-    Marks are strand indices at the starting slot; the set must be invariant
-    under the word's permutation.
-    """
-    for k in free_marks:
-        if type(k) is not int or not 0 <= k < word.strands:
-            raise BraidInputError(
-                f"free mark {k!r} is not a strand index in 0..{word.strands - 1}"
-            )
-    marks = tuple(sorted(set(free_marks)))
-    perm = permutation_of(word)
-    if {perm(k) for k in marks} != set(marks):
-        raise BraidInputError("free marking is not closed under the braid permutation")
-    if not marks or len(marks) >= word.strands:
-        raise BraidInputError("need at least one free and one skeleton strand")
-    return RelativeBraidSpec("word", label or "word-spec", word=word, free_marks=marks)
+    """Combined word on free-plus-skeleton strands with the free ones marked."""
+    return RelativeBraidSpec("word", label or "word-spec", word=word, free_marks=tuple(free_marks))
 
 
 @dataclass(frozen=True)
@@ -195,17 +199,13 @@ def _sample_components(components, d: int) -> DiscreteBraid:
 
 
 def _expected_crossings(components) -> int:
-    total = 0
-    for c in components:
-        total += c.word_exponent
-    for a in range(len(components)):
-        for b in range(a + 1, len(components)):
-            ca, cb = components[a], components[b]
-            dom = ca.rotation if ca.radius > cb.radius else cb.rotation
-            val = 2 * ca.strands * cb.strands * dom
-            if val.denominator != 1:
-                raise AssertionError("inter-component crossing count must be integral")
-            total += int(val)
+    total = sum(c.word_exponent for c in components)
+    for ca, cb in itertools.combinations(components, 2):
+        dom = ca.rotation if ca.radius > cb.radius else cb.rotation
+        val = 2 * ca.strands * cb.strands * dom
+        if val.denominator != 1:
+            raise AssertionError("inter-component crossing count must be integral")
+        total += int(val)
     return total
 
 
@@ -216,62 +216,64 @@ def _positivity_twist(components) -> int:
     and every pair's radius-weighted rotation increasing outward, so all
     difference vectors turn one way.
     """
-    k = 0
-    for c in components:
-        k = max(k, int(math.ceil(-c.rotation)))
-    for a in range(len(components)):
-        for b in range(len(components)):
-            ca, cb = components[a], components[b]
-            if ca.radius >= cb.radius:
-                continue
-            # need (rho_b + K) r_b > (rho_a + K) r_a
-            num = ca.rotation * ca.radius - cb.rotation * cb.radius
-            den = cb.radius - ca.radius
-            bound = num / den
+    k = max([0] + [math.ceil(-c.rotation) for c in components])
+    for ca, cb in itertools.permutations(components, 2):
+        if ca.radius < cb.radius:  # need (rho_b + K) r_b > (rho_a + K) r_a
+            bound = (ca.rotation * ca.radius - cb.rotation * cb.radius) / (cb.radius - ca.radius)
             k = max(k, math.floor(bound) + 1)
-    return max(k, 0)
+    return k
+
+
+def _candidates(components, periods, expected: int, collisions: list):
+    """The samplings at `periods` that carry `expected` crossings, in order;
+    each tangential snap collision at an unlucky period goes to `collisions`."""
+    for d in periods:
+        try:
+            b = _sample_components(components, d)
+        except SAMPLING_ERRORS as exc:
+            collisions.append(exc)
+            continue
+        if b.crossings == expected:
+            yield b
 
 
 def _faithful_sample(components, periods, expected: int):
     """The sampling at the first of `periods` that carries the exact combined
     braid of `expected` crossings, and that braid's Garside normal form."""
-    fine_nf = None
-    last_error = None
-    for d in periods:
-        try:
-            b = _sample_components(components, d)
-        except SAMPLING_ERRORS as exc:  # tangential snap collisions at unlucky periods
-            last_error = exc
-            continue
-        if b.crossings != expected:
-            continue
-        if fine_nf is None:
-            fine = _sample_components(
-                components, min(8 * max(expected, 1) + 3, FINE_SAMPLE_CAP)
-            )
-            if fine.crossings != expected:
-                raise BraidInputError(
-                    "fine sampling disagrees with winding counts; "
-                    "the configuration is too degenerate to discretize"
-                )
-            fine_nf = left_normal_form(discrete_to_word(fine))
-        try:
-            if left_normal_form(discrete_to_word(b)) == fine_nf:
-                return b, fine_nf
-        except AmbiguousDiagramError:  # a multiple point: unfaithful like any other miss
-            continue
-    raise BraidInputError(
-        f"no faithful sampling period up to {periods[-1]}"
-        + (f" (last rejection: {last_error})" if last_error else "")
-    )
+    for bump in (0.0, 0.013, 0.029):  # retry unlucky snap collisions
+        shifted = tuple(replace(c, phase=c.phase + bump) for c in components)
+        collisions = []
+        candidates = _candidates(shifted, periods, expected, collisions)
+        first = next(candidates, None)
+        if first is not None:  # the fine reference, once a period has the crossings
+            try:
+                fine = _sample_components(shifted, min(8 * max(expected, 1) + 3, FINE_SAMPLE_CAP))
+                if fine.crossings != expected:
+                    raise BraidInputError(
+                        "fine sampling disagrees with winding counts; "
+                        "the configuration is too degenerate to discretize"
+                    )
+                fine_nf = left_normal_form(discrete_to_word(fine))
+            except SAMPLING_ERRORS as exc:
+                last = exc
+                continue
+            for b in itertools.chain((first,), candidates):
+                try:  # a multiple point is unfaithful like any other miss
+                    if left_normal_form(discrete_to_word(b)) == fine_nf:
+                        return b, fine_nf
+                except AmbiguousDiagramError:
+                    pass
+        last = BraidInputError(
+            f"no faithful sampling period up to {periods[-1]}"
+            + (f" (last rejection: {collisions[-1]})" if collisions else "")
+        )
+    raise BraidInputError(f"could not discretize the cyclic spec: {last}")
 
 
 def _split(combined: DiscreteBraid, free) -> DiscreteRelativeBraid:
     """The strands in `free` as free strands and the rest as skeleton, each in
     strand order, with the closure remapped to the new positions."""
     free = sorted(set(free))
-    if {combined.closure(s) for s in free} != set(free):
-        raise BraidInputError("free strands are not closed under the braid closure")
     skeleton = [s for s in range(combined.strands) if s not in free]
     pos = {s: i for rows in (free, skeleton) for i, s in enumerate(rows)}
 
@@ -286,10 +288,7 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
     """Positive discrete representative of the class twisted by K, K and g."""
     components = (spec.cyclic_free,) + spec.cyclic_skeleton
     k_twist = _positivity_twist(components)
-    twisted = tuple(
-        CyclicComponent(c.strands, c.rotation + k_twist, c.radius, c.phase)
-        for c in components
-    )
+    twisted = tuple(replace(c, rotation=c.rotation + k_twist) for c in components)
     expected = _expected_crossings(twisted)
     if expected > 48:
         raise BraidInputError(
@@ -297,18 +296,7 @@ def _realize_cyclic(spec: RelativeBraidSpec, period: int | None):
             "desk-scale build caps cyclic specs at 48"
         )
     periods = range(MIN_PERIOD, 17) if period is None else (period,)
-    for bump in (0.0, 0.013, 0.029):  # retry unlucky snap collisions
-        shifted = tuple(
-            CyclicComponent(c.strands, c.rotation, c.radius, c.phase + bump)
-            for c in twisted
-        )
-        try:
-            combined, nf = _faithful_sample(shifted, periods, expected)
-            break
-        except SAMPLING_ERRORS as exc:
-            last = exc
-    else:
-        raise BraidInputError(f"could not discretize the cyclic spec: {last}")
+    combined, nf = _faithful_sample(twisted, periods, expected)
     rb = _split(combined, range(spec.cyclic_free.strands))
     n = combined.strands
     base = GarsideNormalForm(n, nf.infimum - 2 * k_twist, nf.factors)

@@ -56,9 +56,12 @@ from braidfloer.maslov import (
     standard_j,
 )
 from braidfloer.pipeline import (
+    DEFAULT_PHASES,
+    DEFAULT_RADII,
     CyclicComponent,
     RelativeBraidSpec,
     _homology_at,
+    _positivity_twist,
     cyclic_spec,
     realize,
     word_spec,
@@ -935,6 +938,18 @@ def reference_discrete_to_word(b) -> BraidWord:
             letters.append(lo + 1)
             order[lo], order[lo + 1] = order[lo + 1], order[lo]
     return word(b.strands, letters)
+
+
+def positive_components(inner, outer, ell, bump, radii=DEFAULT_RADII, phases=DEFAULT_PHASES):
+    """The class's components twisted to a positive diagram, phases bumped
+    as `pipeline._faithful_sample` retries them."""
+    spec = cyclic_spec(inner, outer, ell, radii, phases)
+    components = (spec.cyclic_free,) + spec.cyclic_skeleton
+    k = _positivity_twist(components)
+    return tuple(
+        CyclicComponent(c.strands, c.rotation + k, c.radius, c.phase + bump)
+        for c in components
+    )
 
 
 def reference_sample(components, d: int):

@@ -284,6 +284,15 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 0
 
 
+def test_help_says_output_writes_what_is_printed(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "  --json                print the full envelope" in lines
+    assert "  --output OUTPUT       also write what is printed to this file" in lines
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -317,6 +326,16 @@ def test_word_class_refused_at_the_cell_cap(capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: index pair exceeds 1500000 cells; the class is beyond this build's desk scale"
+    ]
+
+
+def test_word_class_refused_past_the_word_period_cap(capsys, monkeypatch):
+    doc = {"relative": {"word": {"text": "n=2; " + " ".join(["s1"] * 14), "free": [0]}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["homology", "--input", "-"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: padded word needs period 14 > 13; this desk-scale build handles shorter inputs"
     ]
 
 

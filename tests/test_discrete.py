@@ -24,6 +24,7 @@ from helpers import (
     fraction_braid,
     fractions_of,
     full_twist,
+    positive_components,
     reference_check_transversality,
     reference_crossing_number,
     reference_discrete_to_word,
@@ -327,19 +328,6 @@ DEGENERATE_CYCLIC = [
 ]
 
 
-def _positive_components(inner, outer, ell, bump, radii=pipeline.DEFAULT_RADII,
-                         phases=pipeline.DEFAULT_PHASES):
-    """The class's components twisted to a positive diagram, phases bumped
-    as `_realize_cyclic` retries them."""
-    spec = pipeline.cyclic_spec(inner, outer, ell, radii, phases)
-    components = (spec.cyclic_free,) + spec.cyclic_skeleton
-    k = pipeline._positivity_twist(components)
-    return tuple(
-        pipeline.CyclicComponent(c.strands, c.rotation + k, c.radius, c.phase + bump)
-        for c in components
-    )
-
-
 def assert_sample_matches_reference(components, d):
     anchors, closure = reference_sample(components, d)
     raw = _raw(len(anchors), anchors, closure)
@@ -352,12 +340,12 @@ def assert_sample_matches_reference(components, d):
 @example(DEGENERATE_CYCLIC[1], 0.029, 8)  # a tangency at slot 2
 def test_anchor_view_matches_reference_on_cyclic_samples(cls, bump, d):
     inner, outer, ell, *shape = cls
-    assert_sample_matches_reference(_positive_components(inner, outer, ell, bump, *shape), d)
+    assert_sample_matches_reference(positive_components(inner, outer, ell, bump, *shape), d)
 
 
 @pytest.mark.parametrize("cls", BENCH_CYCLIC, ids=str)
 def test_anchor_view_matches_reference_at_fine_periods(cls):
-    components = _positive_components(*cls, 0.0)
+    components = positive_components(*cls, 0.0)
     expected = pipeline._expected_crossings(components)
     d = min(8 * max(expected, 1) + 3, pipeline.FINE_SAMPLE_CAP)
     assert_sample_matches_reference(components, d)

@@ -8,7 +8,7 @@ import pytest
 from braidfloer import pipeline
 from braidfloer.cli import JobSpec, format_braid_text, main, parse_braid_text, run
 from braidfloer.discrete import DiscreteRelativeBraid, discrete_to_word
-from braidfloer.errors import BraidInputError, ImproperClassError
+from braidfloer.errors import BraidInputError, ImproperClassError, TransversalityError
 from braidfloer.garside import left_normal_form, twist_padding
 from braidfloer.pipeline import (
     CyclicComponent,
@@ -25,6 +25,7 @@ from helpers import (
     base_word,
     cycles,
     fraction_braid,
+    positive_components,
     random_word,
     reference_split,
     snap,
@@ -297,6 +298,46 @@ def test_search_from_period_2_keeps_outcomes(monkeypatch):
     assert lowered >= 3
 
 
+def test_cyclic_sampler_retries_the_phase_when_every_period_collides():
+    """At the given phases every searched period meets a snap collision; the
+    first phase bump realizes period 4, with the default phases' homology."""
+    phases = (0.25, 0.0, 0.5)
+    unbumped = positive_components((1, 2), (2, 1), 1, 0.0, phases=phases)
+    for d in range(pipeline.MIN_PERIOD, 17):
+        with pytest.raises(TransversalityError):
+            pipeline._sample_components(unbumped, d)
+    spec = cyclic_spec((1, 2), (2, 1), 1, phases=phases)
+    rb, k_twist, g = pipeline.realize(spec, None)
+    bumped = pipeline._sample_components(
+        positive_components((1, 2), (2, 1), 1, 0.013, phases=phases), 4)
+    assert (rb.period, k_twist, g) == (4, 0, 0)
+    assert rb.combined().nums.tolist() == bumped.nums.tolist()
+    assert braid_floer_homology(spec).betti.as_dict() == {2: 1, 3: 1}
+
+
+def test_cyclic_sampler_skips_a_colliding_period():
+    """Period 3 meets a snap collision and periods 2, 4 and 5 have too few
+    crossings; the search goes on to period 6 at the given phases."""
+    phases = (0.0, 0.5, 0.0)
+    components = positive_components((1, 1), (1, 1), 0, 0.0, phases=phases)
+    with pytest.raises(TransversalityError):
+        pipeline._sample_components(components, 3)
+    crossings = [pipeline._sample_components(components, d).crossings for d in (2, 4, 5, 6)]
+    assert crossings == [4, 8, 12, 16] and pipeline._expected_crossings(components) == 16
+    rb, _, _ = pipeline.realize(cyclic_spec((1, 1), (1, 1), 0, phases=phases), None)
+    assert rb.period == 6
+    assert rb.combined().nums.tolist() == pipeline._sample_components(components, 6).nums.tolist()
+
+
+def test_cyclic_sampler_refuses_when_no_phase_finds_a_period():
+    spec = cyclic_spec((2, 1), (3, 1), -1, phases=(0.25, 0.25, 0.25))
+    with pytest.raises(BraidInputError) as err:
+        pipeline.realize(spec, None)
+    assert str(err.value) == (
+        "could not discretize the cyclic spec: no faithful sampling period up to 16"
+    )
+
+
 def _realized_bits(spec, period):
     """Every bit of `realize`: each part's numerators, denominator and
     closure image, K and g; or the exception type and message."""
@@ -311,23 +352,30 @@ def _realized_bits(spec, period):
 
 def _seeded_word_spec(rng):
     """A word spec on 2-4 strands marking a random union of the closure's
-    cycles, or at times any strands at all, built without word_spec's checks."""
+    cycles, or at times any strands at all; None where the spec refuses the
+    marks (not closed under the permutation, none or all)."""
     strands = rng.randrange(2, 5)
     w = random_word(rng, strands, rng.randrange(0, 9))
     orbits = cycles(permutation_of(w))
     picked = [c for c in orbits if rng.random() < 0.5]
     if rng.random() < 0.2 or not 0 < len(picked) < len(orbits):
         marks = rng.sample(range(strands), rng.randrange(0, strands + 1))
-        return RelativeBraidSpec("word", word=w, free_marks=tuple(sorted(marks)))
+        try:
+            return RelativeBraidSpec("word", word=w, free_marks=tuple(sorted(marks)))
+        except BraidInputError:
+            return None
     return word_spec(w, [s for c in picked for s in c])
 
 
 def test_split_matches_the_reordered_reference(monkeypatch):
     """realize through the one split equals realize through the reference's
-    reorder-then-split, bit for bit, on seeded word specs with marks anywhere
-    and on seeded cyclic specs, at the searched period and at periods 3 and 5."""
+    reorder-then-split, bit for bit, on the seeded word specs whose marks a
+    spec takes and on seeded cyclic specs, at the searched period and at
+    periods 3 and 5."""
     rng = random.Random(53)
     specs = [_seeded_word_spec(rng) for _ in range(320)]
+    assert 0 < specs.count(None) < len(specs)
+    specs = [spec for spec in specs if spec is not None]
     specs += [cyclic_spec(_rotation(rng), _rotation(rng), rng.randrange(-2, 3))
               for _ in range(20)]
     refused = 0
@@ -339,6 +387,22 @@ def test_split_matches_the_reordered_reference(monkeypatch):
                 assert _realized_bits(spec, period) == new, (spec, period)
             refused += isinstance(new[0], str)
     assert 0 < refused < 3 * len(specs)
+
+
+@pytest.mark.parametrize(
+    "letters, marks, message",
+    [
+        ([1, 1], (0, 5), "free mark 5 is not a strand index in 0..2"),
+        ([1], (0,), "free marking is not closed under the braid permutation"),
+        ([1, 1], (0, 1, 2), "need at least one free and one skeleton strand"),
+    ],
+)
+def test_word_spec_built_directly_checks_its_marks(letters, marks, message):
+    """A spec built without word_spec refuses its marks as word_spec does,
+    before realize can index past the strands."""
+    with pytest.raises(BraidInputError) as err:
+        RelativeBraidSpec("word", word=word(3, letters), free_marks=marks)
+    assert str(err.value) == message
 
 
 def test_cyclic_g_matches_padding_of_the_base_word():
